@@ -31,8 +31,8 @@ import numpy as np
 
 from .problems import ProblemInstance, noise_functional
 from .rng import IndexStream
-from .solvers import EpochAccounting, SolverConfig, _Recorder, checkpoint_iterations, \
-    run_batch
+from .solvers import EpochAccounting, Lockstep, SolverConfig, _Recorder, \
+    checkpoint_iterations, run_batch
 from .spectral import GramOperator, Propagator
 
 ENUM_BUDGET = 10**7
@@ -111,31 +111,13 @@ def _iterate_paths(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                    stop_states: list[int] | None = None) -> dict[int, np.ndarray]:
     """Advance one block of paths `steps` inner steps; return the iterate
     matrix after each step count listed in stop_states (default: just the
-    final one).  Arithmetic matches solvers.run_batch exactly."""
-    a, n = inst.a, inst.n
-    x = np.tile(inst.x0, (ids.size, 1))
-    wanted = sorted(set([steps] if stop_states is None else stop_states))
+    final one).  The steps are solvers.Lockstep, the solvers' own kernel."""
+    kernel = Lockstep(inst.a, y, np.tile(inst.x0, (ids.size, 1)), method, c0, M)
+    idx = _digit(ids, inst.n, np.arange(steps)[:, None])
     out = {}
-    if 0 in wanted:
-        out[0] = x.copy()
-    anchor = grad = None
-    for t in range(steps):
-        i = _digit(ids, n, t)
-        rows = a[i]
-        if method == "svrg":
-            if t % M == 0:
-                anchor = x.copy()
-                resid = np.einsum("rm,nm->rn", anchor, a) - y
-                grad = np.einsum("rn,nm->rm", resid, a) / n
-            d = np.einsum("rm,rm->r", rows, x - anchor)
-            x = x - c0 * (d[:, None] * rows + grad)
-        elif method == "sgd":
-            d = np.einsum("rm,rm->r", rows, x) - y[i]
-            x = x - (c0 * d)[:, None] * rows
-        else:
-            raise ValueError(f"enumeration supports sgd and svrg, not {method!r}")
-        if t + 1 in wanted:
-            out[t + 1] = x.copy()
+    for s in sorted(set([steps] if stop_states is None else stop_states)):
+        kernel.advance(idx[kernel.t:s])
+        out[s] = kernel.x.copy()
     return out
 
 
@@ -581,25 +563,11 @@ def _mc_weighted_second_moment(inst, y, c0, M, K, method, r1, r2, runs, seed
     r1m = operator_word_matrix(inst.gram, c0, r1)
     r2v = shift_vector(inst, y, r2)
     x_ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
-    a, n = inst.a, inst.n
     x = np.tile(inst.x0, (runs, 1))
-    anchor = grad = None
-    streams = [IndexStream(seed, n, subkey=r) for r in range(runs)]
-    idx = np.empty((runs, K * M), dtype=np.int64)
-    for r, stream in enumerate(streams):
-        idx[r] = stream.block(0, K * M)
-    for t in range(K * M):
-        rows = a[idx[:, t]]
-        if method == "svrg":
-            if t % M == 0:
-                anchor = x.copy()
-                resid = np.einsum("rm,nm->rn", anchor, a) - y
-                grad = np.einsum("rn,nm->rm", resid, a) / n
-            d = np.einsum("rm,rm->r", rows, x - anchor)
-            x = x - c0 * (d[:, None] * rows + grad)
-        else:
-            d = np.einsum("rm,rm->r", rows, x) - y[idx[:, t]]
-            x = x - (c0 * d)[:, None] * rows
+    idx = np.empty((K * M, runs), dtype=np.int64)
+    for r in range(runs):
+        idx[:, r] = IndexStream(seed, inst.n, subkey=r).block(0, K * M)
+    Lockstep(inst.a, y, x, method, c0, M).advance(idx)
     v = (x - x_ref) @ r1m.T + r2v
     vals = np.einsum("rm,rm->r", v, v)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))

@@ -210,7 +210,10 @@ def cmd_precondition_study(args) -> int:
         spec = load_spec(args.spec)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad experiment spec: {exc}")
-    rows, max_gap = run_precondition_study(spec, args.out)
+    try:
+        rows, max_gap = run_precondition_study(spec, args.out)
+    except ValueError as exc:
+        raise InputError(str(exc))
     print(f"wrote {args.out} ({len(rows)} rows)")
     print(f"max_relative_e_gap = {max_gap!r}")
     return EXIT_OK

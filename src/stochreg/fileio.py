@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write `text` to `path` atomically.  The temporary sibling is named by
+    process and thread, so concurrent writers of one path never share it;
+    the last replace wins."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
+    tmp = path.parent / f".{path.name}.tmp{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)

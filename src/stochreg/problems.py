@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .rng import standard_gaussians
-from .spectral import DesignMatrix, GramOperator, build_gram
+from .spectral import GramOperator, build_gram
 
 
 class SourceConditionError(ValueError):
@@ -63,10 +63,6 @@ class ProblemInstance:
     @property
     def m(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def design(self) -> DesignMatrix:
-        return DesignMatrix(self.a)
 
     @cached_property
     def gram(self) -> GramOperator:

@@ -45,13 +45,6 @@ class IndexStream:
         raw = raw_block(self.seed, self.subkey, start, count)
         return (raw % np.uint64(self.n)).astype(np.int64)
 
-    def element(self, k: int) -> int:
-        return int(self.block(k, 1)[0])
-
-
-def index_stream(seed: int, n: int, subkey: int = 0) -> IndexStream:
-    return IndexStream(seed, n, subkey)
-
 
 def standard_gaussians(seed: int, count: int, subkey: int = NOISE_SUBKEY) -> np.ndarray:
     """`count` N(0,1) draws via Box-Muller on the raw uniform stream.

@@ -8,11 +8,22 @@ which are bitwise independent of the batch size; with data generated by
 ``problems.exact_data`` this makes x0 = x_dag with exact data a bitwise fixed
 point of every method.
 
-Update arithmetic (fixed, relied on by replay tests):
-    stochastic:     d = einsum(rows, X) - y[idx];  X = X - (c0*d)[:,None]*rows
-    anchored:       d = einsum(rows, X - Xa);      X = X - c0*(d[:,None]*rows + G)
+Update arithmetic (fixed, relied on by replay tests).  The stochastic and
+anchored steps run in place on buffers allocated once per ``Lockstep``, one
+numpy call per statement, in this order:
+    gather:         A.take(idx, 0, rows, "clip")
+    stochastic:     d = einsum(rows, X);  d -= y[idx];  d *= c0
+                    rows *= d[:,None];  X -= rows
+    anchored:       diff = X - Xa;  d = einsum(rows, diff)
+                    rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
     full gradient:  resid = einsum(X, A) - y;      G = einsum(resid, A) / n
     descent:        X = X - (c0*n)*G
+Every entry gets the same IEEE operations, in the same order, as in the
+out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
+so the kernel's bits equal those forms' bits.  The gather uses mode "clip"
+because the default "raise" buffers the copy: 100 rows of 1000 took about
+100 us against 27 us on a 2-vCPU Xeon VM.  Indices are already reduced modulo
+n, so clipping never changes one.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
@@ -169,6 +180,61 @@ def _divergence_limit(inst: ProblemInstance) -> float:
     return DIVERGENCE_FACTOR * ref
 
 
+class Lockstep:
+    """Advances a (runs, m) matrix x of sgd or svrg iterates in place, one
+    drawn row per run per step.  ``t`` counts the steps taken; svrg refreshes
+    its anchor whenever t % M == 0."""
+
+    def __init__(self, a: np.ndarray, y: np.ndarray, x: np.ndarray,
+                 method: str, c0: float, M: int = 1):
+        if method not in ("sgd", "svrg"):
+            raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
+        self.a = a
+        self.y = np.asarray(y, dtype=np.float64)
+        self.x = x
+        self.method, self.c0, self.M = method, c0, M
+        self.t = 0
+        self._rows = np.empty_like(x)
+        self._d = np.empty(x.shape[0])
+        if method == "svrg":
+            self._anchor = np.empty_like(self.x)
+            self._diff = np.empty_like(self.x)
+            self._grad = None
+
+    def advance(self, idx: np.ndarray) -> None:
+        """One step per row of idx, a (steps, runs) array of row indices in
+        [0, n); idx[s, r] is the row run r draws at step t + s."""
+        a, y, x, c0 = self.a, self.y, self.x, self.c0
+        rows, d = self._rows, self._d
+        scale = d[:, None]
+        if self.method == "sgd":
+            for i in idx:
+                a.take(i, 0, rows, "clip")
+                np.einsum("rm,rm->r", rows, x, out=d)
+                d -= y[i]
+                d *= c0
+                rows *= scale
+                x -= rows
+            self.t += len(idx)
+            return
+        anchor, diff, grad = self._anchor, self._diff, self._grad
+        n, M, t = a.shape[0], self.M, self.t
+        for i in idx:
+            if t % M == 0:
+                np.copyto(anchor, x)
+                resid = np.einsum("rm,nm->rn", anchor, a) - y
+                grad = np.einsum("rn,nm->rm", resid, a) / n
+            a.take(i, 0, rows, "clip")
+            np.subtract(x, anchor, diff)
+            np.einsum("rm,rm->r", rows, diff, out=d)
+            rows *= scale
+            rows += grad
+            rows *= c0
+            x -= rows
+            t += 1
+        self._grad, self.t = grad, t
+
+
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
     """Advance all runs in lockstep, recording at recorder.cp.  Returns a
@@ -205,31 +271,18 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                 diverged |= ~np.isfinite(err) | (err > limit)
         return diverged
 
+    kernel = Lockstep(a, y, x, cfg.method, cfg.c0, cfg.M)
     streams = [IndexStream(cfg.seed, n, subkey=k) for k in subkeys]
-    c0 = cfg.c0
-    anchor = None
-    grad = None
-    t = 0
-    while t < total:
-        width = min(_CHUNK, total - t)
-        idx = np.empty((runs, width), dtype=np.int64)
+    while kernel.t < total:
+        start = kernel.t
+        width = min(_CHUNK, total - start)
+        idx = np.empty((width, runs), dtype=np.int64)
         for r, stream in enumerate(streams):
-            idx[r] = stream.block(t, width)
-        for step in range(width):
-            i = idx[:, step]
-            rows = a[i]
-            if cfg.method == "svrg":
-                if t % cfg.M == 0:
-                    anchor = x.copy()
-                    resid = np.einsum("rm,nm->rn", anchor, a) - y
-                    grad = np.einsum("rn,nm->rm", resid, a) / n
-                d = np.einsum("rm,rm->r", rows, x - anchor)
-                x = x - c0 * (d[:, None] * rows + grad)
-            else:
-                d = np.einsum("rm,rm->r", rows, x) - y[i]
-                x = x - (c0 * d)[:, None] * rows
-            t += 1
-            if next_cp < cp.size and t == cp[next_cp]:
+            idx[:, r] = stream.block(start, width)
+        while kernel.t < start + width:
+            stop = min(start + width, int(cp[next_cp]))
+            kernel.advance(idx[kernel.t - start:stop - start])
+            if kernel.t == cp[next_cp]:
                 err = recorder.record(next_cp, x)
                 next_cp += 1
                 diverged |= ~np.isfinite(err) | (err > limit)

@@ -47,9 +47,6 @@ class DesignMatrix:
             raise IndexError(f"row index {i} outside 1..{self.n}")
         return self.a[i - 1]
 
-    def row_norms_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.a, self.a)
-
 
 def _as_matrix(a) -> np.ndarray:
     if isinstance(a, DesignMatrix):

@@ -209,3 +209,13 @@ def test_precondition_study_cli(tmp_path, capsys):
     header, rows = fileio.read_csv(out)
     assert header[0] == "variant"
     assert {row[0] for row in rows} == {"raw", "preconditioned"}
+
+
+def test_precondition_study_rejects_invalid_grid(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(problem="s-phillips", n=10)))
+    out = tmp_path / "pairs.csv"
+    rc = main(["precondition-study", str(spec_path), "--out", str(out)])
+    assert rc == 4
+    assert "divisible by 4" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, gen_shaw, make_instance
 from stochreg.rng import IndexStream
-from stochreg.solvers import (DivergenceError, EpochAccounting, SolverConfig,
-                              Trajectory, checkpoint_iterations,
-                              landweber_run, oracle_stop, sgd_run, solve,
+from stochreg.analysis import enumerate_exact_moments
+from stochreg.solvers import (_CHUNK, DivergenceError, EpochAccounting,
+                              Lockstep, SolverConfig, Trajectory, _Recorder,
+                              checkpoint_iterations, landweber_run,
+                              oracle_stop, run_batch, sgd_run, solve,
                               step_is_admissible, step_stability_bound,
                               svrg_run, write_trajectory)
 
@@ -131,6 +133,91 @@ def test_runs_are_batch_invariant(noisy_shaw):
     for r in range(3):
         solo = solve(inst, y, cfg, run=r)
         assert_array_equal(rec.error_sq[r], solo.error_sq)
+
+
+def out_of_place_lockstep(a, y, x0, idx, method, c0, M):
+    """The batched update written out of place, as it was before the
+    in-place kernel: idx[t] holds each run's row at step t.  Returns the
+    iterate matrix after every step count 0..len(idx)."""
+    n = a.shape[0]
+    x = np.tile(x0, (idx.shape[1], 1))
+    states = [x]
+    anchor = grad = None
+    for t, i in enumerate(idx):
+        rows = a[i]
+        if method == "svrg":
+            if t % M == 0:
+                anchor = x.copy()
+                resid = np.einsum("rm,nm->rn", anchor, a) - y
+                grad = np.einsum("rn,nm->rm", resid, a) / n
+            d = np.einsum("rm,rm->r", rows, x - anchor)
+            x = x - c0 * (d[:, None] * rows + grad)
+        else:
+            d = np.einsum("rm,rm->r", rows, x) - y[i]
+            x = x - (c0 * d)[:, None] * rows
+        states.append(x)
+    return states
+
+
+def stream_indices(seed, n, runs, steps):
+    return np.stack([IndexStream(seed, n, subkey=r).block(0, steps)
+                     for r in range(runs)], axis=1)
+
+
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
+def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
+                                                            method, M):
+    inst, y = noisy_shaw
+    c0 = 0.5 * step_stability_bound(inst, method)
+    runs, steps = 5, _CHUNK + 700
+    idx = stream_indices(3, inst.n, runs, steps)
+    expected = out_of_place_lockstep(inst.a, y, inst.x0, idx, method, c0, M)
+    kernel = Lockstep(inst.a, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
+    # stops off the anchor grid and on both sides of the chunk boundary
+    for stop in (1, 7, _CHUNK - 1, _CHUNK, steps):
+        kernel.advance(idx[kernel.t:stop])
+        assert kernel.t == stop
+        assert_array_equal(kernel.x, expected[stop])
+
+
+@pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
+                                             ("svrg", 3, 2000.0)])
+def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
+                                                      epochs):
+    inst, y = noisy_shaw
+    cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
+                       max_epochs=epochs, M=M, seed=4, checkpoint_every=50.0)
+    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+    total = acct.iterations(cfg.max_epochs)
+    assert total > _CHUNK
+    cp = checkpoint_iterations(acct, cfg, total)
+    runs = 4
+    rec = _Recorder(inst, y, cp, runs, want_residual=False, sum_iterates=True)
+    run_batch(inst, y, cfg, list(range(runs)), rec)
+    states = out_of_place_lockstep(inst.a, y, inst.x0,
+                                   stream_indices(cfg.seed, inst.n, runs, total),
+                                   method, cfg.c0, M)
+    at_cp = [states[c] for c in cp]
+    assert_array_equal(rec.sum_x, [x.sum(axis=0) for x in at_cp])
+    diffs = [x - inst.x_dag for x in at_cp]
+    assert_array_equal(rec.error_sq.T,
+                       [np.einsum("rm,rm->r", d, d) for d in diffs])
+
+
+def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
+    inst, y = noisy_shaw
+    a, x0, y_before = inst.a.copy(), inst.x0.copy(), y.copy()
+    for method, M, K in (("sgd", 1, 2), ("svrg", 3, 1)):
+        c0 = 0.5 * step_stability_bound(inst, method)
+        cfg = SolverConfig(method=method, c0=c0, max_epochs=3.0, M=M, seed=1)
+        acct = EpochAccounting(method, inst.n, M)
+        cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+        run_batch(inst, y, cfg, [0, 1, 2, 3],
+                  _Recorder(inst, y, cp, 4, want_residual=True))
+        enumerate_exact_moments(inst, y, c0, M, K, method)
+    assert_array_equal(inst.a, a)
+    assert_array_equal(inst.x0, x0)
+    assert_array_equal(y, y_before)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
