@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .analysis import ErrorCurves, error_curves, mc_moments, stopping_stats
+from .analysis import (ErrorCurves, error_curves, mc_moments, parse_rational,
+                       stopping_stats)
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
                        precondition, smooth_solution)
 from .solvers import EpochAccounting, SolverConfig, step_stability_bound
@@ -47,17 +48,6 @@ def thread_count() -> int:
 
 # ---------------------------------------------------------------------------
 # step and inner-loop expression grammar
-
-def parse_rational(text: str) -> float:
-    """A number or a quotient of numbers, e.g. '5', '0.1', '1/2'."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        value = float(num) / float(den)
-    else:
-        value = float(text)
-    return value
-
 
 def parse_m_expr(expr, n: int) -> int:
     """Inner-loop length: a literal, or '<rational>*n' scaled by problem size."""

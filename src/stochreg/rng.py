@@ -46,6 +46,36 @@ class IndexStream:
         return (raw % np.uint64(self.n)).astype(np.int64)
 
 
+def index_blocks(seed: int, n: int, subkeys, start: int, count: int
+                 ) -> np.ndarray:
+    """Positions start..start+count-1 of many index streams at once.
+
+    Returns a (count, runs) int64 array whose column r is, bit for bit,
+    ``IndexStream(seed, n, subkeys[r]).block(start, count)``.  One Philox
+    generator serves every stream: its state is set to the key (seed,
+    subkey) with the counter at start // 4, which is the state a new
+    generator reaches after ``advance(start // 4)``.  Building a generator
+    per stream costs about 20 us (it also draws OS entropy for a
+    SeedSequence) and ``advance`` about 5 us; setting the state costs 2 us.
+    """
+    if n <= 0:
+        raise ValueError("need at least one row to sample")
+    if start < 0 or count < 0:
+        raise ValueError("stream positions are nonnegative")
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bg.state
+    key = state["state"]["key"]
+    state["state"]["counter"][0] = start // _WORDS_PER_BLOCK
+    pad = start % _WORDS_PER_BLOCK
+    out = np.empty((count, len(subkeys)), dtype=np.uint64)
+    for r, subkey in enumerate(subkeys):
+        key[1] = subkey
+        bg.state = state
+        out[:, r] = bg.random_raw(pad + count)[pad:]
+    out %= np.uint64(n)
+    return out.view(np.int64)
+
+
 def standard_gaussians(seed: int, count: int, subkey: int = NOISE_SUBKEY) -> np.ndarray:
     """`count` N(0,1) draws via Box-Muller on the raw uniform stream.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance
-from .rng import IndexStream
+from .rng import index_blocks
 from .spectral import stability_step_bound
 
 _CHUNK = 4096  # iterations per index-stream draw
@@ -272,13 +272,10 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         return diverged
 
     kernel = Lockstep(a, y, x, cfg.method, cfg.c0, cfg.M)
-    streams = [IndexStream(cfg.seed, n, subkey=k) for k in subkeys]
     while kernel.t < total:
         start = kernel.t
         width = min(_CHUNK, total - start)
-        idx = np.empty((width, runs), dtype=np.int64)
-        for r, stream in enumerate(streams):
-            idx[:, r] = stream.block(start, width)
+        idx = index_blocks(cfg.seed, n, subkeys, start, width)
         while kernel.t < start + width:
             stop = min(start + width, int(cp[next_cp]))
             kernel.advance(idx[kernel.t - start:stop - start])

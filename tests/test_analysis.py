@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from stochreg import analysis
 from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                enumerate_exact_moments,
                                enumerate_weighted_second_moment,
-                               error_curves, exact_final_moments,
+                               epoch_transitions, error_curves,
+                               exact_final_moments,
                                exact_weighted_second_moment, mc_moments,
                                operator_word_matrix, operator_word_weights,
                                orthogonality_check, path_count, rate_fit,
@@ -44,12 +46,15 @@ def ortho_instance():
     return inst, inst.y_dag + np.array([0.25, -0.125])
 
 
-def random_preconditioned(n, m, seed, eps=5e-2):
+def raw_random(n, m, seed, eps=5e-2):
     rng = np.random.default_rng(seed)
     inst = make_instance(f"rand{n}x{m}", rng.normal(size=(n, m)),
                          rng.normal(size=m))
-    data = add_noise(inst, eps, seed)
-    return precondition(inst, data.y)
+    return inst, add_noise(inst, eps, seed).y
+
+
+def random_preconditioned(n, m, seed, eps=5e-2):
+    return precondition(*raw_random(n, m, seed, eps))
 
 
 # --- enumeration against frozen values ----------------------------------------
@@ -174,6 +179,95 @@ def test_propagated_moments_match_enumeration(method):
     brute = enumerate_weighted_second_moment(inst, y, c0, 2, 2, method,
                                              "B", "Binv_zeta")
     assert_allclose(weighted, brute, rtol=1e-12)
+
+
+def loop_epoch_transitions(inst, y, c0, M, method):
+    """Reference: the per-epoch maps built one digit combination at a time."""
+    n, m = inst.n, inst.m
+    eye = np.eye(m)
+    b = inst.gram.matrix
+    m0 = eye - c0 * b
+    m0_pows = [np.linalg.matrix_power(m0, i) for i in range(M + 1)]
+    acc = np.zeros((m, m))
+    stepsum = [acc.copy()]
+    for i in range(M):
+        acc = acc + c0 * m0_pows[i]
+        stepsum.append(acc.copy())
+    zeta = noise_functional(inst, y)
+    zeta_k = inst.a * (y - inst.y_dag)[:, None]
+    outer = inst.a[:, :, None] * inst.a[:, None, :]
+    bz = inst.gram.pinv_apply(zeta)
+    ids = np.arange(n**M)
+    combos = np.stack([(ids // n**t) % n for t in range(M)], axis=1)
+    t_stack = np.empty((ids.size, m, m))
+    v_stack = np.zeros((ids.size, m))
+    for c, digits in enumerate(combos):
+        suf = [None] * (M + 1)
+        suf[M] = eye
+        for i in range(M - 1, -1, -1):
+            suf[i] = suf[i + 1] @ (eye - c0 * outer[digits[i]])
+        if method == "svrg":
+            h = [suf[i + 1] @ (b - outer[digits[i]]) for i in range(M)]
+            l_mat = np.zeros((m, m))
+            for i in range(1, M):
+                l_mat += c0 * (h[i] @ stepsum[i])
+            t_stack[c] = m0_pows[M] - l_mat @ b
+        else:
+            t_full = suf[1] @ (eye - c0 * outer[digits[0]])
+            w = np.zeros(m)
+            for i in range(M):
+                w += c0 * (suf[i + 1] @ zeta_k[digits[i]])
+            t_stack[c] = t_full
+            v_stack[c] = (t_full - eye) @ bz + w
+    return t_stack, v_stack
+
+
+@pytest.mark.parametrize("method", ["sgd", "svrg"])
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("build", [raw_random, random_preconditioned])
+def test_epoch_transitions_match_per_combination_loop_bitwise(
+        monkeypatch, method, M, build):
+    inst, y = build(3, 3, seed=40 + M)
+    c0 = 0.9 * step_constant(inst.a)
+    # a block size that does not divide n^M puts a short block at the end
+    monkeypatch.setattr(analysis, "_BLOCK", 7)
+    t_stack, v_stack = epoch_transitions(inst, y, c0, M, method)
+    t_ref, v_ref = loop_epoch_transitions(inst, y, c0, M, method)
+    assert t_stack.shape == (3**M, 3, 3)
+    assert_array_equal(t_stack, t_ref)
+    assert_array_equal(v_stack, v_ref)
+
+
+def test_epoch_transitions_reject_oversized_stacks():
+    rng = np.random.default_rng(3)
+    wide = make_instance("wide", rng.normal(size=(1000, 15)), rng.normal(size=15))
+    # 1000^2 maps of 15 x 15 entries exceed the 2e8-entry stack budget
+    with pytest.raises(ValueError, match="stack would not fit the budget"):
+        epoch_transitions(wide, wide.y_dag, 1e-3, 2, "svrg")
+    tall = make_instance("tall", rng.normal(size=(1001, 2)), rng.normal(size=2))
+    # 1001^2 digit combinations exceed the 10^6-combination budget
+    with pytest.raises(ValueError, match="digit space exceeds the budget"):
+        epoch_transitions(tall, tall.y_dag, 1e-3, 2, "sgd")
+    with pytest.raises(ValueError, match="unknown method"):
+        epoch_transitions(tall, tall.y_dag, 1e-3, 1, "landweber")
+
+
+@pytest.mark.parametrize("method", ["sgd", "svrg"])
+@pytest.mark.parametrize("M,K", [(1, 1), (1, 3), (3, 1), (3, 3)])
+def test_propagation_matches_enumeration_across_loop_lengths(method, M, K):
+    inst, y = random_preconditioned(3, 2, seed=7 + M + K)
+    c0 = step_constant(inst.a)
+    enum = enumerate_exact_moments(inst, y, c0, M, K, method)
+    mu, s = exact_final_moments(inst, y, c0, M, K, method)
+    ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
+    assert_allclose(ref + mu, enum.mean, rtol=1e-12)
+    second = np.trace(s) + 2 * ref @ mu + ref @ ref
+    assert_allclose(second, enum.second_moment_trace, rtol=1e-12)
+    for r1, r2 in (("I", "0"), ("B", "Binv_zeta"), ("M0^2", "Binv_zeta")):
+        weighted = exact_weighted_second_moment(inst, y, c0, M, K, method, r1, r2)
+        brute = enumerate_weighted_second_moment(inst, y, c0, M, K, method,
+                                                 r1, r2)
+        assert_allclose(weighted, brute, rtol=1e-12)
 
 
 # --- variance comparison ------------------------------------------------------

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, gen_shaw, make_instance
-from stochreg.rng import IndexStream
+from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.analysis import enumerate_exact_moments
 from stochreg.solvers import (_CHUNK, DivergenceError, EpochAccounting,
                               Lockstep, SolverConfig, Trajectory, _Recorder,
@@ -162,6 +162,28 @@ def out_of_place_lockstep(a, y, x0, idx, method, c0, M):
 def stream_indices(seed, n, runs, steps):
     return np.stack([IndexStream(seed, n, subkey=r).block(0, steps)
                      for r in range(runs)], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("start,count", [(0, 9), (1, 6), (3, 4), (6, 1),
+                                         (_CHUNK - 3, 11), (_CHUNK + 1, 5),
+                                         (2 * _CHUNK - 2, 0)])
+def test_index_blocks_equal_single_stream_blocks(n, start, count):
+    subkeys = [0, 1, 5, 2**32 + 3, NOISE_SUBKEY - 1, NOISE_SUBKEY]
+    got = index_blocks(17, n, subkeys, start, count)
+    assert got.dtype == np.int64 and got.shape == (count, len(subkeys))
+    for r, subkey in enumerate(subkeys):
+        assert_array_equal(got[:, r],
+                           IndexStream(17, n, subkey=subkey).block(start, count))
+    if n == 1:
+        assert not got.any()
+
+
+def test_index_blocks_reject_bad_arguments():
+    with pytest.raises(ValueError, match="row"):
+        index_blocks(0, 0, [0], 0, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        index_blocks(0, 3, [0], -1, 4)
 
 
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
