@@ -723,6 +723,7 @@ class MomentReport:
     mse: np.ndarray
     mse_stderr: np.ndarray
     residual_mse: np.ndarray | None
+    error_sq: np.ndarray        # kept runs x checkpoints
     run_count: int
     excluded_runs: tuple
 
@@ -731,10 +732,11 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                runs: int, include_residual: bool = False) -> MomentReport:
     """Sample moments over independently seeded runs at the checkpoint grid.
 
-    Two deterministic passes: the first accumulates the mean curve, per-run
-    errors, and divergence flags; the second replays the same trajectories to
-    measure spread around the realized mean without storing iterate history.
-    Diverged runs are excluded and reported.
+    One deterministic pass records per-run errors, the mean curve and the
+    spread around the realized mean: the runs advance in lockstep, so the
+    mean at each checkpoint is known before the next step.  Diverged runs
+    are excluded and reported; the kept runs are then run once more, since
+    their mean differs from the mean of the whole batch.
     """
     if runs < 2:
         raise ValueError("need at least two runs for sample moments")
@@ -745,32 +747,32 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
 
     subkeys = list(range(runs))
     rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual,
-                    sum_iterates=True)
+                    center_on_mean=True)
     diverged = run_batch(inst, y, cfg, subkeys, rec)
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
     if excluded:
         subkeys = [r for r in range(runs) if r not in excluded]
+        if not subkeys:
+            raise ValueError("no runs survived the divergence guard")
         if len(subkeys) < 2:
             raise ValueError("fewer than two runs survived the divergence guard")
         rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual,
-                        sum_iterates=True)
+                        center_on_mean=True)
         run_batch(inst, y, cfg, subkeys, rec)
     count = len(subkeys)
     mean_x = rec.sum_x / count
 
-    rec2 = _Recorder(inst, y, cp, count, want_residual=False, centers=mean_x)
-    run_batch(inst, y, cfg, subkeys, rec2)
-
     diff = mean_x - inst.x_dag
     bias_sq = np.einsum("cm,cm->c", diff, diff)
-    variance = rec2.centered_sq.mean(axis=0)
+    variance = rec.centered_sq.mean(axis=0)
     mse = rec.error_sq.mean(axis=0)
     stderr = rec.error_sq.std(axis=0, ddof=1) / math.sqrt(count)
     resid = None if rec.residual_sq is None else rec.residual_sq.mean(axis=0)
     return MomentReport(method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
                         mean_iterate=mean_x, bias_sq=bias_sq, variance=variance,
                         mse=mse, mse_stderr=stderr, residual_mse=resid,
-                        run_count=count, excluded_runs=excluded)
+                        error_sq=rec.error_sq, run_count=count,
+                        excluded_runs=excluded)
 
 
 @dataclass(frozen=True)
@@ -785,25 +787,31 @@ class ErrorCurves:
 
 def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                  runs: int, include_residual: bool = False) -> ErrorCurves:
-    """Per-run error curves at the checkpoint grid (single pass)."""
+    """Per-run error curves at the checkpoint grid, in a single pass.
+
+    Diverged runs are excluded and reported.  Their rows are dropped: each
+    run gives the same numbers alone or in a batch, so the kept rows are
+    those of a batch of the kept runs only.
+    """
     if runs < 1:
         raise ValueError("need at least one run")
     y = np.asarray(y, dtype=np.float64)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
-    subkeys = list(range(runs))
-    rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual)
-    diverged = run_batch(inst, y, cfg, subkeys, rec)
+    rec = _Recorder(inst, y, cp, runs, want_residual=include_residual)
+    diverged = run_batch(inst, y, cfg, list(range(runs)), rec)
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
+    error_sq, residual_sq = rec.error_sq, rec.residual_sq
     if excluded:
-        subkeys = [r for r in range(runs) if r not in excluded]
-        if not subkeys:
+        if diverged.all():
             raise ValueError("no runs survived the divergence guard")
-        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual)
-        run_batch(inst, y, cfg, subkeys, rec)
+        kept = ~diverged
+        error_sq = error_sq[kept]
+        if residual_sq is not None:
+            residual_sq = residual_sq[kept]
     return ErrorCurves(method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
-                       error_sq=rec.error_sq, residual_sq=rec.residual_sq,
+                       error_sq=error_sq, residual_sq=residual_sq,
                        excluded_runs=excluded)
 
 

@@ -19,7 +19,7 @@ from . import fileio
 from .analysis import (ErrorCurves, error_curves, mc_moments, parse_rational,
                        stopping_stats)
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
-                       precondition, smooth_solution)
+                       orthogonalize_rows, precondition, smooth_solution)
 from .solvers import EpochAccounting, SolverConfig, step_stability_bound
 from .spectral import step_constant
 
@@ -257,18 +257,22 @@ def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
     return cfg, c0_expr, m_value
 
 
-def _resampled_curves(inst_nu: ProblemInstance, spec: ExperimentSpec,
+def _resampled_curves(inst_nu: ProblemInstance, inst_cell: ProblemInstance,
+                      rotation: np.ndarray | None, spec: ExperimentSpec,
                       i_nu: int, i_eps: int, cfg: SolverConfig) -> ErrorCurves:
-    """Fresh noise per run; index streams still differ run to run."""
+    """Fresh noise per run; index streams still differ run to run.  Each
+    run's data is drawn on inst_nu and, when preconditioning, rotated into
+    inst_cell's coordinates by the cell's one rotation."""
     eps = spec.epsilon[i_eps]
     base = spec.noise_seed(i_nu, i_eps)
     rows = []
     grid = None
     for r in range(spec.runs):
-        data = add_noise(inst_nu, eps, base + _RESAMPLE_STRIDE * (r + 1))
-        inst_r, y_r = (precondition(inst_nu, data.y)
-                       if spec.precondition else (inst_nu, data.y))
-        cur = error_curves(inst_r, y_r, replace(cfg, seed=cfg.seed + r), runs=1)
+        y_r = add_noise(inst_nu, eps, base + _RESAMPLE_STRIDE * (r + 1)).y
+        if rotation is not None:
+            y_r = rotation @ y_r
+        cur = error_curves(inst_cell, y_r, replace(cfg, seed=cfg.seed + r),
+                           runs=1)
         rows.append(cur.error_sq[0])
         grid = cur
     return ErrorCurves(method=cfg.method, epochs=grid.epochs,
@@ -281,14 +285,23 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
     i_nu, i_eps, i_m, plan = cell
     nu = spec.nu[i_nu]
     eps = spec.epsilon[i_eps]
-    inst_nu, inst_cell, y_cell, c_unit = prepared[(i_nu, i_eps)]
+    inst_nu, inst_cell, y_cell, rotation, c_unit = prepared[(i_nu, i_eps)]
     base_row = [spec.problem, nu, eps, plan.method]
     try:
         cfg, c0_expr, m_value = _cell_config(
             inst_cell, plan, spec, spec.solver_seed(cell_index), figure_grid,
             c_unit)
-        if spec.resample_noise:
-            curves = _resampled_curves(inst_nu, spec, i_nu, i_eps, cfg)
+        if figure_grid:
+            # one pass gives the figure moments and the per-run error curves;
+            # figure data needs the cell's fixed noise (see run_experiment)
+            report = mc_moments(inst_cell, y_cell, cfg, spec.runs)
+            curves = ErrorCurves(method=cfg.method, epochs=report.epochs,
+                                 iterations=report.iterations,
+                                 error_sq=report.error_sq, residual_sq=None,
+                                 excluded_runs=report.excluded_runs)
+        elif spec.resample_noise:
+            curves = _resampled_curves(inst_nu, inst_cell, rotation, spec,
+                                       i_nu, i_eps, cfg)
         else:
             curves = error_curves(inst_cell, y_cell, cfg, runs=spec.runs)
         kstar, e_mean, se = stopping_stats(curves)
@@ -299,7 +312,6 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
         figure_name = None
         figure_rows = ()
         if figure_grid:
-            report = mc_moments(inst_cell, y_cell, cfg, spec.runs)
             figure_name = f"figure_cell{cell_index:03d}_{plan.method}.csv"
             figure_rows = tuple(
                 (float(report.epochs[j]), int(report.iterations[j]),
@@ -319,9 +331,11 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
 def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
     """Instances and noise shared by every method in a (nu, epsilon) point.
 
-    step_from_raw evaluates the step unit c on the unrotated rows even when
-    solving the preconditioned system, so paired studies run with the same
-    numeric step on both sides.
+    With resample_noise and precondition, y_cell is None and rotation maps
+    each run's fresh data into the cell's coordinates; otherwise rotation
+    is None.  step_from_raw evaluates the step unit c on the unrotated rows
+    even when solving the preconditioned system, so paired studies run with
+    the same numeric step on both sides.
     """
     base = generate(spec.problem, spec.n)
     prepared = {}
@@ -329,15 +343,17 @@ def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
         inst_nu = smooth_solution(base, nu)
         for i_eps, eps in enumerate(spec.epsilon):
             data = add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps))
+            rotation = None
             if spec.precondition and not spec.resample_noise:
                 inst_cell, y_cell = precondition(inst_nu, data.y)
             elif spec.precondition:
-                inst_cell, _ = precondition(inst_nu, data.y)
+                inst_cell, rotation = orthogonalize_rows(inst_nu)
                 y_cell = None  # rebuilt per run with fresh noise
             else:
                 inst_cell, y_cell = inst_nu, data.y
             c_unit = step_constant(inst_nu.a if step_from_raw else inst_cell.a)
-            prepared[(i_nu, i_eps)] = (inst_nu, inst_cell, y_cell, c_unit)
+            prepared[(i_nu, i_eps)] = (inst_nu, inst_cell, y_cell, rotation,
+                                       c_unit)
     return prepared
 
 

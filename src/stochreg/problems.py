@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .rng import standard_gaussians
-from .spectral import GramOperator, build_gram
+from .spectral import GramOperator, build_gram, fix_singular_signs
 
 
 class SourceConditionError(ValueError):
@@ -213,6 +213,20 @@ def add_noise(inst: ProblemInstance, epsilon: float, seed: int) -> NoisyData:
     return NoisyData(y=y, epsilon=float(epsilon), seed=int(seed), delta=delta)
 
 
+def orthogonalize_rows(inst: ProblemInstance
+                       ) -> tuple[ProblemInstance, np.ndarray]:
+    """The instance with A -> U^T A = S V^T, whose rows are orthogonal, and
+    the rotation U^T that maps data into it.  U is the full left singular
+    factor under spectral.svd's sign convention."""
+    u, _, vt = np.linalg.svd(inst.a, full_matrices=True)
+    fix_singular_signs(u, vt)
+    a_rot = u.T @ inst.a
+    inst_rot = ProblemInstance(name=inst.name, a=a_rot, x_dag=inst.x_dag,
+                               y_dag=exact_data(a_rot, inst.x_dag), x0=inst.x0,
+                               nu=inst.nu)
+    return inst_rot, u.T
+
+
 def precondition(inst: ProblemInstance, y: np.ndarray | None = None
                  ) -> tuple[ProblemInstance, np.ndarray]:
     """Rotate the data space so rows become orthogonal: A -> U^T A = S V^T.
@@ -225,18 +239,8 @@ def precondition(inst: ProblemInstance, y: np.ndarray | None = None
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (inst.n,):
         raise ValueError("data vector shape does not match the instance")
-    u, s, vt = np.linalg.svd(inst.a, full_matrices=True)
-    # same sign convention as spectral.svd, applied to the retained columns
-    for k in range(s.size):
-        idx = int(np.argmax(np.abs(vt[k])))
-        if vt[k, idx] < 0:
-            vt[k] = -vt[k]
-            u[:, k] = -u[:, k]
-    a_rot = u.T @ inst.a
-    inst_rot = ProblemInstance(name=inst.name, a=a_rot, x_dag=inst.x_dag,
-                               y_dag=exact_data(a_rot, inst.x_dag), x0=inst.x0,
-                               nu=inst.nu)
-    return inst_rot, u.T @ y
+    inst_rot, rotation = orthogonalize_rows(inst)
+    return inst_rot, rotation @ y
 
 
 def rescale_to_unit_norm(inst: ProblemInstance) -> ProblemInstance:

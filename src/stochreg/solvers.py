@@ -146,18 +146,29 @@ def _validate_step(inst: ProblemInstance, cfg: SolverConfig) -> None:
 
 
 class _Recorder:
-    """Collects per-checkpoint statistics from the batched iterate matrix."""
+    """Collects per-checkpoint statistics from the batched iterate matrix.
+
+    centered_sq holds each run's squared distance to ``centers[j]`` or, with
+    center_on_mean, to the batch mean ``sum_x[j] / runs`` of the same
+    checkpoint: every run sits in one lockstep matrix, so one pass gives the
+    mean and the spread around it.  That center has the bits of
+    ``sum_x / runs`` taken after the pass, since sum_x starts at zero.
+    """
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, cp: np.ndarray,
                  runs: int, *, want_residual: bool, sum_iterates: bool = False,
-                 centers: np.ndarray | None = None):
+                 centers: np.ndarray | None = None,
+                 center_on_mean: bool = False):
         self.inst, self.y, self.cp = inst, y, cp
         c = cp.size
         self.error_sq = np.empty((runs, c))
         self.residual_sq = np.empty((runs, c)) if want_residual else None
-        self.sum_x = np.zeros((c, inst.m)) if sum_iterates else None
+        self.sum_x = (np.zeros((c, inst.m)) if sum_iterates or center_on_mean
+                      else None)
         self.centers = centers
-        self.centered_sq = np.empty((runs, c)) if centers is not None else None
+        self.center_on_mean = center_on_mean
+        self.centered_sq = (np.empty((runs, c))
+                            if centers is not None or center_on_mean else None)
 
     def record(self, j: int, x: np.ndarray) -> np.ndarray:
         diff = x - self.inst.x_dag
@@ -169,7 +180,10 @@ class _Recorder:
         if self.sum_x is not None:
             self.sum_x[j] += x.sum(axis=0)
         if self.centered_sq is not None:
-            d = x - self.centers[j]
+            if self.center_on_mean:
+                d = x - self.sum_x[j] / x.shape[0]
+            else:
+                d = x - self.centers[j]
             self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
         return err
 

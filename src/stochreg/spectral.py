@@ -273,6 +273,17 @@ class SvdFactors:
         return self.s.size
 
 
+def fix_singular_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    """Fix the sign ambiguity of paired singular vectors in place: the
+    largest-magnitude entry of each right singular vector vt[j] is made
+    positive, flipping u[:, j] with it, so factors are reproducible."""
+    for j in range(min(u.shape[1], vt.shape[0])):
+        k = int(np.argmax(np.abs(vt[j])))
+        if vt[j, k] < 0:
+            vt[j] = -vt[j]
+            u[:, j] = -u[:, j]
+
+
 def svd(a, tau: float = 1e-10) -> SvdFactors:
     mat = _as_matrix(a)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -281,13 +292,7 @@ def svd(a, tau: float = 1e-10) -> SvdFactors:
     else:
         keep = np.zeros(s.shape, dtype=bool)
     u, s, vt = u[:, keep], s[keep], vt[keep]
-    # fix the sign ambiguity: the largest-magnitude entry of each right
-    # singular vector is made positive, so factors are reproducible
-    for j in range(s.size):
-        k = int(np.argmax(np.abs(vt[j])))
-        if vt[j, k] < 0:
-            vt[j] = -vt[j]
-            u[:, j] = -u[:, j]
+    fix_singular_signs(u, vt)
     for arr in (u, s, vt):
         arr.flags.writeable = False
     return SvdFactors(u=u, s=s, vt=vt, tau=float(tau))

@@ -30,7 +30,9 @@ from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                variance_compare)
 from stochreg.problems import (add_noise, gen_shaw, make_instance,
                                noise_functional, precondition)
-from stochreg.solvers import SolverConfig, step_stability_bound
+from stochreg.solvers import (EpochAccounting, SolverConfig, _Recorder,
+                              checkpoint_iterations, run_batch,
+                              step_stability_bound)
 from stochreg.spectral import GramOperator, Propagator, step_constant
 
 
@@ -369,6 +371,99 @@ def test_error_curves_shape(tmp_path):
     curves = error_curves(inst, y, cfg, runs=7)
     assert curves.error_sq.shape == (7, curves.epochs.size)
     assert curves.excluded_runs == ()
+
+
+# --- partial divergence ------------------------------------------------------
+
+def diverging_shaw_case(factor, seed=5):
+    """s-shaw n = 10 at sgd steps `factor` times the stability bound.  At 2.9
+    runs 1, 10 and 11 of 12 trip the divergence guard; at 3.1 with seed 0,
+    runs 0 and 1 of 3 do; at 4 every run does."""
+    inst = gen_shaw(10)
+    y = add_noise(inst, 1e-2, 3).y
+    cfg = SolverConfig(method="sgd", c0=factor * step_stability_bound(inst, "sgd"),
+                       max_epochs=60.0, seed=seed, allow_large_step=True)
+    return inst, y, cfg
+
+
+def checkpoints(inst, cfg):
+    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+    return checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+
+
+def two_pass_mc_moments(inst, y, cfg, runs):
+    """mc_moments as it was before one-pass recording: a first pass for the
+    mean, a re-run of the kept runs on divergence, then a second pass for
+    the spread around the mean."""
+    cp = checkpoints(inst, cfg)
+    subkeys = list(range(runs))
+    rec = _Recorder(inst, y, cp, runs, want_residual=False, sum_iterates=True)
+    diverged = run_batch(inst, y, cfg, subkeys, rec)
+    excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
+    if excluded:
+        subkeys = [r for r in range(runs) if r not in excluded]
+        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
+                        sum_iterates=True)
+        run_batch(inst, y, cfg, subkeys, rec)
+    count = len(subkeys)
+    mean_x = rec.sum_x / count
+    rec2 = _Recorder(inst, y, cp, count, want_residual=False, centers=mean_x)
+    run_batch(inst, y, cfg, subkeys, rec2)
+    diff = mean_x - inst.x_dag
+    return {"mean_iterate": mean_x,
+            "bias_sq": np.einsum("cm,cm->c", diff, diff),
+            "variance": rec2.centered_sq.mean(axis=0),
+            "mse": rec.error_sq.mean(axis=0),
+            "mse_stderr": rec.error_sq.std(axis=0, ddof=1) / math.sqrt(count),
+            "error_sq": rec.error_sq, "run_count": count,
+            "excluded_runs": excluded}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_error_curves_drop_diverged_rows():
+    inst, y, cfg = diverging_shaw_case(2.9)
+    curves = error_curves(inst, y, cfg, runs=12, include_residual=True)
+    assert curves.excluded_runs == (1, 10, 11)
+    kept = [r for r in range(12) if r not in curves.excluded_runs]
+    rec = _Recorder(inst, y, checkpoints(inst, cfg), len(kept),
+                    want_residual=True)
+    assert not run_batch(inst, y, cfg, kept, rec).any()
+    assert_array_equal(curves.error_sq, rec.error_sq)
+    assert_array_equal(curves.residual_sq, rec.residual_sq)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_moments_on_partial_divergence_match_two_passes():
+    inst, y, cfg = diverging_shaw_case(2.9)
+    rep = mc_moments(inst, y, cfg, runs=12)
+    ref = two_pass_mc_moments(inst, y, cfg, runs=12)
+    assert rep.excluded_runs == ref["excluded_runs"] == (1, 10, 11)
+    for field, value in ref.items():
+        assert_array_equal(getattr(rep, field), value, err_msg=field)
+
+
+def test_mc_moments_match_two_passes():
+    inst, y = raw_random(6, 4, seed=67)
+    cfg = SolverConfig(method="svrg", c0=0.5 * step_stability_bound(inst, "svrg"),
+                       max_epochs=5.0, M=3, seed=2, checkpoint_every=0.5)
+    rep = mc_moments(inst, y, cfg, runs=9)
+    ref = two_pass_mc_moments(inst, y, cfg, runs=9)
+    assert rep.excluded_runs == ()
+    for field, value in ref.items():
+        assert_array_equal(getattr(rep, field), value, err_msg=field)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_messages():
+    inst, y, cfg = diverging_shaw_case(4.0)
+    with pytest.raises(ValueError, match="no runs survived"):
+        error_curves(inst, y, cfg, runs=3)
+    with pytest.raises(ValueError, match="no runs survived"):
+        mc_moments(inst, y, cfg, runs=3)
+    inst, y, cfg = diverging_shaw_case(3.1, seed=0)
+    assert error_curves(inst, y, cfg, runs=3).excluded_runs == (0, 1)
+    with pytest.raises(ValueError, match="fewer than two runs survived"):
+        mc_moments(inst, y, cfg, runs=3)
 
 
 # --- condition constants and bounds (frozen rational arithmetic) --------------

@@ -1,10 +1,14 @@
 """Grid specs, the step/inner-loop grammar, and deterministic execution."""
 
+import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stochreg import experiment
+from stochreg.analysis import ErrorCurves, error_curves, stopping_stats
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  FIGURE_HEADER, load_spec, parse_c0_expr,
                                  parse_m_expr, parse_rational,
@@ -12,6 +16,9 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  run_precondition_study, spec_from_dict,
                                  spec_to_dict, thread_count)
 from stochreg.fileio import read_csv
+from stochreg.problems import add_noise, precondition
+from stochreg.solvers import (EpochAccounting, SolverConfig, _Recorder,
+                              checkpoint_iterations, run_batch)
 
 
 # --- grammar -------------------------------------------------------------------
@@ -251,3 +258,129 @@ def test_run_grid_reports_outcomes_in_order():
     labels = [(o.row[1], o.row[3]) for o in outcomes]
     assert labels == [(0.0, "sgd"), (0.0, "landweber"),
                       (1.0, "sgd"), (1.0, "landweber")]
+
+
+# --- one pass per figure cell ----------------------------------------------------
+
+def error_row(spec, cell_index, message):
+    i_nu, i_eps, _, plan = spec.cells[cell_index]
+    return [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
+            plan.c0_expr, "", "", "", spec.runs, "", "", message]
+
+
+def three_pass_figure_cell(spec, cell_index):
+    """The (result row, figure rows) of a figure cell as computed before one
+    pass per cell: error curves, re-running the kept runs when some diverge,
+    then one pass for the mean iterate and one for the spread around it."""
+    i_nu, i_eps, _, plan = spec.cells[cell_index]
+    inst_nu, inst, y, _, c_unit = experiment._prepare_cells(spec)[(i_nu, i_eps)]
+    cfg, c0_expr, m_value = experiment._cell_config(
+        inst, plan, spec, spec.solver_seed(cell_index), True, c_unit)
+    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+
+    def batch(subkeys, **kwargs):
+        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
+                        **kwargs)
+        return rec, run_batch(inst, y, cfg, subkeys, rec)
+
+    rec, diverged = batch(list(range(spec.runs)))
+    excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
+    kept = [r for r in range(spec.runs) if r not in excluded]
+    if not kept:
+        return error_row(spec, cell_index, "ValueError: no runs survived the "
+                         "divergence guard"), ()
+    if excluded:
+        rec, _ = batch(kept)
+    curves = ErrorCurves(method=cfg.method, epochs=acct.epochs(cp),
+                         iterations=cp, error_sq=rec.error_sq,
+                         residual_sq=None, excluded_runs=excluded)
+    kstar, e_mean, se = stopping_stats(curves)
+    if len(kept) < 2:
+        return error_row(spec, cell_index, "ValueError: fewer than two runs "
+                         "survived the divergence guard"), ()
+    note = f"{len(excluded)} runs diverged" if excluded else ""
+    row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
+           c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), note]
+    sums, _ = batch(kept, sum_iterates=True)
+    mean_x = sums.sum_x / len(kept)
+    spread, _ = batch(kept, centers=mean_x)
+    diff = mean_x - inst.x_dag
+    bias_sq = np.einsum("cm,cm->c", diff, diff)
+    variance = spread.centered_sq.mean(axis=0)
+    mse = rec.error_sq.mean(axis=0)
+    figure = tuple((float(e), int(i), float(b), float(v), float(m))
+                   for e, i, b, v, m in zip(acct.epochs(cp), cp, bias_sq,
+                                            variance, mse))
+    return row, figure
+
+
+def test_figure_cell_one_pass_equals_three():
+    spec = small_spec(
+        nu=[1.0], runs=6, max_epochs=6.0,
+        methods=[{"method": "sgd", "c0": "1/4*c", "M": "4"},
+                 {"method": "svrg", "c0": "1/2*c/M", "M": "4"}])
+    outcomes = run_grid(spec, figure_grid=True)
+    assert [o.row[3] for o in outcomes] == ["sgd", "svrg"]
+    for index, outcome in enumerate(outcomes):
+        row, figure = three_pass_figure_cell(spec, index)
+        assert outcome.row == row and outcome.row[-1] == ""
+        assert outcome.figure_rows == figure
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_figure_cells_with_diverged_runs(tmp_path, monkeypatch):
+    # steps above the stability bound: some runs of the 2.9*c cells trip the
+    # divergence guard, every run of the 4*c cell does
+    monkeypatch.setattr(experiment, "SolverConfig",
+                        functools.partial(SolverConfig, allow_large_step=True))
+    spec = small_spec(
+        n=10, nu=[0.0], runs=12, max_epochs=60.0, base_seed=0,
+        methods=[{"method": "sgd", "c0": "2.9*c"},
+                 {"method": "sgd", "c0": "4*c"},
+                 {"method": "svrg", "c0": "2.9*c", "M": "5"}])
+    outcomes = run_grid(spec, figure_grid=True)
+    for index, outcome in enumerate(outcomes):
+        row, figure = three_pass_figure_cell(spec, index)
+        assert outcome.row == row
+        assert outcome.figure_rows == figure
+    notes = [o.row[-1] for o in outcomes]
+    assert notes == ["3 runs diverged",
+                     "ValueError: no runs survived the divergence guard",
+                     "6 runs diverged"]
+    run_experiment(spec, tmp_path / "t.csv", figure_dir=tmp_path / "fig")
+    _, parsed = read_csv(tmp_path / "t.csv")
+    assert [r[RESULT_HEADER.index("error")] for r in parsed] == notes
+    assert sorted(p.name for p in (tmp_path / "fig").iterdir()) == [
+        "figure_cell000_sgd.csv", "figure_cell002_svrg.csv"]
+
+
+def test_resampled_cells_rotate_with_one_svd():
+    spec = small_spec(nu=[1.0], runs=4, max_epochs=5.0, precondition=True,
+                      resample_noise=True,
+                      methods=[{"method": "sgd", "c0": "1/2*c"},
+                               {"method": "svrg", "c0": "1/2*c", "M": "4"}])
+    outcomes = run_grid(spec)
+    prepared = experiment._prepare_cells(spec)
+    for index, (i_nu, i_eps, _, plan) in enumerate(spec.cells):
+        inst_nu, inst_cell, _, _, c_unit = prepared[(i_nu, i_eps)]
+        cfg, c0_expr, m_value = experiment._cell_config(
+            inst_cell, plan, spec, spec.solver_seed(index), False, c_unit)
+        # each run preconditioned on its own, as before the cell's rotation
+        rows = []
+        base = spec.noise_seed(i_nu, i_eps)
+        for r in range(spec.runs):
+            data = add_noise(inst_nu, spec.epsilon[i_eps],
+                             base + experiment._RESAMPLE_STRIDE * (r + 1))
+            inst_r, y_r = precondition(inst_nu, data.y)
+            cur = error_curves(inst_r, y_r, replace(cfg, seed=cfg.seed + r),
+                               runs=1)
+            rows.append(cur.error_sq[0])
+        curves = ErrorCurves(method=cfg.method, epochs=cur.epochs,
+                             iterations=cur.iterations,
+                             error_sq=np.vstack(rows), residual_sq=None,
+                             excluded_runs=())
+        kstar, e_mean, se = stopping_stats(curves)
+        assert outcomes[index].row == [
+            spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
+            c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), ""]

@@ -232,6 +232,31 @@ def test_precondition_fixed_point():
     assert_allclose(y_rot, inst.y_dag, rtol=0, atol=1e-14)
 
 
+def inline_sign_precondition(inst, y):
+    """precondition with its own copy of spectral.svd's sign-fix loop."""
+    u, s, vt = np.linalg.svd(inst.a, full_matrices=True)
+    for k in range(s.size):
+        idx = int(np.argmax(np.abs(vt[k])))
+        if vt[k, idx] < 0:
+            vt[k] = -vt[k]
+            u[:, k] = -u[:, k]
+    a_rot = u.T @ inst.a
+    return a_rot, np.einsum("nm,m->n", a_rot, inst.x_dag), u.T @ y
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+def test_precondition_bits_match_inline_sign_fix(shape):
+    rng = np.random.default_rng(37)
+    inst = make_instance("rand", rng.normal(size=shape),
+                         rng.normal(size=shape[1]))
+    y = inst.y_dag + rng.normal(size=shape[0]) * 0.1
+    rot, y_rot = precondition(inst, y)
+    a_rot, y_dag, y_ref = inline_sign_precondition(inst, y)
+    assert_array_equal(rot.a, a_rot)
+    assert_array_equal(rot.y_dag, y_dag)
+    assert_array_equal(y_rot, y_ref)
+
+
 def test_raw_problem_rows_not_orthogonal():
     assert not is_preconditioned(gen_shaw(16))
 
