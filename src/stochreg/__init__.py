@@ -21,8 +21,7 @@ from .problems import (NoisyData, ProblemInstance, SourceConditionError,
                        precondition, rescale_to_unit_norm, save_instance,
                        save_noisy, smooth_solution, source_element)
 from .solvers import (DivergenceError, EpochAccounting, SolverConfig,
-                      Trajectory, landweber_run, oracle_stop, sgd_run, solve,
-                      svrg_run, write_trajectory)
+                      Trajectory, oracle_stop, solve, write_trajectory)
 from .spectral import (GramOperator, Propagator, build_gram,
                        kernel_bound_check, stability_step_bound,
                        step_constant, svd)
@@ -39,15 +38,15 @@ __all__ = [
     "build_gram", "closed_form_mean", "condition_report",
     "enumerate_exact_moments", "enumerate_weighted_second_moment",
     "error_curves", "exact_final_moments", "exact_weighted_second_moment",
-    "generate", "is_preconditioned", "kernel_bound_check", "landweber_run",
+    "generate", "is_preconditioned", "kernel_bound_check",
     "load_instance", "load_noisy", "load_spec", "make_instance", "mc_moments",
     "noise_functional", "oracle_stop", "orthogonality_check", "parse_c0_expr",
     "parse_m_expr", "precondition", "rate_fit", "recursion_check",
     "rescale_to_unit_norm", "residual_bound", "run_experiment",
     "run_precondition_study", "run_suite", "save_instance", "save_noisy",
-    "sgd_run", "sgd_variance_terms", "smooth_solution", "solve",
+    "sgd_variance_terms", "smooth_solution", "solve",
     "source_element", "spec_from_dict", "stability_step_bound",
-    "step_constant", "stopping_stats", "svd", "svrg_run",
+    "step_constant", "stopping_stats", "svd",
     "svrg_variance_terms", "theorem_bound", "variance_compare",
     "write_trajectory",
 ]

@@ -16,6 +16,11 @@ ways, which cross-check each other:
   building them one combination at a time; the moments average over the
   whole stack with matmuls and agree with enumeration to 1e-12 relative.
 
+The per-path identity checks use the same arithmetic: recursion_check
+advances one seeded path with solvers.Lockstep, the solvers' own step kernel,
+and compares it with the path operators of _EpochKit that also build the
+propagation maps.
+
 Conventions used throughout: K counts completed outer loops, so the final
 iterate is x_{KM} and per-epoch sums run over j = 0..K-1; inner step t of the
 global path consumes digit t (base-n little-endian digits of the path id);
@@ -243,27 +248,45 @@ class _EpochKit:
     def n_mat(self, k) -> np.ndarray:
         return self.b - self.outer[k]
 
+    # The path operators below take a (count, M) stack of epoch digits and
+    # return (count, m, m) stacks, one matrix per row of digits.
+
     def suffix_products(self, digits: np.ndarray) -> list[np.ndarray]:
-        """suf[i] = P_{d[M-1]} ... P_{d[i]} for one epoch's digits (suf[M] = I)."""
+        """suf[i] = P_{d[M-1]} ... P_{d[i]} (suf[M] = I)."""
         M, m = self.M, self.inst.m
         suf = [None] * (M + 1)
-        suf[M] = np.eye(m)
+        suf[M] = np.broadcast_to(np.eye(m), (digits.shape[0], m, m))
         for i in range(M - 1, -1, -1):
-            suf[i] = suf[i + 1] @ self.p_mat(digits[i])
+            suf[i] = suf[i + 1] @ self.p_mat(digits[:, i])
         return suf
 
-    def h_mats(self, digits: np.ndarray) -> list[np.ndarray]:
-        """H_i = (P_{d[M-1]} ... P_{d[i+1]}) N_{d[i]} for i = 0..M-1."""
-        suf = self.suffix_products(digits)
-        return [suf[i + 1] @ self.n_mat(digits[i]) for i in range(self.M)]
+    def h_mat(self, digits: np.ndarray, suf: list[np.ndarray], i: int
+              ) -> np.ndarray:
+        """H_i = (P_{d[M-1]} ... P_{d[i+1]}) N_{d[i]}."""
+        return suf[i + 1] @ self.n_mat(digits[:, i])
 
-    def l_mat(self, digits: np.ndarray) -> np.ndarray:
+    def l_mat(self, digits: np.ndarray, suf: list[np.ndarray]) -> np.ndarray:
         """L = c0 sum_{i=1}^{M-1} H_i (I - M0^i) B^+ via the polynomial form."""
-        h = self.h_mats(digits)
-        out = np.zeros((self.inst.m, self.inst.m))
+        out = np.zeros_like(suf[0])
         for i in range(1, self.M):
-            out += self.c0 * (h[i] @ self.stepsum[i])
+            out += self.c0 * (self.h_mat(digits, suf, i) @ self.stepsum[i])
         return out
+
+
+def _apply_h(kit: _EpochKit, w: np.ndarray, rows: list[np.ndarray], i: int
+             ) -> np.ndarray:
+    """H_i w per path: N at epoch step i, then P at steps i+1..M-1, where
+    rows[l] holds each path's row drawn at epoch step l."""
+    w = w @ kit.b.T - rows[i] * np.einsum("rm,rm->r", rows[i], w)[:, None]
+    for rl in rows[i + 1:]:
+        w = w - kit.c0 * rl * np.einsum("rm,rm->r", rl, w)[:, None]
+    return w
+
+
+def _epoch_rows(inst: ProblemInstance, ids: np.ndarray, j: int, M: int
+                ) -> list[np.ndarray]:
+    """Each path's rows at the M steps of epoch j."""
+    return [inst.a[_digit(ids, inst.n, j * M + l)] for l in range(M)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +350,20 @@ def svrg_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     r2v = shift_vector(inst, y, r2)
     kit = _EpochKit(inst, y, c0, M)
     x_ref = inst.x_dag + gram.pinv_apply(kit.zeta)
-    n = inst.n
 
     head = _head_term(inst, y, c0, M, K, r1m, r2v)
     terms = np.zeros(K)
     for j in range(K):
         pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
-        total = n ** ((j + 1) * M)
-        if total > budget:
-            raise ValueError("per-term enumeration exceeds the path budget")
+        total = inst.n ** ((j + 1) * M)
         acc = []
         for ids in _block_ranges(total):
             u = _iterate_paths(inst, y, c0, M, j * M, "svrg", ids)[j * M] - x_ref
+            rows = _epoch_rows(inst, ids, j, M)
             block = np.zeros(ids.size)
             for i in range(1, M):
                 w = u @ (kit.stepsum[i] @ kit.b).T  # (I - M0^i) u, polynomial form
-                k = j * M + i
-                rows = inst.a[_digit(ids, n, k)]
-                w = w @ kit.b.T - rows * np.einsum("rm,rm->r", rows, w)[:, None]
-                for l in range(k + 1, j * M + M):
-                    rows_l = inst.a[_digit(ids, n, l)]
-                    w = w - kit.c0 * rows_l * np.einsum("rm,rm->r", rows_l, w)[:, None]
-                v = w @ pre.T
+                v = _apply_h(kit, w, rows, i) @ pre.T
                 block += np.einsum("rm,rm->r", v, v)
             acc.append(block.sum())
         terms[j] = c0**2 * np.add.reduce(np.array(acc)) / total
@@ -378,7 +393,6 @@ def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     kit = _EpochKit(inst, y, c0, M)
     bz = gram.pinv_apply(kit.zeta)
     x_ref = inst.x_dag + bz
-    n = inst.n
 
     head = _head_term(inst, y, c0, M, K, r1m, r2v)
     exact = np.zeros(K)
@@ -386,40 +400,26 @@ def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     noise = np.zeros(K)
     for j in range(K):
         pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
-        total = n ** ((j + 1) * M)
-        if total > budget:
-            raise ValueError("per-term enumeration exceeds the path budget")
+        total = inst.n ** ((j + 1) * M)
         acc_e, acc_m, acc_n = [], [], []
         for ids in _block_ranges(total):
             u = _iterate_paths(inst, y, c0, M, j * M, "sgd", ids)[j * M] - x_ref
-            digits = [_digit(ids, n, j * M + i) for i in range(M)]
-            rows_at = [inst.a[d] for d in digits]
+            rows = _epoch_rows(inst, ids, j, M)
             block_e = np.zeros(ids.size)
             block_m = np.zeros(ids.size)
             block_n = np.zeros(ids.size)
             for i in range(M):
                 # own term: H_{jM+i} (M0^i u + B^+ zeta) + M0^(M-i-1) noise gap
-                w = u @ kit.m0_pows[i].T + bz
-                rows = rows_at[i]
-                w = w @ kit.b.T - rows * np.einsum("rm,rm->r", rows, w)[:, None]
-                for l in range(i + 1, M):
-                    rl = rows_at[l]
-                    w = w - kit.c0 * rl * np.einsum("rm,rm->r", rl, w)[:, None]
-                gap = kit.zeta_k[digits[i]] - kit.zeta
+                w = _apply_h(kit, u @ kit.m0_pows[i].T + bz, rows, i)
+                gap = kit.zeta_k[_digit(ids, inst.n, j * M + i)] - kit.zeta
                 own = c0 * (w + gap @ kit.m0_pows[M - i - 1].T)
                 v = own @ pre.T
                 block_m += np.einsum("rm,rm->r", v, v)
                 # echoes: H_{jM+i+t+1} M0^t applied to the same noise gap
                 group = own
                 for t in range(M - i - 1):
-                    w2 = gap @ kit.m0_pows[t].T
-                    rt = rows_at[i + t + 1]
-                    w2 = w2 @ kit.b.T - rt * np.einsum("rm,rm->r", rt, w2)[:, None]
-                    for l in range(i + t + 2, M):
-                        rl = rows_at[l]
-                        w2 = w2 - kit.c0 * rl * np.einsum("rm,rm->r", rl,
-                                                          w2)[:, None]
-                    echo = c0**2 * w2
+                    echo = c0**2 * _apply_h(kit, gap @ kit.m0_pows[t].T, rows,
+                                            i + t + 1)
                     v = echo @ pre.T
                     block_n += np.einsum("rm,rm->r", v, v)
                     group = group + echo
@@ -439,6 +439,7 @@ def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
 # exact epoch propagation (first and second moments, no sampling)
 
 EPOCH_COMBO_BUDGET = 10**6
+EPOCH_STACK_BUDGET = 2 * 10**8  # entries of the n^M (m, m) transition stack
 
 
 def _epoch_digit_combos(n: int, M: int) -> np.ndarray:
@@ -463,7 +464,7 @@ def epoch_transitions(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     if method not in ("sgd", "svrg"):
         raise ValueError(f"unknown method {method!r}")
     m = inst.m
-    if inst.n**M * m * m > 2 * 10**8:
+    if inst.n**M * m * m > EPOCH_STACK_BUDGET:
         raise ValueError("epoch transition stack would not fit the budget")
     y = np.asarray(y, dtype=np.float64)
     combos = _epoch_digit_combos(inst.n, M)
@@ -477,16 +478,10 @@ def epoch_transitions(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     block = max(1, min(_BLOCK, 2**20 // (m * m)))
     for lo in range(0, count, block):
         digits = combos[lo:lo + block]
-        suf = [None] * (M + 1)
-        suf[M] = np.broadcast_to(eye, (digits.shape[0], m, m))
-        for i in range(M - 1, -1, -1):
-            suf[i] = suf[i + 1] @ kit.p_mat(digits[:, i])
+        suf = kit.suffix_products(digits)
         if method == "svrg":
-            l_mat = np.zeros_like(suf[0])
-            for i in range(1, M):
-                l_mat += kit.c0 * ((suf[i + 1] @ kit.n_mat(digits[:, i]))
-                                   @ kit.stepsum[i])
-            t_stack[lo:lo + block] = kit.m0_pows[M] - l_mat @ kit.b
+            t_stack[lo:lo + block] = (kit.m0_pows[M]
+                                      - kit.l_mat(digits, suf) @ kit.b)
         else:
             w = np.zeros((digits.shape[0], m))
             for i in range(M):
@@ -572,7 +567,7 @@ def variance_compare(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
         svrg = enumerate_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2)
         sgd = enumerate_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2)
         mode, stderr = "enumeration", 0.0
-    elif n**M <= EPOCH_COMBO_BUDGET and n**M * inst.m**2 <= 2 * 10**8:
+    elif n**M <= EPOCH_COMBO_BUDGET and n**M * inst.m**2 <= EPOCH_STACK_BUDGET:
         svrg = exact_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2)
         sgd = exact_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2)
         mode, stderr = "propagation", 0.0
@@ -618,39 +613,34 @@ def recursion_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                     K: int, seed: int = 0) -> RecursionReport:
     """Follow one seeded index path and verify, per outer loop, the closed
     epoch recursion, the telescoping identity for the partial products, and
-    the first-step identity after each anchor.  Valid on any instance."""
+    the first-step identity after each anchor.  The path is advanced by
+    solvers.Lockstep, the kernel the solvers run.  Valid on any instance."""
     y = np.asarray(y, dtype=np.float64)
     kit = _EpochKit(inst, y, c0, M)
-    digits = IndexStream(seed, inst.n).block(0, K * M)
-    a, n = inst.a, inst.n
-    m = inst.m
+    idx = IndexStream(seed, inst.n).block(0, K * M)[:, None]
+    kernel = Lockstep(inst.a, y, inst.x0[None].copy(), "svrg", c0, M)
 
-    x = inst.x0.copy()
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):
-        e_start = x - inst.x_dag
-        epoch_digits = digits[k * M:(k + 1) * M]
-        anchor = x.copy()
-        resid = np.einsum("rm,nm->rn", anchor[None], a)[0] - y
-        grad = np.einsum("n,nm->m", resid, a) / n
-        for i in range(M):
-            rows = a[epoch_digits[i]]
-            d = rows @ (x - anchor)
-            x = x - c0 * (d * rows + grad)
-            if i == 0:
-                predicted = kit.m0 @ e_start + c0 * kit.zeta
-                got = x - inst.x_dag
-                dev_anchor = max(dev_anchor, _rel(got - predicted, got))
-        e_end = x - inst.x_dag
-        l_mat = kit.l_mat(epoch_digits)
+        e_start = kernel.x[0] - inst.x_dag
+        epoch_idx = idx[k * M:(k + 1) * M]
+        kernel.advance(epoch_idx[:1])
+        got = kernel.x[0] - inst.x_dag
+        predicted = kit.m0 @ e_start + c0 * kit.zeta
+        dev_anchor = max(dev_anchor, _rel(got - predicted, got))
+        kernel.advance(epoch_idx[1:])
+        e_end = kernel.x[0] - inst.x_dag
+
+        digits = epoch_idx.T  # the epoch's one digit combination
+        suf = kit.suffix_products(digits)
+        l_mat = kit.l_mat(digits, suf)[0]
         predicted = (kit.m0_pows[M] - l_mat @ kit.b) @ e_start \
             + (kit.stepsum[M] + l_mat) @ kit.zeta
         dev_epoch = max(dev_epoch, _rel(e_end - predicted, e_end))
 
-        suf = kit.suffix_products(epoch_digits)
-        h = kit.h_mats(epoch_digits)
+        h = [kit.h_mat(digits, suf, i)[0] for i in range(M)]
         for i in range(1, M):
-            lhs = suf[i]  # product of P over positions i..M-1 of this epoch
+            lhs = suf[i][0]  # product of P over positions i..M-1 of this epoch
             rhs = kit.m0_pows[M - i].copy()
             for l in range(M - i):
                 rhs += c0 * (h[i + l] @ kit.m0_pows[l])
@@ -679,8 +669,7 @@ def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     y = np.asarray(y, dtype=np.float64)
     total = path_count(inst.n, M, K, budget)
     kit = _EpochKit(inst, y, c0, M)
-    n = inst.n
-    labels = [(j, i) for j in range(K) for i in range(M)]
+    terms = K * M  # H_{jM+i} e_jM in the order j, then i
 
     cross_sums = {}
     diag_sums = {}
@@ -688,19 +677,14 @@ def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
         states = _iterate_paths(inst, y, c0, M, K * M, method, ids,
                                 stop_states=[j * M for j in range(K)])
         hvecs = []
-        for (j, i) in labels:
+        for j in range(K):
             e = states[j * M] - inst.x_dag
-            k = j * M + i
-            rows = inst.a[_digit(ids, n, k)]
-            w = e @ kit.b.T - rows * np.einsum("rm,rm->r", rows, e)[:, None]
-            for l in range(k + 1, j * M + M):
-                rows_l = inst.a[_digit(ids, n, l)]
-                w = w - kit.c0 * rows_l * np.einsum("rm,rm->r", rows_l, w)[:, None]
-            hvecs.append(w)
-        for p in range(len(labels)):
+            rows = _epoch_rows(inst, ids, j, M)
+            hvecs += [_apply_h(kit, e, rows, i) for i in range(M)]
+        for p in range(terms):
             diag_sums[p] = diag_sums.get(p, 0.0) + float(
                 np.einsum("rm,rm->", hvecs[p], hvecs[p]))
-            for q in range(p + 1, len(labels)):
+            for q in range(p + 1, terms):
                 cross_sums[(p, q)] = cross_sums.get((p, q), 0.0) + float(
                     np.einsum("rm,rm->", hvecs[p], hvecs[q]))
     scale = max(diag_sums.values()) / total if diag_sums else 0.0

@@ -252,8 +252,7 @@ def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
     else:
         every = 1.0
     cfg = SolverConfig(method=plan.method, c0=c0, max_epochs=spec.max_epochs,
-                       M=m_value, seed=seed, checkpoint_every=every,
-                       record_residual=False)
+                       M=m_value, seed=seed, checkpoint_every=every)
     return cfg, c0_expr, m_value
 
 

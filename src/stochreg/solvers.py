@@ -16,7 +16,8 @@ numpy call per statement, in this order:
                     rows *= d[:,None];  X -= rows
     anchored:       diff = X - Xa;  d = einsum(rows, diff)
                     rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
-    full gradient:  resid = einsum(X, A) - y;      G = einsum(resid, A) / n
+    full gradient:  G = full_gradient(A, y, X), for anchors and descent:
+                    resid = einsum(X, A) - y;  G = einsum(resid, A) / n
     descent:        X = X - (c0*n)*G
 Every entry gets the same IEEE operations, in the same order, as in the
 out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
@@ -58,7 +59,6 @@ class SolverConfig:
     M: int = 1
     seed: int = 0
     checkpoint_every: float = 1.0
-    record_residual: bool = True
     allow_large_step: bool = False
 
     def __post_init__(self):
@@ -194,6 +194,12 @@ def _divergence_limit(inst: ProblemInstance) -> float:
     return DIVERGENCE_FACTOR * ref
 
 
+def full_gradient(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(1/n) A^T (A x - y) for each row of the (runs, m) matrix x."""
+    resid = np.einsum("rm,nm->rn", x, a) - y
+    return np.einsum("rn,nm->rm", resid, a) / a.shape[0]
+
+
 class Lockstep:
     """Advances a (runs, m) matrix x of sgd or svrg iterates in place, one
     drawn row per run per step.  ``t`` counts the steps taken; svrg refreshes
@@ -232,12 +238,11 @@ class Lockstep:
             self.t += len(idx)
             return
         anchor, diff, grad = self._anchor, self._diff, self._grad
-        n, M, t = a.shape[0], self.M, self.t
+        M, t = self.M, self.t
         for i in idx:
             if t % M == 0:
                 np.copyto(anchor, x)
-                resid = np.einsum("rm,nm->rn", anchor, a) - y
-                grad = np.einsum("rn,nm->rm", resid, a) / n
+                grad = full_gradient(a, y, anchor)
             a.take(i, 0, rows, "clip")
             np.subtract(x, anchor, diff)
             np.einsum("rm,rm->r", rows, diff, out=d)
@@ -276,9 +281,7 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     if cfg.method == "landweber":
         scale = cfg.c0 * n
         for t in range(1, total + 1):
-            resid = np.einsum("rm,nm->rn", x, a) - y
-            grad = np.einsum("rn,nm->rm", resid, a) / n
-            x = x - scale * grad
+            x = x - scale * full_gradient(a, y, x)
             if next_cp < cp.size and t == cp[next_cp]:
                 err = recorder.record(next_cp, x)
                 next_cp += 1
@@ -317,7 +320,7 @@ def solve(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
-    rec = _Recorder(inst, y, cp, 1, want_residual=cfg.record_residual)
+    rec = _Recorder(inst, y, cp, 1, want_residual=True)
     admissible = step_is_admissible(inst, cfg)
     diverged = run_batch(inst, y, cfg, [run], rec)
     if diverged[0]:
@@ -329,24 +332,6 @@ def solve(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         error_sq=rec.error_sq[0],
         residual_sq=None if rec.residual_sq is None else rec.residual_sq[0],
         meta=_metadata(inst, cfg, acct, run, admissible))
-
-
-def sgd_run(inst, y, cfg: SolverConfig, run: int = 0) -> Trajectory:
-    if cfg.method != "sgd":
-        raise ValueError("config method must be 'sgd'")
-    return solve(inst, y, cfg, run)
-
-
-def svrg_run(inst, y, cfg: SolverConfig, run: int = 0) -> Trajectory:
-    if cfg.method != "svrg":
-        raise ValueError("config method must be 'svrg'")
-    return solve(inst, y, cfg, run)
-
-
-def landweber_run(inst, y, cfg: SolverConfig) -> Trajectory:
-    if cfg.method != "landweber":
-        raise ValueError("config method must be 'landweber'")
-    return solve(inst, y, cfg)
 
 
 def oracle_stop(traj: Trajectory) -> tuple[float, float]:

@@ -17,43 +17,6 @@ import numpy as np
 RELATIVE_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Validated n x m matrix whose rows are the measurement functionals."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError("design matrix must be 2-D and nonempty")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("design matrix entries must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        """Row i, counted from 1."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"row index {i} outside 1..{self.n}")
-        return self.a[i - 1]
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, DesignMatrix):
-        return a.a
-    return np.asarray(a, dtype=np.float64)
-
-
 class GramOperator:
     """Symmetric positive semidefinite operator with spectral filtering."""
 
@@ -135,14 +98,14 @@ class GramOperator:
 
 def build_gram(a) -> GramOperator:
     """B = (1/n) A^T A."""
-    mat = _as_matrix(a)
+    mat = np.asarray(a, dtype=np.float64)
     n = mat.shape[0]
     return GramOperator(mat.T @ mat / n)
 
 
 def step_constant(a) -> float:
     """c = 1 / max_i ||a_i||^2, the experimental step-size unit."""
-    mat = _as_matrix(a)
+    mat = np.asarray(a, dtype=np.float64)
     norms = np.einsum("ij,ij->i", mat, mat)
     top = norms.max()
     if top <= 0:
@@ -152,7 +115,7 @@ def step_constant(a) -> float:
 
 def stability_step_bound(a, gram: GramOperator | None = None) -> float:
     """Largest c0 under which every propagator eigenvalue stays in [0, 1]."""
-    mat = _as_matrix(a)
+    mat = np.asarray(a, dtype=np.float64)
     if gram is None:
         gram = build_gram(mat)
     norms = np.einsum("ij,ij->i", mat, mat)
@@ -196,10 +159,6 @@ class Propagator:
 
     def matrix_power(self, k: float) -> np.ndarray:
         return self.gram.filter_matrix(self.power_weights(k))
-
-
-def propagator(gram: GramOperator, c0: float) -> Propagator:
-    return Propagator(gram, c0)
 
 
 @dataclass(frozen=True)
@@ -285,7 +244,7 @@ def fix_singular_signs(u: np.ndarray, vt: np.ndarray) -> None:
 
 
 def svd(a, tau: float = 1e-10) -> SvdFactors:
-    mat = _as_matrix(a)
+    mat = np.asarray(a, dtype=np.float64)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s.size and s[0] > 0:
         keep = s > tau * s[0]

@@ -326,7 +326,7 @@ def check_mc_consistency() -> CheckResult:
     total = m_len * k_out
     cfg = SolverConfig(method="svrg", c0=c0,
                        max_epochs=total / acct.iterations_per_epoch, M=m_len,
-                       seed=7, record_residual=False)
+                       seed=7)
     rep = mc_moments(inst, y, cfg, runs=20000)
     if rep.iterations[-1] != total:
         return _result("mc-consistency", False, -1.0,
@@ -400,7 +400,7 @@ def check_error_bound_mc() -> CheckResult:
     cfg = SolverConfig(method="svrg", c0=c0,
                        max_epochs=total / acct.iterations_per_epoch, M=m_len,
                        checkpoint_every=m_len / acct.iterations_per_epoch,
-                       seed=31, record_residual=False)
+                       seed=31)
     rep = mc_moments(inst, data.y, cfg, runs=2000)
     worst = np.inf
     for k_out in range(1, 11):
@@ -462,8 +462,7 @@ def check_saturation() -> CheckResult:
     for nu in (2.0, 4.0):
         inst = smooth_solution(base, nu)
         data = add_noise(inst, 1e-2, seed=160)
-        cfg = SolverConfig(method="sgd", c0=c0, max_epochs=60.0, seed=161,
-                           record_residual=False)
+        cfg = SolverConfig(method="sgd", c0=c0, max_epochs=60.0, seed=161)
         curves = error_curves(inst, data.y, cfg, runs=50)
         best = curves.error_sq.min(axis=1)
         stats[nu] = (float(best.mean()),
@@ -490,7 +489,7 @@ def check_rate_slope() -> CheckResult:
         inst, y = precondition(base, data.y)
         c0 = step_constant(inst.a)
         cfg = SolverConfig(method="svrg", c0=c0, max_epochs=600.0, M=m_len,
-                           seed=171, record_residual=False)
+                           seed=171)
         curves = error_curves(inst, y, cfg, runs=20)
         best = curves.error_sq.min(axis=1)
         deltas.append(data.delta)
@@ -510,8 +509,7 @@ def check_phillips_benchmark() -> CheckResult:
     inst = smooth_solution(generate("s-phillips", 1000), 0.0)
     data = add_noise(inst, 5e-2, seed=180)
     c0 = 5.0 * step_constant(inst.a) / 100.0
-    cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181,
-                       record_residual=False)
+    cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181)
     curves = error_curves(inst, data.y, cfg, runs=100)
     kstar, e_mean, _ = stopping_stats(curves)
     e_ok = 5.42e-1 / 2 <= e_mean <= 5.42e-1 * 2

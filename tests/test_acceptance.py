@@ -256,7 +256,7 @@ def test_criterion_5_bounds_hold_on_mc_moments(capsys):
     epochs_for_ten_loops = 10 * M / acct.iterations_per_epoch
     cfg = SolverConfig(method="svrg", c0=c0, M=M,
                        max_epochs=epochs_for_ten_loops + 0.01, seed=9,
-                       checkpoint_every=1.0, record_residual=True)
+                       checkpoint_every=1.0)
     curves = error_curves(pinst, py, cfg, runs=2000, include_residual=True)
     runs = curves.error_sq.shape[0]
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stochreg import analysis
+from stochreg import analysis, verify
 from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                enumerate_exact_moments,
                                enumerate_weighted_second_moment,
@@ -30,8 +30,9 @@ from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                variance_compare)
 from stochreg.problems import (add_noise, gen_shaw, make_instance,
                                noise_functional, precondition)
-from stochreg.solvers import (EpochAccounting, SolverConfig, _Recorder,
-                              checkpoint_iterations, run_batch,
+from stochreg.rng import IndexStream
+from stochreg.solvers import (EpochAccounting, Lockstep, SolverConfig,
+                              _Recorder, checkpoint_iterations, run_batch,
                               step_stability_bound)
 from stochreg.spectral import GramOperator, Propagator, step_constant
 
@@ -325,6 +326,244 @@ def test_fluctuation_terms_are_orthogonal(method):
                               method=method)
     assert rep.pair_count == 6  # 4 labels -> C(4,2) pairs... for M=2, K=2
     assert rep.max_cross <= 1e-12 * (1 + rep.scale)
+
+
+def test_recursion_check_runs_the_solver_kernel(monkeypatch):
+    # a kernel that drifts by one part in a million must show in the epoch
+    # identity, so the check tests the step the solvers run
+    inst, y = random_preconditioned(5, 3, seed=50)
+    c0 = 0.7 * step_constant(inst.a)
+    advance = Lockstep.advance
+
+    def drifting(self, idx):
+        advance(self, idx)
+        self.x *= 1 + 1e-6
+
+    monkeypatch.setattr(Lockstep, "advance", drifting)
+    rep = recursion_check(inst, y, c0, M=3, K=2, seed=0)
+    assert rep.max_epoch_deviation > 1e-9
+
+
+# References: the inline loops the decomposition terms, the orthogonality
+# check and the recursion check ran before they shared _apply_h, the stacked
+# path operators and solvers.Lockstep.  The new code must match them bit for
+# bit.  Cases: the verify suite's, plus ones with M = 3 and K = 2.
+
+def loop_svrg_variance_terms(inst, y, c0, M, K, r1, r2):
+    n = inst.n
+    r1m = operator_word_matrix(inst.gram, c0, r1)
+    r2v = shift_vector(inst, y, r2)
+    kit = analysis._EpochKit(inst, y, c0, M)
+    x_ref = inst.x_dag + inst.gram.pinv_apply(kit.zeta)
+    head = analysis._head_term(inst, y, c0, M, K, r1m, r2v)
+    terms = np.zeros(K)
+    for j in range(K):
+        pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
+        total = n ** ((j + 1) * M)
+        acc = []
+        for ids in analysis._block_ranges(total):
+            u = analysis._iterate_paths(inst, y, c0, M, j * M, "svrg",
+                                        ids)[j * M] - x_ref
+            block = np.zeros(ids.size)
+            for i in range(1, M):
+                w = u @ (kit.stepsum[i] @ kit.b).T
+                k = j * M + i
+                rows = inst.a[analysis._digit(ids, n, k)]
+                w = w @ kit.b.T - rows * np.einsum("rm,rm->r", rows,
+                                                   w)[:, None]
+                for l in range(k + 1, j * M + M):
+                    rows_l = inst.a[analysis._digit(ids, n, l)]
+                    w = w - kit.c0 * rows_l * np.einsum("rm,rm->r", rows_l,
+                                                        w)[:, None]
+                v = w @ pre.T
+                block += np.einsum("rm,rm->r", v, v)
+            acc.append(block.sum())
+        terms[j] = c0**2 * np.add.reduce(np.array(acc)) / total
+    return head, terms
+
+
+def loop_sgd_variance_terms(inst, y, c0, M, K, r1, r2):
+    n = inst.n
+    r1m = operator_word_matrix(inst.gram, c0, r1)
+    r2v = shift_vector(inst, y, r2)
+    kit = analysis._EpochKit(inst, y, c0, M)
+    bz = inst.gram.pinv_apply(kit.zeta)
+    x_ref = inst.x_dag + bz
+    head = analysis._head_term(inst, y, c0, M, K, r1m, r2v)
+    exact, main, noise = np.zeros(K), np.zeros(K), np.zeros(K)
+    for j in range(K):
+        pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
+        total = n ** ((j + 1) * M)
+        acc_e, acc_m, acc_n = [], [], []
+        for ids in analysis._block_ranges(total):
+            u = analysis._iterate_paths(inst, y, c0, M, j * M, "sgd",
+                                        ids)[j * M] - x_ref
+            digits = [analysis._digit(ids, n, j * M + i) for i in range(M)]
+            rows_at = [inst.a[d] for d in digits]
+            block_e = np.zeros(ids.size)
+            block_m = np.zeros(ids.size)
+            block_n = np.zeros(ids.size)
+            for i in range(M):
+                w = u @ kit.m0_pows[i].T + bz
+                rows = rows_at[i]
+                w = w @ kit.b.T - rows * np.einsum("rm,rm->r", rows,
+                                                   w)[:, None]
+                for l in range(i + 1, M):
+                    rl = rows_at[l]
+                    w = w - kit.c0 * rl * np.einsum("rm,rm->r", rl, w)[:, None]
+                gap = kit.zeta_k[digits[i]] - kit.zeta
+                own = c0 * (w + gap @ kit.m0_pows[M - i - 1].T)
+                v = own @ pre.T
+                block_m += np.einsum("rm,rm->r", v, v)
+                group = own
+                for t in range(M - i - 1):
+                    w2 = gap @ kit.m0_pows[t].T
+                    rt = rows_at[i + t + 1]
+                    w2 = w2 @ kit.b.T - rt * np.einsum("rm,rm->r", rt,
+                                                       w2)[:, None]
+                    for l in range(i + t + 2, M):
+                        rl = rows_at[l]
+                        w2 = w2 - kit.c0 * rl * np.einsum("rm,rm->r", rl,
+                                                          w2)[:, None]
+                    echo = c0**2 * w2
+                    v = echo @ pre.T
+                    block_n += np.einsum("rm,rm->r", v, v)
+                    group = group + echo
+                v = group @ pre.T
+                block_e += np.einsum("rm,rm->r", v, v)
+            acc_e.append(block_e.sum())
+            acc_m.append(block_m.sum())
+            acc_n.append(block_n.sum())
+        exact[j] = np.add.reduce(np.array(acc_e)) / total
+        main[j] = np.add.reduce(np.array(acc_m)) / total
+        noise[j] = np.add.reduce(np.array(acc_n)) / total
+    return head, exact, main, noise
+
+
+DECOMPOSITION_CASES = [(3, 2, 2, 2, 60), (2, 2, 3, 1, 61), (2, 2, 3, 2, 62),
+                       (3, 2, 3, 2, 63)]
+
+
+@pytest.mark.parametrize("n,m,M,K,seed", DECOMPOSITION_CASES)
+def test_variance_terms_match_inline_loops_bitwise(n, m, M, K, seed):
+    inst, y = verify._noisy_preconditioned(n, m, seed=seed)
+    c0 = 0.7 * step_constant(inst.a)
+    for r1 in ("I", "B", "M0^2"):
+        for r2 in ("0", "Binv_zeta"):
+            dec = svrg_variance_terms(inst, y, c0, M, K, r1=r1, r2=r2)
+            head, terms = loop_svrg_variance_terms(inst, y, c0, M, K, r1, r2)
+            assert dec.head == head
+            assert_array_equal(dec.epoch_terms, terms)
+            assert_array_equal(dec.split_main, terms)
+            dec = sgd_variance_terms(inst, y, c0, M, K, r1=r1, r2=r2)
+            head, exact, main, noise = loop_sgd_variance_terms(
+                inst, y, c0, M, K, r1, r2)
+            assert dec.head == head
+            assert_array_equal(dec.epoch_terms, exact)
+            assert_array_equal(dec.split_main, main)
+            assert_array_equal(dec.split_noise, noise)
+
+
+def loop_orthogonality_check(inst, y, c0, M, K, method):
+    n = inst.n
+    total = n ** (K * M)
+    kit = analysis._EpochKit(inst, y, c0, M)
+    labels = [(j, i) for j in range(K) for i in range(M)]
+    cross_sums, diag_sums = {}, {}
+    for ids in analysis._block_ranges(total):
+        states = analysis._iterate_paths(inst, y, c0, M, K * M, method, ids,
+                                         stop_states=[j * M for j in range(K)])
+        hvecs = []
+        for (j, i) in labels:
+            e = states[j * M] - inst.x_dag
+            k = j * M + i
+            rows = inst.a[analysis._digit(ids, n, k)]
+            w = e @ kit.b.T - rows * np.einsum("rm,rm->r", rows, e)[:, None]
+            for l in range(k + 1, j * M + M):
+                rows_l = inst.a[analysis._digit(ids, n, l)]
+                w = w - kit.c0 * rows_l * np.einsum("rm,rm->r", rows_l,
+                                                    w)[:, None]
+            hvecs.append(w)
+        for p in range(len(labels)):
+            diag_sums[p] = diag_sums.get(p, 0.0) + float(
+                np.einsum("rm,rm->", hvecs[p], hvecs[p]))
+            for q in range(p + 1, len(labels)):
+                cross_sums[(p, q)] = cross_sums.get((p, q), 0.0) + float(
+                    np.einsum("rm,rm->", hvecs[p], hvecs[q]))
+    scale = max(diag_sums.values()) / total
+    max_cross = max(abs(v) for v in cross_sums.values()) / total
+    return max_cross, scale, len(cross_sums)
+
+
+@pytest.mark.parametrize("method", ["svrg", "sgd"])
+@pytest.mark.parametrize("n,m,M,K,seed", [(3, 2, 3, 2, 71), (2, 3, 2, 3, 72)])
+def test_orthogonality_check_matches_inline_loop_bitwise(method, n, m, M, K,
+                                                         seed):
+    inst, y = verify._noisy_preconditioned(n, m, seed=seed)
+    c0 = 0.6 * step_constant(inst.a)
+    rep = orthogonality_check(inst, y, c0, M, K, method=method)
+    ref = loop_orthogonality_check(inst, y, c0, M, K, method)
+    assert (rep.max_cross, rep.scale, rep.pair_count) == ref
+
+
+def loop_recursion_check(inst, y, c0, M, K, seed):
+    """The single-path loop with its own svrg step and per-combination
+    path operators, as it ran before it used the solvers' kernel."""
+    kit = analysis._EpochKit(inst, y, c0, M)
+    digits = IndexStream(seed, inst.n).block(0, K * M)
+    a, n, m = inst.a, inst.n, inst.m
+    eye = np.eye(m)
+    rel = analysis._rel
+    x = inst.x0.copy()
+    dev_epoch = dev_tel = dev_anchor = 0.0
+    for k in range(K):
+        e_start = x - inst.x_dag
+        epoch_digits = digits[k * M:(k + 1) * M]
+        anchor = x.copy()
+        resid = np.einsum("rm,nm->rn", anchor[None], a)[0] - y
+        grad = np.einsum("n,nm->m", resid, a) / n
+        for i in range(M):
+            rows = a[epoch_digits[i]]
+            d = rows @ (x - anchor)
+            x = x - c0 * (d * rows + grad)
+            if i == 0:
+                predicted = kit.m0 @ e_start + c0 * kit.zeta
+                got = x - inst.x_dag
+                dev_anchor = max(dev_anchor, rel(got - predicted, got))
+        e_end = x - inst.x_dag
+        suf = [None] * (M + 1)
+        suf[M] = eye
+        for i in range(M - 1, -1, -1):
+            suf[i] = suf[i + 1] @ (eye - c0 * kit.outer[epoch_digits[i]])
+        h = [suf[i + 1] @ (kit.b - kit.outer[epoch_digits[i]])
+             for i in range(M)]
+        l_mat = np.zeros((m, m))
+        for i in range(1, M):
+            l_mat += c0 * (h[i] @ kit.stepsum[i])
+        predicted = (kit.m0_pows[M] - l_mat @ kit.b) @ e_start \
+            + (kit.stepsum[M] + l_mat) @ kit.zeta
+        dev_epoch = max(dev_epoch, rel(e_end - predicted, e_end))
+        for i in range(1, M):
+            rhs = kit.m0_pows[M - i].copy()
+            for l in range(M - i):
+                rhs += c0 * (h[i + l] @ kit.m0_pows[l])
+            dev_tel = max(dev_tel, rel(suf[i] - rhs, suf[i]))
+    return dev_epoch, dev_tel, dev_anchor
+
+
+@pytest.mark.parametrize("n,m,M,K,seed,path_seed,build", [
+    (5, 3, 3, 2, 50, 0, verify._noisy_preconditioned),
+    (4, 4, 2, 3, 51, 1, verify._noisy_preconditioned),
+    (6, 3, 4, 3, 53, 2, raw_random),
+    (4, 2, 1, 3, 54, 3, raw_random)])
+def test_recursion_check_matches_single_path_loop_bitwise(n, m, M, K, seed,
+                                                          path_seed, build):
+    inst, y = build(n, m, seed=seed)
+    c0 = 0.7 * step_constant(inst.a)
+    rep = recursion_check(inst, y, c0, M, K, seed=path_seed)
+    got = (rep.max_epoch_deviation, rep.max_telescope_deviation,
+           rep.max_anchor_deviation)
+    assert got == loop_recursion_check(inst, y, c0, M, K, path_seed)
 
 
 # --- sampled moments ----------------------------------------------------------

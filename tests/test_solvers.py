@@ -10,10 +10,9 @@ from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.analysis import enumerate_exact_moments
 from stochreg.solvers import (_CHUNK, DivergenceError, EpochAccounting,
                               Lockstep, SolverConfig, Trajectory, _Recorder,
-                              checkpoint_iterations, landweber_run,
-                              oracle_stop, run_batch, sgd_run, solve,
-                              step_is_admissible, step_stability_bound,
-                              svrg_run, write_trajectory)
+                              checkpoint_iterations, oracle_stop, run_batch,
+                              solve, step_is_admissible, step_stability_bound,
+                              write_trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def test_landweber_matches_normal_equation_recursion(noisy_shaw):
     inst, y = noisy_shaw
     c0 = step_stability_bound(inst, "landweber")
     cfg = SolverConfig(method="landweber", c0=c0, max_epochs=5.0)
-    traj = landweber_run(inst, y, cfg)
+    traj = solve(inst, y, cfg)
     x = inst.x0.copy()
     expected = [np.dot(x - inst.x_dag, x - inst.x_dag)]
     for _ in range(5):
@@ -93,7 +92,7 @@ def test_landweber_solves_scaled_identity_in_one_step():
     cfg = SolverConfig(method="landweber",
                        c0=step_stability_bound(inst, "landweber"),
                        max_epochs=3.0)
-    traj = landweber_run(inst, inst.y_dag, cfg)
+    traj = solve(inst, inst.y_dag, cfg)
     assert traj.error_sq[0] > 0
     assert np.all(traj.error_sq[1:] == 0.0)
 
@@ -268,15 +267,11 @@ def test_override_is_recorded_in_metadata():
     bound = step_stability_bound(inst, "landweber")
     cfg = SolverConfig(method="landweber", c0=1.5 * bound, max_epochs=3.0,
                        allow_large_step=True)
-    traj = landweber_run(inst, inst.y_dag + 0.1, cfg)
+    traj = solve(inst, inst.y_dag + 0.1, cfg)
     assert traj.meta["step_admissible"] is False
 
 
 def test_method_guards():
-    inst = gen_shaw(6)
-    cfg = SolverConfig(method="sgd", c0=1e-3, max_epochs=1.0)
-    with pytest.raises(ValueError):
-        svrg_run(inst, inst.y_dag, cfg)
     with pytest.raises(ValueError):
         SolverConfig(method="newton", c0=0.1, max_epochs=1.0)
     with pytest.raises(ValueError):
@@ -330,11 +325,3 @@ def test_trajectory_roundtrip(tmp_path, noisy_shaw):
     got = np.array([row[1] for row in rows])
     assert_array_equal(got, traj.error_sq)
     assert meta.exists()
-
-
-def test_sgd_alias_runs(noisy_shaw):
-    inst, y = noisy_shaw
-    cfg = SolverConfig(method="sgd", c0=0.1 * step_stability_bound(inst, "sgd"),
-                       max_epochs=1.0)
-    traj = sgd_run(inst, y, cfg, run=0)
-    assert traj.method == "sgd" and len(traj) >= 2

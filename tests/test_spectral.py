@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stochreg.spectral import (DesignMatrix, GramOperator, Propagator,
-                               build_gram, kernel_bound_check, propagator,
-                               stability_step_bound, step_constant, svd)
+from stochreg.spectral import (GramOperator, Propagator, build_gram,
+                               kernel_bound_check, stability_step_bound,
+                               step_constant, svd)
 from stochreg.problems import gen_shaw
 
 
@@ -50,16 +50,6 @@ def test_gram_rejects_nonfinite():
         build_gram(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-def test_design_matrix_rows_one_indexed():
-    dm = DesignMatrix(np.arange(6.0).reshape(3, 2))
-    assert_array_equal(dm.row(1), [0.0, 1.0])
-    assert_array_equal(dm.row(3), [4.0, 5.0])
-    with pytest.raises(IndexError):
-        dm.row(0)
-    with pytest.raises(IndexError):
-        dm.row(4)
-
-
 def test_step_constant_identity():
     assert step_constant(np.eye(3)) == 1.0
 
@@ -81,13 +71,13 @@ def test_step_constant_zero_matrix():
 
 
 def test_propagator_identity_gram():
-    prop = propagator(GramOperator(np.eye(2)), 0.5)
+    prop = Propagator(GramOperator(np.eye(2)), 0.5)
     assert_allclose(prop.matrix, 0.5 * np.eye(2), rtol=0, atol=0)
     assert prop.stable
 
 
 def test_propagator_diagonal_gram():
-    prop = propagator(GramOperator(np.diag([1.0, 0.0])), 1.0)
+    prop = Propagator(GramOperator(np.diag([1.0, 0.0])), 1.0)
     assert_allclose(prop.matrix, np.diag([0.0, 1.0]), rtol=0, atol=0)
     assert sorted(prop.eigenvalues) == [0.0, 1.0]
 
@@ -98,7 +88,7 @@ def test_propagator_power_matches_repeated_multiplication(k):
     h = rng.normal(size=(3, 3))
     gram = GramOperator(h @ h.T / 10.0)
     c0 = stability_step_bound(np.eye(3), gram)  # row term is 1; gram term governs
-    prop = propagator(gram, min(c0, 0.9 / gram.norm))
+    prop = Propagator(gram, min(c0, 0.9 / gram.norm))
     v = rng.normal(size=3)
     expected = v.copy()
     for _ in range(k):
@@ -135,8 +125,8 @@ def test_scaling_consistency():
     g1, g2 = build_gram(a), build_gram(alpha * a)
     assert_allclose(g2.matrix, alpha**2 * g1.matrix, rtol=1e-13)
     c0 = 0.3 / g1.norm
-    m1 = propagator(g1, c0).matrix
-    m2 = propagator(g2, c0 / alpha**2).matrix
+    m1 = Propagator(g1, c0).matrix
+    m2 = Propagator(g2, c0 / alpha**2).matrix
     assert_allclose(m2, m1, rtol=0, atol=1e-14)
 
 
@@ -157,7 +147,7 @@ def test_step_sum_identity(j):
     h = rng.normal(size=(4, 4))
     gram = GramOperator(h @ h.T / 8.0)
     c0 = 0.7 / gram.norm
-    prop = propagator(gram, c0)
+    prop = Propagator(gram, c0)
     v = gram.matrix @ rng.normal(size=4)
     acc = np.zeros(4)
     for i in range(j):
