@@ -95,7 +95,7 @@ def shift_vector(inst: ProblemInstance, y: np.ndarray, spec) -> np.ndarray:
     """R2 in {'0', 'Binv_zeta'} (or an explicit vector)."""
     if isinstance(spec, np.ndarray):
         return spec
-    if spec in ("0", "zero", 0):
+    if spec == "0":
         return np.zeros(inst.m)
     if spec == "Binv_zeta":
         return inst.gram.pinv_apply(noise_functional(inst, y))
@@ -105,12 +105,12 @@ def shift_vector(inst: ProblemInstance, y: np.ndarray, spec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # path enumeration
 
-def path_count(n: int, M: int, K: int, budget: int = ENUM_BUDGET) -> int:
+def path_count(n: int, M: int, K: int) -> int:
     total = n ** (K * M)
-    if total > budget:
+    if total > ENUM_BUDGET:
         raise ValueError(
             f"enumeration needs n^(K*M) = {n}^{K * M} = {total} paths, over the "
-            f"budget of {budget}")
+            f"budget of {ENUM_BUDGET}")
     return total
 
 
@@ -147,11 +147,10 @@ class ExactMoments:
 
 
 def enumerate_exact_moments(inst: ProblemInstance, y: np.ndarray, c0: float,
-                            M: int, K: int, method: str,
-                            budget: int = ENUM_BUDGET) -> ExactMoments:
+                            M: int, K: int, method: str) -> ExactMoments:
     """Exact mean/second moment of x_{KM} by full path enumeration."""
     y = np.asarray(y, dtype=np.float64)
-    total = path_count(inst.n, M, K, budget)
+    total = path_count(inst.n, M, K)
     steps = K * M
 
     sums, sq = [], []
@@ -174,11 +173,10 @@ def enumerate_exact_moments(inst: ProblemInstance, y: np.ndarray, c0: float,
 
 def enumerate_weighted_second_moment(inst: ProblemInstance, y: np.ndarray,
                                      c0: float, M: int, K: int, method: str,
-                                     r1="I", r2="0",
-                                     budget: int = ENUM_BUDGET) -> float:
+                                     r1="I", r2="0") -> float:
     """E || R1 (x_KM - x_dag - B^+ zeta) + R2 ||^2 by full path enumeration."""
     y = np.asarray(y, dtype=np.float64)
-    total = path_count(inst.n, M, K, budget)
+    total = path_count(inst.n, M, K)
     steps = K * M
     r1m = operator_word_matrix(inst.gram, c0, r1)
     r2v = shift_vector(inst, y, r2)
@@ -315,10 +313,6 @@ class VarianceDecomposition:
     def total(self) -> float:
         return float(self.head + self.epoch_terms.sum())
 
-    @property
-    def split_covariance(self) -> np.ndarray:
-        return self.epoch_terms - self.split_main - self.split_noise
-
 
 def _head_term(inst, y, c0, M, K, r1m, r2v) -> float:
     bz = inst.gram.pinv_apply(noise_functional(inst, y))
@@ -337,14 +331,13 @@ def _require_preconditioned(inst: ProblemInstance) -> None:
 
 
 def svrg_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
-                        K: int, r1="I", r2="0",
-                        budget: int = ENUM_BUDGET) -> VarianceDecomposition:
+                        K: int, r1="I", r2="0") -> VarianceDecomposition:
     """Second-moment split for the anchored method: deterministic head plus one
     fluctuation term per outer loop, each evaluated by enumerating exactly the
     digits it depends on."""
     _require_preconditioned(inst)
     y = np.asarray(y, dtype=np.float64)
-    path_count(inst.n, M, K, budget)
+    path_count(inst.n, M, K)
     gram = inst.gram
     r1m = operator_word_matrix(gram, c0, r1)
     r2v = shift_vector(inst, y, r2)
@@ -373,8 +366,7 @@ def svrg_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
 
 
 def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
-                       K: int, r1="I", r2="0",
-                       budget: int = ENUM_BUDGET) -> VarianceDecomposition:
+                       K: int, r1="I", r2="0") -> VarianceDecomposition:
     """Second-moment split for the plain stochastic method.
 
     The fluctuation of one outer loop is grouped by the inner step whose drawn
@@ -386,7 +378,7 @@ def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     """
     _require_preconditioned(inst)
     y = np.asarray(y, dtype=np.float64)
-    path_count(inst.n, M, K, budget)
+    path_count(inst.n, M, K)
     gram = inst.gram
     r1m = operator_word_matrix(gram, c0, r1)
     r2v = shift_vector(inst, y, r2)
@@ -551,7 +543,7 @@ class VarianceComparison:
 
 def variance_compare(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                      K: int, r1="I", r2="0", runs: int | None = None,
-                     seed: int = 0, tol: float = 1e-12) -> VarianceComparison:
+                     seed: int = 0) -> VarianceComparison:
     """Compare E||R1 u_K + R2||^2 between the two stochastic methods.
 
     Small path spaces are enumerated outright; mid-size ones use exact epoch
@@ -580,7 +572,7 @@ def variance_compare(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                                               runs, seed + 1)
         mode, stderr = "monte-carlo", float(np.hypot(se1, se2))
     margin = sgd - svrg
-    ordered = bool(svrg <= sgd + tol + 3.0 * stderr)
+    ordered = bool(svrg <= sgd + 1e-12 + 3.0 * stderr)
     return VarianceComparison(svrg_value=float(svrg), sgd_value=float(sgd),
                               mode=mode, margin=float(margin), ordered=ordered,
                               condition_ok=condition_ok, stderr=stderr)
@@ -662,12 +654,11 @@ class OrthogonalityReport:
 
 
 def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
-                        K: int, method: str = "svrg",
-                        budget: int = ENUM_BUDGET) -> OrthogonalityReport:
+                        K: int, method: str = "svrg") -> OrthogonalityReport:
     """Cross moments E< H_{jM+i} e_jM , H_{j'M+i'} e_j'M > over all paths for
     all distinct index pairs; they should vanish identically."""
     y = np.asarray(y, dtype=np.float64)
-    total = path_count(inst.n, M, K, budget)
+    total = path_count(inst.n, M, K)
     kit = _EpochKit(inst, y, c0, M)
     terms = K * M  # H_{jM+i} e_jM in the order j, then i
 
@@ -706,14 +697,13 @@ class MomentReport:
     variance: np.ndarray
     mse: np.ndarray
     mse_stderr: np.ndarray
-    residual_mse: np.ndarray | None
     error_sq: np.ndarray        # kept runs x checkpoints
     run_count: int
     excluded_runs: tuple
 
 
 def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
-               runs: int, include_residual: bool = False) -> MomentReport:
+               runs: int) -> MomentReport:
     """Sample moments over independently seeded runs at the checkpoint grid.
 
     One deterministic pass records per-run errors, the mean curve and the
@@ -730,7 +720,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     cp = checkpoint_iterations(acct, cfg, total)
 
     subkeys = list(range(runs))
-    rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual,
+    rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
                     center_on_mean=True)
     diverged = run_batch(inst, y, cfg, subkeys, rec)
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
@@ -740,7 +730,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
             raise ValueError("no runs survived the divergence guard")
         if len(subkeys) < 2:
             raise ValueError("fewer than two runs survived the divergence guard")
-        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=include_residual,
+        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
                         center_on_mean=True)
         run_batch(inst, y, cfg, subkeys, rec)
     count = len(subkeys)
@@ -751,10 +741,9 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     variance = rec.centered_sq.mean(axis=0)
     mse = rec.error_sq.mean(axis=0)
     stderr = rec.error_sq.std(axis=0, ddof=1) / math.sqrt(count)
-    resid = None if rec.residual_sq is None else rec.residual_sq.mean(axis=0)
     return MomentReport(method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
                         mean_iterate=mean_x, bias_sq=bias_sq, variance=variance,
-                        mse=mse, mse_stderr=stderr, residual_mse=resid,
+                        mse=mse, mse_stderr=stderr,
                         error_sq=rec.error_sq, run_count=count,
                         excluded_runs=excluded)
 

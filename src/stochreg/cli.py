@@ -104,15 +104,12 @@ def _build_parser() -> _Parser:
 
 def cmd_generate(args) -> int:
     try:
-        inst = generate(args.problem, args.n)
+        inst = smooth_solution(generate(args.problem, args.n), args.nu)
+        if args.normalize:
+            inst = rescale_to_unit_norm(inst)
+        data = add_noise(inst, args.eps, args.seed)
     except ValueError as exc:
         raise InputError(str(exc))
-    if args.nu < 0:
-        raise InputError("nu must be nonnegative")
-    inst = smooth_solution(inst, args.nu)
-    if args.normalize:
-        inst = rescale_to_unit_norm(inst)
-    data = add_noise(inst, args.eps, args.seed)
     if args.precondition:
         inst, y_rot = precondition(inst, data.y)
         data = NoisyData(y=y_rot, epsilon=data.epsilon, seed=data.seed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -167,18 +167,35 @@ class ExperimentSpec:
         return self.base_seed + _CELL_STRIDE * (cell_index + 1)
 
 
-_SPEC_KEYS = {"problem", "n", "nu", "epsilon", "methods", "runs", "max_epochs",
-              "base_seed", "precondition", "resample_noise"}
-
-
 def _as_list(value) -> tuple:
     if isinstance(value, (list, tuple)):
         return tuple(float(v) for v in value)
     return (float(value),)
 
 
+def _integer(key: str, value) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
+# the scalar keys and their parsers; absent optional keys take the defaults
+# of ExperimentSpec's fields
+_SCALARS = {"n": _integer, "runs": _integer,
+            "max_epochs": lambda key, value: float(value),
+            "base_seed": _integer, "precondition": _flag,
+            "resample_noise": _flag}
+
+
 def spec_from_dict(doc: dict) -> ExperimentSpec:
-    unknown = set(doc) - _SPEC_KEYS
+    unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
     for key in ("problem", "n", "nu", "epsilon", "methods"):
@@ -194,14 +211,11 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         plans.append(MethodPlan(method=entry["method"],
                                 c0_expr=entry.get("c0"),
                                 m_expr=entry.get("M")))
-    return ExperimentSpec(
-        problem=doc["problem"], n=int(doc["n"]), nu=_as_list(doc["nu"]),
-        epsilon=_as_list(doc["epsilon"]), methods=tuple(plans),
-        runs=int(doc.get("runs", 100)),
-        max_epochs=float(doc.get("max_epochs", 100.0)),
-        base_seed=int(doc.get("base_seed", 0)),
-        precondition=bool(doc.get("precondition", False)),
-        resample_noise=bool(doc.get("resample_noise", False)))
+    scalars = {key: parse(key, doc[key]) for key, parse in _SCALARS.items()
+               if key in doc}
+    return ExperimentSpec(problem=doc["problem"], nu=_as_list(doc["nu"]),
+                          epsilon=_as_list(doc["epsilon"]),
+                          methods=tuple(plans), **scalars)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -366,13 +380,8 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
     def work(idx: int) -> None:
         outcomes[idx] = _run_cell(spec, prepared, cells[idx], idx, figure_grid)
 
-    workers = min(thread_count(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(len(cells))))
-    else:
-        for idx in range(len(cells)):
-            work(idx)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(cells))) as pool:
+        list(pool.map(work, range(len(cells))))
     return outcomes
 
 

@@ -132,10 +132,10 @@ def gen_phillips(n: int) -> ProblemInstance:
 GENERATORS = {"s-shaw": gen_shaw, "s-gravity": gen_gravity, "s-phillips": gen_phillips}
 
 
-def generate(name: str, n: int, **kwargs) -> ProblemInstance:
+def generate(name: str, n: int) -> ProblemInstance:
     if name not in GENERATORS:
         raise ValueError(f"unknown problem {name!r}; choices: {sorted(GENERATORS)}")
-    return GENERATORS[name](n, **kwargs)
+    return GENERATORS[name](n)
 
 
 def smooth_solution(inst: ProblemInstance, nu: float) -> ProblemInstance:
@@ -165,7 +165,7 @@ class SourceElement:
     residual: float
 
 
-def source_element(inst: ProblemInstance, tol: float = 1e-8) -> SourceElement:
+def source_element(inst: ProblemInstance) -> SourceElement:
     target = inst.x_dag - inst.x0
     scale = np.linalg.norm(target)
     if inst.nu == 0 or scale == 0:
@@ -173,10 +173,10 @@ def source_element(inst: ProblemInstance, tol: float = 1e-8) -> SourceElement:
     gram = inst.gram
     w = gram.apply_power(-inst.nu, target)
     residual = float(np.linalg.norm(gram.apply_power(inst.nu, w) - target) / scale)
-    if residual > tol:
+    if residual > 1e-8:
         raise SourceConditionError(
             f"no source element at exponent nu={inst.nu}: relative residual "
-            f"{residual:.3e} exceeds {tol:.1e}")
+            f"{residual:.3e} exceeds 1.0e-08")
     return SourceElement(w=w, nu=inst.nu, residual=residual)
 
 
@@ -264,8 +264,8 @@ def row_orthogonality_gap(inst: ProblemInstance) -> float:
     return float(np.abs(off).max() / scale)
 
 
-def is_preconditioned(inst: ProblemInstance, tol: float = 1e-10) -> bool:
-    return row_orthogonality_gap(inst) <= tol
+def is_preconditioned(inst: ProblemInstance) -> bool:
+    return row_orthogonality_gap(inst) <= 1e-10
 
 
 def noise_functional(inst: ProblemInstance, y: np.ndarray) -> np.ndarray:

@@ -16,11 +16,19 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 emits 4 raw 64-bit words per counter step
 NOISE_SUBKEY = 2**63 + 11  # run subkeys are small ints; this never collides
 
 
+def _philox(seed: int, subkey: int) -> np.random.Philox:
+    """The generator of stream (seed, subkey) at position 0.  A seed is one
+    64-bit key word, so it must lie in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} lies outside [0, 2**64)")
+    return np.random.Philox(key=np.array([seed, subkey], dtype=np.uint64))
+
+
 def raw_block(seed: int, subkey: int, start: int, count: int) -> np.ndarray:
     """Raw 64-bit words at positions start..start+count-1 of stream (seed, subkey)."""
     if start < 0 or count < 0:
         raise ValueError("stream positions are nonnegative")
-    bg = np.random.Philox(key=np.array([seed, subkey], dtype=np.uint64))
+    bg = _philox(seed, subkey)
     bg.advance(start // _WORDS_PER_BLOCK)
     pad = start % _WORDS_PER_BLOCK
     return bg.random_raw(pad + count)[pad:]
@@ -62,7 +70,7 @@ def index_blocks(seed: int, n: int, subkeys, start: int, count: int
         raise ValueError("need at least one row to sample")
     if start < 0 or count < 0:
         raise ValueError("stream positions are nonnegative")
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bg = _philox(seed, 0)
     state = bg.state
     key = state["state"]["key"]
     state["state"]["counter"][0] = start // _WORDS_PER_BLOCK
@@ -76,7 +84,7 @@ def index_blocks(seed: int, n: int, subkeys, start: int, count: int
     return out.view(np.int64)
 
 
-def standard_gaussians(seed: int, count: int, subkey: int = NOISE_SUBKEY) -> np.ndarray:
+def standard_gaussians(seed: int, count: int) -> np.ndarray:
     """`count` N(0,1) draws via Box-Muller on the raw uniform stream.
 
     Box-Muller on explicit uniforms (rather than a library normal generator)
@@ -86,7 +94,7 @@ def standard_gaussians(seed: int, count: int, subkey: int = NOISE_SUBKEY) -> np.
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    raw = raw_block(seed, subkey, 0, 2 * pairs)
+    raw = raw_block(seed, NOISE_SUBKEY, 0, 2 * pairs)
     # top 53 bits, offset by half an ulp: uniforms lie strictly inside (0, 1)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     u1, u2 = u[:pairs], u[pairs:]

@@ -16,8 +16,10 @@ numpy call per statement, in this order:
                     rows *= d[:,None];  X -= rows
     anchored:       diff = X - Xa;  d = einsum(rows, diff)
                     rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
-    full gradient:  G = full_gradient(A, y, X), for anchors and descent:
-                    resid = einsum(X, A) - y;  G = einsum(resid, A) / n
+    residual:       R = residuals(A, y, X) = einsum(X, A) - y, for the
+                    recorded residual and the full gradient
+    full gradient:  G = full_gradient(A, y, X) = einsum(R, A) / n, for
+                    anchors and descent
     descent:        X = X - (c0*n)*G
 Every entry gets the same IEEE operations, in the same order, as in the
 out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
@@ -148,42 +150,33 @@ def _validate_step(inst: ProblemInstance, cfg: SolverConfig) -> None:
 class _Recorder:
     """Collects per-checkpoint statistics from the batched iterate matrix.
 
-    centered_sq holds each run's squared distance to ``centers[j]`` or, with
-    center_on_mean, to the batch mean ``sum_x[j] / runs`` of the same
-    checkpoint: every run sits in one lockstep matrix, so one pass gives the
-    mean and the spread around it.  That center has the bits of
+    With center_on_mean, sum_x[j] sums the iterates at checkpoint j and
+    centered_sq holds each run's squared distance to the batch mean
+    ``sum_x[j] / runs``: every run sits in one lockstep matrix, so one pass
+    gives the mean and the spread around it.  That center has the bits of
     ``sum_x / runs`` taken after the pass, since sum_x starts at zero.
     """
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, cp: np.ndarray,
-                 runs: int, *, want_residual: bool, sum_iterates: bool = False,
-                 centers: np.ndarray | None = None,
+                 runs: int, *, want_residual: bool,
                  center_on_mean: bool = False):
         self.inst, self.y, self.cp = inst, y, cp
         c = cp.size
         self.error_sq = np.empty((runs, c))
         self.residual_sq = np.empty((runs, c)) if want_residual else None
-        self.sum_x = (np.zeros((c, inst.m)) if sum_iterates or center_on_mean
-                      else None)
-        self.centers = centers
-        self.center_on_mean = center_on_mean
-        self.centered_sq = (np.empty((runs, c))
-                            if centers is not None or center_on_mean else None)
+        self.sum_x = np.zeros((c, inst.m)) if center_on_mean else None
+        self.centered_sq = np.empty((runs, c)) if center_on_mean else None
 
     def record(self, j: int, x: np.ndarray) -> np.ndarray:
         diff = x - self.inst.x_dag
         err = np.einsum("rm,rm->r", diff, diff)
         self.error_sq[:, j] = err
         if self.residual_sq is not None:
-            resid = np.einsum("rm,nm->rn", x, self.inst.a) - self.y
+            resid = residuals(self.inst.a, self.y, x)
             self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
         if self.sum_x is not None:
             self.sum_x[j] += x.sum(axis=0)
-        if self.centered_sq is not None:
-            if self.center_on_mean:
-                d = x - self.sum_x[j] / x.shape[0]
-            else:
-                d = x - self.centers[j]
+            d = x - self.sum_x[j] / x.shape[0]
             self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
         return err
 
@@ -194,10 +187,14 @@ def _divergence_limit(inst: ProblemInstance) -> float:
     return DIVERGENCE_FACTOR * ref
 
 
+def residuals(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x - y for each row of the (runs, m) matrix x."""
+    return np.einsum("rm,nm->rn", x, a) - y
+
+
 def full_gradient(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(1/n) A^T (A x - y) for each row of the (runs, m) matrix x."""
-    resid = np.einsum("rm,nm->rn", x, a) - y
-    return np.einsum("rn,nm->rm", resid, a) / a.shape[0]
+    return np.einsum("rn,nm->rm", residuals(a, y, x), a) / a.shape[0]
 
 
 class Lockstep:
@@ -347,10 +344,9 @@ def trajectory_rows(traj: Trajectory):
                float("nan") if resid is None else float(resid[j]))
 
 
-def write_trajectory(traj: Trajectory, csv_path, meta_path=None) -> None:
+def write_trajectory(traj: Trajectory, csv_path, meta_path) -> None:
     from . import fileio
     fileio.write_csv(csv_path, ["epoch", "error_sq", "residual_sq"],
                      trajectory_rows(traj))
-    if meta_path is not None:
-        fileio.dump_json({"schema": fileio.SCHEMA_VERSION,
-                          "kind": "trajectory_meta", **traj.meta}, meta_path)
+    fileio.dump_json({"schema": fileio.SCHEMA_VERSION,
+                      "kind": "trajectory_meta", **traj.meta}, meta_path)

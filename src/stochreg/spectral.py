@@ -89,9 +89,6 @@ class GramOperator:
     def apply_power(self, p: float, v: np.ndarray) -> np.ndarray:
         return self.filter_apply(self.power_weights(p), v)
 
-    def matrix_power(self, p: float) -> np.ndarray:
-        return self.filter_matrix(self.power_weights(p))
-
     def pinv_apply(self, v: np.ndarray) -> np.ndarray:
         return self.apply_power(-1.0, v)
 
@@ -157,9 +154,6 @@ class Propagator:
     def apply_power(self, k: float, v: np.ndarray) -> np.ndarray:
         return self.gram.filter_apply(self.power_weights(k), v)
 
-    def matrix_power(self, k: float) -> np.ndarray:
-        return self.gram.filter_matrix(self.power_weights(k))
-
 
 @dataclass(frozen=True)
 class KernelBoundReport:
@@ -171,8 +165,7 @@ class KernelBoundReport:
 
 
 def _eigenvalues_of(b) -> np.ndarray:
-    if isinstance(b, GramOperator):
-        return b.eigenvalues
+    """The spectrum of a symmetric matrix, or an array of eigenvalues."""
     arr = np.asarray(b, dtype=np.float64)
     if arr.ndim == 2:
         return GramOperator(arr).eigenvalues
@@ -226,10 +219,6 @@ class SvdFactors:
     s: np.ndarray
     vt: np.ndarray
     tau: float
-
-    @property
-    def rank(self) -> int:
-        return self.s.size
 
 
 def fix_singular_signs(u: np.ndarray, vt: np.ndarray) -> None:

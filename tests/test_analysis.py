@@ -36,6 +36,8 @@ from stochreg.solvers import (EpochAccounting, Lockstep, SolverConfig,
                               step_stability_bound)
 from stochreg.spectral import GramOperator, Propagator, step_constant
 
+from recorders import SummingRecorder
+
 
 def tiny_instance():
     a = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -101,7 +103,7 @@ def test_closed_form_mean_matches_enumeration(method, n, m, M, K):
 
 def test_path_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
-        path_count(10, 4, 2, budget=10**7)
+        path_count(10, 4, 2)
 
 
 # --- second-moment decompositions ---------------------------------------------
@@ -140,7 +142,8 @@ def test_svrg_split_has_no_noise_family():
     inst, y = ortho_instance()
     dec = svrg_variance_terms(inst, y, 0.25, 2, 2)
     assert_array_equal(dec.split_noise, np.zeros(2))
-    assert_allclose(dec.split_covariance, np.zeros(2), atol=1e-18)
+    covariance = dec.epoch_terms - dec.split_main - dec.split_noise
+    assert_allclose(covariance, np.zeros(2), atol=1e-18)
 
 
 def test_sgd_split_families_are_correlated():
@@ -154,7 +157,8 @@ def test_sgd_split_families_are_correlated():
     dec = sgd_variance_terms(inst, y, c0, M=3, K=2)
     enum = enumerate_weighted_second_moment(inst, y, c0, 3, 2, "sgd")
     assert abs(dec.total - enum) <= 1e-12 * (1 + enum)
-    assert np.abs(dec.split_covariance).max() > 1e-6 * dec.total
+    covariance = dec.epoch_terms - dec.split_main - dec.split_noise
+    assert np.abs(covariance).max() > 1e-6 * dec.total
 
 
 def test_decomposition_requires_orthogonal_rows():
@@ -636,17 +640,16 @@ def two_pass_mc_moments(inst, y, cfg, runs):
     the spread around the mean."""
     cp = checkpoints(inst, cfg)
     subkeys = list(range(runs))
-    rec = _Recorder(inst, y, cp, runs, want_residual=False, sum_iterates=True)
+    rec = SummingRecorder(inst, cp, runs)
     diverged = run_batch(inst, y, cfg, subkeys, rec)
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
     if excluded:
         subkeys = [r for r in range(runs) if r not in excluded]
-        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
-                        sum_iterates=True)
+        rec = SummingRecorder(inst, cp, len(subkeys))
         run_batch(inst, y, cfg, subkeys, rec)
     count = len(subkeys)
     mean_x = rec.sum_x / count
-    rec2 = _Recorder(inst, y, cp, count, want_residual=False, centers=mean_x)
+    rec2 = SummingRecorder(inst, cp, count, centers=mean_x)
     run_batch(inst, y, cfg, subkeys, rec2)
     diff = mean_x - inst.x_dag
     return {"mean_iterate": mean_x,

@@ -67,10 +67,19 @@ def test_generate_normalize_flag(tmp_path):
     ["generate", "s-shaw", "--n", "16", "--nu", "-1", "--out", "x"],
     ["generate", "s-shaw", "--out", "x"],
     ["generate", "no-such-problem", "--n", "16", "--out", "x"],
+    ["generate", "s-shaw", "--n", "8", "--eps", "-1", "--out", "x"],
+    ["generate", "s-shaw", "--n", "8", "--eps", "nan", "--out", "x"],
+    ["generate", "s-shaw", "--n", "8", "--eps", "1e-2", "--seed", "-1",
+     "--out", "x"],
+    ["generate", "s-shaw", "--n", "8", "--eps", "1e-2", "--seed", str(2**64),
+     "--out", "x"],
+    ["solve", "p", "--method", "sgd", "--c0", "1/2*c", "--seed", "-3",
+     "--out", "x"],
     ["frobnicate"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    _generate(tmp_path, "p")
     assert main(argv) == 4
     assert "error" in capsys.readouterr().err
 
@@ -196,6 +205,15 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
     assert rc == 4
     assert "unknown experiment keys" in capsys.readouterr().err
+
+
+def test_experiment_rejects_seed_outside_key_range(tmp_path, capsys):
+    # the noise seed derived from this base seed is negative
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(base_seed=-1000000)))
+    rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    assert "outside [0, 2**64)" in capsys.readouterr().err
 
 
 def test_precondition_study_cli(tmp_path, capsys):

@@ -17,8 +17,10 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  spec_to_dict, thread_count)
 from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, precondition
-from stochreg.solvers import (EpochAccounting, SolverConfig, _Recorder,
+from stochreg.solvers import (EpochAccounting, SolverConfig,
                               checkpoint_iterations, run_batch)
+
+from recorders import SummingRecorder
 
 
 # --- grammar -------------------------------------------------------------------
@@ -113,6 +115,13 @@ def test_spec_validates_values():
         small_spec(methods=[{"method": "svrg"}])
     with pytest.raises(ValueError, match="step expression"):
         small_spec(methods=[{"method": "sgd", "c0": "bogus"}])
+    # integers must be integral and flags boolean; nothing is rounded or cast
+    for key, value in (("n", 8.9), ("runs", 2.7), ("runs", True),
+                       ("base_seed", 1.5), ("precondition", "false"),
+                       ("resample_noise", 1)):
+        with pytest.raises(ValueError, match=key):
+            small_spec(**{key: value})
+    assert small_spec(n=16.0).n == 16
 
 
 def test_seed_derivation_is_positional():
@@ -279,9 +288,8 @@ def three_pass_figure_cell(spec, cell_index):
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
 
-    def batch(subkeys, **kwargs):
-        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
-                        **kwargs)
+    def batch(subkeys, centers=None):
+        rec = SummingRecorder(inst, cp, len(subkeys), centers)
         return rec, run_batch(inst, y, cfg, subkeys, rec)
 
     rec, diverged = batch(list(range(spec.runs)))
@@ -302,9 +310,9 @@ def three_pass_figure_cell(spec, cell_index):
     note = f"{len(excluded)} runs diverged" if excluded else ""
     row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
            c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), note]
-    sums, _ = batch(kept, sum_iterates=True)
+    sums, _ = batch(kept)
     mean_x = sums.sum_x / len(kept)
-    spread, _ = batch(kept, centers=mean_x)
+    spread, _ = batch(kept, mean_x)
     diff = mean_x - inst.x_dag
     bias_sq = np.einsum("cm,cm->c", diff, diff)
     variance = spread.centered_sq.mean(axis=0)

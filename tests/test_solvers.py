@@ -14,6 +14,8 @@ from stochreg.solvers import (_CHUNK, DivergenceError, EpochAccounting,
                               solve, step_is_admissible, step_stability_bound,
                               write_trajectory)
 
+from recorders import SummingRecorder
+
 
 @pytest.fixture(scope="module")
 def noisy_shaw():
@@ -213,7 +215,7 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     assert total > _CHUNK
     cp = checkpoint_iterations(acct, cfg, total)
     runs = 4
-    rec = _Recorder(inst, y, cp, runs, want_residual=False, sum_iterates=True)
+    rec = SummingRecorder(inst, cp, runs)
     run_batch(inst, y, cfg, list(range(runs)), rec)
     states = out_of_place_lockstep(inst.a, y, inst.x0,
                                    stream_indices(cfg.seed, inst.n, runs, total),
