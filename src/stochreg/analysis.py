@@ -788,9 +788,11 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                        excluded_runs=excluded)
 
 
-def stopping_stats(curves: ErrorCurves) -> tuple[float, float, float]:
+def stopping_stats(curves: ErrorCurves | MomentReport
+                   ) -> tuple[float, float, float]:
     """Mean optimal-stopping epoch, mean error there, and its standard error,
-    with the optimum taken per run (first index on ties)."""
+    with the optimum taken per run (first index on ties).  Takes either
+    report: only its epochs and per-run error_sq are read."""
     best = np.argmin(curves.error_sq, axis=1)
     kstars = curves.epochs[best]
     errs = np.sqrt(curves.error_sq[np.arange(best.size), best])

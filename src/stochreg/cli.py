@@ -13,11 +13,11 @@ import sys
 from . import fileio, verify
 from .experiment import (load_spec, parse_c0_expr, parse_m_expr,
                          run_experiment, run_precondition_study)
-from .problems import (add_noise, generate, load_instance, load_noisy,
-                       precondition, rescale_to_unit_norm, save_instance,
-                       save_noisy, smooth_solution, NoisyData)
-from .solvers import (DivergenceError, SolverConfig, oracle_stop, solve,
-                      step_stability_bound, write_trajectory)
+from .problems import (GENERATORS, add_noise, generate, load_instance,
+                       load_noisy, precondition, rescale_to_unit_norm,
+                       save_instance, save_noisy, smooth_solution, NoisyData)
+from .solvers import (METHODS, DivergenceError, SolverConfig, oracle_stop,
+                      solve, step_stability_bound, write_trajectory)
 from .spectral import step_constant
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="build a test problem "
                          "and a noisy data vector")
-    gen.add_argument("problem", choices=["s-shaw", "s-gravity", "s-phillips"])
+    gen.add_argument("problem", choices=GENERATORS)
     gen.add_argument("--n", type=int, required=True, help="grid size")
     gen.add_argument("--nu", type=float, default=0.0,
                      help="solution smoothing exponent")
@@ -66,8 +66,7 @@ def _build_parser() -> _Parser:
     sol.add_argument("--noise", default=None,
                      help="noisy-data JSON (default: <prefix>.noise.json, "
                           "else exact data)")
-    sol.add_argument("--method", required=True,
-                     choices=["landweber", "sgd", "svrg"])
+    sol.add_argument("--method", required=True, choices=METHODS)
     sol.add_argument("--c0", default=None,
                      help="step size: literal, or '<q>*c', '<q>*c/M', "
                           "'<q>*c/n' (landweber default: auto)")

@@ -1,7 +1,8 @@
 """Experiment grids over (smoothness, noise level, method) cells.
 
-One cell is a (nu, epsilon, method plan) triple. Cells sharing (nu, epsilon)
-also share the noise realization, so methods face identical data. Every random
+One cell is a (nu, epsilon, method plan) triple. Each (nu, epsilon) point
+draws one noise realization, shared by every run and method of the point: the
+paper's expectations are over the row indices for a fixed datum. Every random
 stream is derived from the base seed and the cell's position in the grid, never
 from execution order, which keeps all emitted files byte-stable under any
 STOCHREG_THREADS setting.
@@ -13,14 +14,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import fileio
-from .analysis import (ErrorCurves, error_curves, mc_moments, parse_rational,
-                       stopping_stats)
+from .analysis import error_curves, mc_moments, parse_rational, stopping_stats
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
-                       orthogonalize_rows, precondition, smooth_solution)
-from .solvers import EpochAccounting, SolverConfig, step_stability_bound
+                       precondition, smooth_solution)
+from .rng import check_seed
+from .solvers import (METHODS, EpochAccounting, SolverConfig,
+                      step_stability_bound)
 from .spectral import step_constant
 
 RESULT_HEADER = ["problem", "nu", "epsilon", "method", "c0_expr", "M",
@@ -32,7 +32,6 @@ FIGURE_HEADER = ["epoch", "iteration", "bias_sq", "variance", "mse"]
 # seed offsets; arbitrary distinct primes, frozen for reproducibility
 _NOISE_STRIDE = 7919
 _CELL_STRIDE = 104729
-_RESAMPLE_STRIDE = 65537
 
 
 def thread_count() -> int:
@@ -108,8 +107,9 @@ class MethodPlan:
     m_expr: object = None
 
     def __post_init__(self):
-        if self.method not in ("landweber", "sgd", "svrg"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; "
+                             f"choices: {METHODS}")
         if self.c0_expr is None and self.method != "landweber":
             raise ValueError(f"{self.method} needs a step expression")
 
@@ -125,7 +125,6 @@ class ExperimentSpec:
     max_epochs: float = 100.0
     base_seed: int = 0
     precondition: bool = False
-    resample_noise: bool = False
 
     def __post_init__(self):
         if self.problem not in GENERATORS:
@@ -148,6 +147,13 @@ class ExperimentSpec:
             m = parse_m_expr(plan.m_expr, self.n)
             parse_c0_expr(plan.c0_expr if plan.c0_expr is not None else 1.0,
                           1.0, m, self.n)
+        # the derived seeds grow with grid position, so the extremes bound
+        # every seed a cell can key a stream with
+        for seed in (self.noise_seed(0, 0),
+                     self.noise_seed(len(self.nu) - 1, len(self.epsilon) - 1),
+                     self.solver_seed(0),
+                     self.solver_seed(len(self.cells) - 1)):
+            check_seed(seed)
 
     @property
     def cells(self) -> list:
@@ -167,10 +173,15 @@ class ExperimentSpec:
         return self.base_seed + _CELL_STRIDE * (cell_index + 1)
 
 
-def _as_list(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return (float(value),)
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} takes JSON numbers, not {value!r}")
+    return float(value)
+
+
+def _as_list(key: str, value) -> tuple:
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    return tuple(_number(key, v) for v in values)
 
 
 def _integer(key: str, value) -> int:
@@ -188,10 +199,8 @@ def _flag(key: str, value) -> bool:
 
 # the scalar keys and their parsers; absent optional keys take the defaults
 # of ExperimentSpec's fields
-_SCALARS = {"n": _integer, "runs": _integer,
-            "max_epochs": lambda key, value: float(value),
-            "base_seed": _integer, "precondition": _flag,
-            "resample_noise": _flag}
+_SCALARS = {"n": _integer, "runs": _integer, "max_epochs": _number,
+            "base_seed": _integer, "precondition": _flag}
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
@@ -213,8 +222,8 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
                                 m_expr=entry.get("M")))
     scalars = {key: parse(key, doc[key]) for key, parse in _SCALARS.items()
                if key in doc}
-    return ExperimentSpec(problem=doc["problem"], nu=_as_list(doc["nu"]),
-                          epsilon=_as_list(doc["epsilon"]),
+    return ExperimentSpec(problem=doc["problem"], nu=_as_list("nu", doc["nu"]),
+                          epsilon=_as_list("epsilon", doc["epsilon"]),
                           methods=tuple(plans), **scalars)
 
 
@@ -234,8 +243,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return {"problem": spec.problem, "n": spec.n, "nu": list(spec.nu),
             "epsilon": list(spec.epsilon), "methods": methods,
             "runs": spec.runs, "max_epochs": spec.max_epochs,
-            "base_seed": spec.base_seed, "precondition": spec.precondition,
-            "resample_noise": spec.resample_noise}
+            "base_seed": spec.base_seed, "precondition": spec.precondition}
 
 
 # ---------------------------------------------------------------------------
@@ -270,53 +278,21 @@ def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
     return cfg, c0_expr, m_value
 
 
-def _resampled_curves(inst_nu: ProblemInstance, inst_cell: ProblemInstance,
-                      rotation: np.ndarray | None, spec: ExperimentSpec,
-                      i_nu: int, i_eps: int, cfg: SolverConfig) -> ErrorCurves:
-    """Fresh noise per run; index streams still differ run to run.  Each
-    run's data is drawn on inst_nu and, when preconditioning, rotated into
-    inst_cell's coordinates by the cell's one rotation."""
-    eps = spec.epsilon[i_eps]
-    base = spec.noise_seed(i_nu, i_eps)
-    rows = []
-    grid = None
-    for r in range(spec.runs):
-        y_r = add_noise(inst_nu, eps, base + _RESAMPLE_STRIDE * (r + 1)).y
-        if rotation is not None:
-            y_r = rotation @ y_r
-        cur = error_curves(inst_cell, y_r, replace(cfg, seed=cfg.seed + r),
-                           runs=1)
-        rows.append(cur.error_sq[0])
-        grid = cur
-    return ErrorCurves(method=cfg.method, epochs=grid.epochs,
-                       iterations=grid.iterations, error_sq=np.vstack(rows),
-                       residual_sq=None, excluded_runs=())
-
-
 def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
               figure_grid: bool) -> CellOutcome:
     i_nu, i_eps, i_m, plan = cell
     nu = spec.nu[i_nu]
     eps = spec.epsilon[i_eps]
-    inst_nu, inst_cell, y_cell, rotation, c_unit = prepared[(i_nu, i_eps)]
+    inst, y, c_unit = prepared[(i_nu, i_eps)]
     base_row = [spec.problem, nu, eps, plan.method]
     try:
         cfg, c0_expr, m_value = _cell_config(
-            inst_cell, plan, spec, spec.solver_seed(cell_index), figure_grid,
-            c_unit)
+            inst, plan, spec, spec.solver_seed(cell_index), figure_grid, c_unit)
         if figure_grid:
-            # one pass gives the figure moments and the per-run error curves;
-            # figure data needs the cell's fixed noise (see run_experiment)
-            report = mc_moments(inst_cell, y_cell, cfg, spec.runs)
-            curves = ErrorCurves(method=cfg.method, epochs=report.epochs,
-                                 iterations=report.iterations,
-                                 error_sq=report.error_sq, residual_sq=None,
-                                 excluded_runs=report.excluded_runs)
-        elif spec.resample_noise:
-            curves = _resampled_curves(inst_nu, inst_cell, rotation, spec,
-                                       i_nu, i_eps, cfg)
+            # one pass gives the figure moments and the per-run error curves
+            curves = mc_moments(inst, y, cfg, spec.runs)
         else:
-            curves = error_curves(inst_cell, y_cell, cfg, runs=spec.runs)
+            curves = error_curves(inst, y, cfg, runs=spec.runs)
         kstar, e_mean, se = stopping_stats(curves)
         note = (f"{len(curves.excluded_runs)} runs diverged"
                 if curves.excluded_runs else "")
@@ -327,10 +303,10 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
         if figure_grid:
             figure_name = f"figure_cell{cell_index:03d}_{plan.method}.csv"
             figure_rows = tuple(
-                (float(report.epochs[j]), int(report.iterations[j]),
-                 float(report.bias_sq[j]), float(report.variance[j]),
-                 float(report.mse[j]))
-                for j in range(report.iterations.size))
+                (float(curves.epochs[j]), int(curves.iterations[j]),
+                 float(curves.bias_sq[j]), float(curves.variance[j]),
+                 float(curves.mse[j]))
+                for j in range(curves.iterations.size))
         return CellOutcome(row=row, figure_name=figure_name,
                            figure_rows=figure_rows, e_value=e_mean)
     except Exception as exc:  # per-cell failures leave the grid running
@@ -342,31 +318,25 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
 
 
 def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
-    """Instances and noise shared by every method in a (nu, epsilon) point.
+    """Instance, noisy data and step unit c shared by every method in a
+    (nu, epsilon) point.
 
-    With resample_noise and precondition, y_cell is None and rotation maps
-    each run's fresh data into the cell's coordinates; otherwise rotation
-    is None.  step_from_raw evaluates the step unit c on the unrotated rows
-    even when solving the preconditioned system, so paired studies run with
-    the same numeric step on both sides.
+    step_from_raw evaluates c on the unrotated rows even when solving the
+    preconditioned system, so paired studies run with the same numeric step
+    on both sides.
     """
     base = generate(spec.problem, spec.n)
     prepared = {}
     for i_nu, nu in enumerate(spec.nu):
         inst_nu = smooth_solution(base, nu)
         for i_eps, eps in enumerate(spec.epsilon):
-            data = add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps))
-            rotation = None
-            if spec.precondition and not spec.resample_noise:
-                inst_cell, y_cell = precondition(inst_nu, data.y)
-            elif spec.precondition:
-                inst_cell, rotation = orthogonalize_rows(inst_nu)
-                y_cell = None  # rebuilt per run with fresh noise
+            y = add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps)).y
+            if spec.precondition:
+                inst_cell, y_cell = precondition(inst_nu, y)
             else:
-                inst_cell, y_cell = inst_nu, data.y
+                inst_cell, y_cell = inst_nu, y
             c_unit = step_constant(inst_nu.a if step_from_raw else inst_cell.a)
-            prepared[(i_nu, i_eps)] = (inst_nu, inst_cell, y_cell, rotation,
-                                       c_unit)
+            prepared[(i_nu, i_eps)] = (inst_cell, y_cell, c_unit)
     return prepared
 
 
@@ -407,12 +377,8 @@ def _write_outputs(spec: ExperimentSpec, outcomes: list, out_csv,
 def run_experiment(spec: ExperimentSpec, out_csv, figure_dir=None) -> list:
     """Run the grid and write the result table (plus optional figure data).
 
-    Returns the result rows. Figure data wants sample moments over a common
-    iteration grid, which needs a fixed noise realization per cell.
+    Returns the result rows.
     """
-    if figure_dir is not None and spec.resample_noise:
-        raise ValueError("figure data needs a fixed noise realization; "
-                         "disable resample_noise")
     if figure_dir is not None and spec.runs < 2:
         raise ValueError("figure data needs at least two runs")
     outcomes = run_grid(spec, figure_grid=figure_dir is not None)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fileio
-from .rng import standard_gaussians
+from .rng import check_seed, standard_gaussians
 from .spectral import GramOperator, build_gram, fix_singular_signs
 
 
@@ -205,6 +205,7 @@ def add_noise(inst: ProblemInstance, epsilon: float, seed: int) -> NoisyData:
     """y = y_dag + epsilon * max|y_dag| * xi with iid standard Gaussian xi."""
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative")
+    check_seed(seed)
     if epsilon == 0:
         return NoisyData(y=inst.y_dag.copy(), epsilon=0.0, seed=int(seed), delta=0.0)
     xi = standard_gaussians(seed, inst.n)
@@ -213,34 +214,27 @@ def add_noise(inst: ProblemInstance, epsilon: float, seed: int) -> NoisyData:
     return NoisyData(y=y, epsilon=float(epsilon), seed=int(seed), delta=delta)
 
 
-def orthogonalize_rows(inst: ProblemInstance
-                       ) -> tuple[ProblemInstance, np.ndarray]:
-    """The instance with A -> U^T A = S V^T, whose rows are orthogonal, and
-    the rotation U^T that maps data into it.  U is the full left singular
-    factor under spectral.svd's sign convention."""
-    u, _, vt = np.linalg.svd(inst.a, full_matrices=True)
-    fix_singular_signs(u, vt)
-    a_rot = u.T @ inst.a
-    inst_rot = ProblemInstance(name=inst.name, a=a_rot, x_dag=inst.x_dag,
-                               y_dag=exact_data(a_rot, inst.x_dag), x0=inst.x0,
-                               nu=inst.nu)
-    return inst_rot, u.T
-
-
 def precondition(inst: ProblemInstance, y: np.ndarray | None = None
                  ) -> tuple[ProblemInstance, np.ndarray]:
     """Rotate the data space so rows become orthogonal: A -> U^T A = S V^T.
 
-    U is a full orthogonal factor, so the Gram operator, every residual norm,
-    and the noise size are preserved exactly; only the row geometry changes.
+    U is the full left singular factor under spectral.svd's sign convention,
+    so the Gram operator, every residual norm, and the noise size are
+    preserved exactly; only the row geometry changes.  Returns the rotated
+    instance and U^T y.
     """
     if y is None:
         y = inst.y_dag
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (inst.n,):
         raise ValueError("data vector shape does not match the instance")
-    inst_rot, rotation = orthogonalize_rows(inst)
-    return inst_rot, rotation @ y
+    u, _, vt = np.linalg.svd(inst.a, full_matrices=True)
+    fix_singular_signs(u, vt)
+    a_rot = u.T @ inst.a
+    inst_rot = ProblemInstance(name=inst.name, a=a_rot, x_dag=inst.x_dag,
+                               y_dag=exact_data(a_rot, inst.x_dag), x0=inst.x0,
+                               nu=inst.nu)
+    return inst_rot, u.T @ y
 
 
 def rescale_to_unit_norm(inst: ProblemInstance) -> ProblemInstance:

@@ -16,11 +16,17 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 emits 4 raw 64-bit words per counter step
 NOISE_SUBKEY = 2**63 + 11  # run subkeys are small ints; this never collides
 
 
-def _philox(seed: int, subkey: int) -> np.random.Philox:
-    """The generator of stream (seed, subkey) at position 0.  A seed is one
-    64-bit key word, so it must lie in [0, 2**64)."""
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed lies in [0, 2**64).  A seed is one 64-bit
+    key word of a stream; callers check it where it enters, whether or not
+    a stream is drawn from it."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} lies outside [0, 2**64)")
+
+
+def _philox(seed: int, subkey: int) -> np.random.Philox:
+    """The generator of stream (seed, subkey) at position 0."""
+    check_seed(seed)
     return np.random.Philox(key=np.array([seed, subkey], dtype=np.uint64))
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance
-from .rng import index_blocks
+from .rng import check_seed, index_blocks
 from .spectral import stability_step_bound
 
 _CHUNK = 4096  # iterations per index-stream draw
@@ -74,6 +74,7 @@ class SolverConfig:
             raise ValueError("inner loop length M must be >= 1")
         if not self.checkpoint_every > 0:
             raise ValueError("checkpoint_every must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ def test_generate_normalize_flag(tmp_path):
      "--out", "x"],
     ["solve", "p", "--method", "sgd", "--c0", "1/2*c", "--seed", "-3",
      "--out", "x"],
+    # seeds that key no stream: eps 0 draws no noise, landweber no indices
+    ["generate", "s-shaw", "--n", "8", "--seed", "-1", "--out", "x"],
+    ["solve", "p", "--method", "landweber", "--seed", "-3", "--out", "x"],
     ["frobnicate"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
@@ -207,10 +210,16 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown experiment keys" in capsys.readouterr().err
 
 
-def test_experiment_rejects_seed_outside_key_range(tmp_path, capsys):
-    # the noise seed derived from this base seed is negative
+@pytest.mark.parametrize("overrides", [
+    {},  # the noise seed derived from this base seed is negative
+    # no noise is drawn at eps 0, but the solver seed is negative too
+    {"epsilon": [0], "methods": [{"method": "sgd", "c0": "1/2*c"}]},
+])
+def test_experiment_rejects_seed_outside_key_range(overrides, tmp_path,
+                                                   capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec_doc(base_seed=-1000000)))
+    spec_path.write_text(json.dumps(_spec_doc(base_seed=-1000000,
+                                              **overrides)))
     rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
     assert rc == 4
     assert "outside [0, 2**64)" in capsys.readouterr().err

@@ -2,13 +2,12 @@
 
 import functools
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochreg import experiment
-from stochreg.analysis import ErrorCurves, error_curves, stopping_stats
+from stochreg.analysis import ErrorCurves, stopping_stats
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  FIGURE_HEADER, load_spec, parse_c0_expr,
                                  parse_m_expr, parse_rational,
@@ -16,7 +15,6 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  run_precondition_study, spec_from_dict,
                                  spec_to_dict, thread_count)
 from stochreg.fileio import read_csv
-from stochreg.problems import add_noise, precondition
 from stochreg.solvers import (EpochAccounting, SolverConfig,
                               checkpoint_iterations, run_batch)
 
@@ -93,8 +91,9 @@ def test_spec_from_dict_roundtrip():
 
 
 def test_spec_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown experiment keys"):
-        small_spec(extra_knob=1)
+    for key in ("extra_knob", "resample_noise"):
+        with pytest.raises(ValueError, match="unknown experiment keys"):
+            small_spec(**{key: True})
     with pytest.raises(ValueError, match="unknown method keys"):
         small_spec(methods=[{"method": "sgd", "c0": "1*c", "step": 2}])
 
@@ -115,10 +114,12 @@ def test_spec_validates_values():
         small_spec(methods=[{"method": "svrg"}])
     with pytest.raises(ValueError, match="step expression"):
         small_spec(methods=[{"method": "sgd", "c0": "bogus"}])
-    # integers must be integral and flags boolean; nothing is rounded or cast
+    # integers must be integral, numbers JSON numbers and flags boolean;
+    # nothing is rounded or cast
     for key, value in (("n", 8.9), ("runs", 2.7), ("runs", True),
                        ("base_seed", 1.5), ("precondition", "false"),
-                       ("resample_noise", 1)):
+                       ("nu", [True]), ("epsilon", ["1e-2"]),
+                       ("max_epochs", True)):
         with pytest.raises(ValueError, match=key):
             small_spec(**{key: value})
     assert small_spec(n=16.0).n == 16
@@ -202,17 +203,6 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     assert blobs["1"] == blobs["3"]
 
 
-def test_resample_noise_changes_results(tmp_path):
-    fixed = run_experiment(small_spec(nu=[0.0]), tmp_path / "a.csv")
-    resampled = run_experiment(small_spec(nu=[0.0], resample_noise=True),
-                               tmp_path / "b.csv")
-    again = run_experiment(small_spec(nu=[0.0], resample_noise=True),
-                           tmp_path / "c.csv")
-    idx = RESULT_HEADER.index("e_at_kstar")
-    assert resampled[0][idx] != fixed[0][idx]
-    assert resampled[0][idx] == again[0][idx]  # still deterministic
-
-
 def test_figure_outputs_share_iteration_grid(tmp_path):
     spec = small_spec(
         nu=[1.0], runs=4, max_epochs=6.0,
@@ -236,9 +226,6 @@ def test_figure_outputs_share_iteration_grid(tmp_path):
 
 
 def test_figure_mode_guards(tmp_path):
-    with pytest.raises(ValueError, match="resample"):
-        run_experiment(small_spec(resample_noise=True), tmp_path / "t.csv",
-                       figure_dir=tmp_path / "fig")
     with pytest.raises(ValueError, match="two runs"):
         run_experiment(small_spec(runs=1), tmp_path / "t.csv",
                        figure_dir=tmp_path / "fig")
@@ -282,7 +269,7 @@ def three_pass_figure_cell(spec, cell_index):
     pass per cell: error curves, re-running the kept runs when some diverge,
     then one pass for the mean iterate and one for the spread around it."""
     i_nu, i_eps, _, plan = spec.cells[cell_index]
-    inst_nu, inst, y, _, c_unit = experiment._prepare_cells(spec)[(i_nu, i_eps)]
+    inst, y, c_unit = experiment._prepare_cells(spec)[(i_nu, i_eps)]
     cfg, c0_expr, m_value = experiment._cell_config(
         inst, plan, spec, spec.solver_seed(cell_index), True, c_unit)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
@@ -361,34 +348,3 @@ def test_figure_cells_with_diverged_runs(tmp_path, monkeypatch):
     assert [r[RESULT_HEADER.index("error")] for r in parsed] == notes
     assert sorted(p.name for p in (tmp_path / "fig").iterdir()) == [
         "figure_cell000_sgd.csv", "figure_cell002_svrg.csv"]
-
-
-def test_resampled_cells_rotate_with_one_svd():
-    spec = small_spec(nu=[1.0], runs=4, max_epochs=5.0, precondition=True,
-                      resample_noise=True,
-                      methods=[{"method": "sgd", "c0": "1/2*c"},
-                               {"method": "svrg", "c0": "1/2*c", "M": "4"}])
-    outcomes = run_grid(spec)
-    prepared = experiment._prepare_cells(spec)
-    for index, (i_nu, i_eps, _, plan) in enumerate(spec.cells):
-        inst_nu, inst_cell, _, _, c_unit = prepared[(i_nu, i_eps)]
-        cfg, c0_expr, m_value = experiment._cell_config(
-            inst_cell, plan, spec, spec.solver_seed(index), False, c_unit)
-        # each run preconditioned on its own, as before the cell's rotation
-        rows = []
-        base = spec.noise_seed(i_nu, i_eps)
-        for r in range(spec.runs):
-            data = add_noise(inst_nu, spec.epsilon[i_eps],
-                             base + experiment._RESAMPLE_STRIDE * (r + 1))
-            inst_r, y_r = precondition(inst_nu, data.y)
-            cur = error_curves(inst_r, y_r, replace(cfg, seed=cfg.seed + r),
-                               runs=1)
-            rows.append(cur.error_sq[0])
-        curves = ErrorCurves(method=cfg.method, epochs=cur.epochs,
-                             iterations=cur.iterations,
-                             error_sq=np.vstack(rows), residual_sq=None,
-                             excluded_runs=())
-        kstar, e_mean, se = stopping_stats(curves)
-        assert outcomes[index].row == [
-            spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
-            c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), ""]
