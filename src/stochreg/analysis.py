@@ -124,7 +124,7 @@ def _iterate_paths(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     """Advance one block of paths `steps` inner steps; return the iterate
     matrix after each step count listed in stop_states (default: just the
     final one).  The steps are solvers.Lockstep, the solvers' own kernel."""
-    kernel = Lockstep(inst.a, y, np.tile(inst.x0, (ids.size, 1)), method, c0, M)
+    kernel = Lockstep(inst, y, np.tile(inst.x0, (ids.size, 1)), method, c0, M)
     idx = _digit(ids, inst.n, np.arange(steps)[:, None])
     out = {}
     for s in sorted(set([steps] if stop_states is None else stop_states)):
@@ -585,7 +585,7 @@ def _mc_weighted_second_moment(inst, y, c0, M, K, method, r1, r2, runs, seed
     x_ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
     x = np.tile(inst.x0, (runs, 1))
     idx = index_blocks(seed, inst.n, range(runs), 0, K * M)
-    Lockstep(inst.a, y, x, method, c0, M).advance(idx)
+    Lockstep(inst, y, x, method, c0, M).advance(idx)
     v = (x - x_ref) @ r1m.T + r2v
     vals = np.einsum("rm,rm->r", v, v)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
@@ -610,7 +610,7 @@ def recursion_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     y = np.asarray(y, dtype=np.float64)
     kit = _EpochKit(inst, y, c0, M)
     idx = IndexStream(seed, inst.n).block(0, K * M)[:, None]
-    kernel = Lockstep(inst.a, y, inst.x0[None].copy(), "svrg", c0, M)
+    kernel = Lockstep(inst, y, inst.x0[None].copy(), "svrg", c0, M)
 
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):

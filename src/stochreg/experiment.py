@@ -10,6 +10,7 @@ STOCHREG_THREADS setting.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -140,8 +141,8 @@ class ExperimentSpec:
             raise ValueError("methods list must be nonempty")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not self.max_epochs > 0:
-            raise ValueError("max_epochs must be positive")
+        if not 0 < self.max_epochs < math.inf:
+            raise ValueError("max_epochs must be positive and finite")
         # structural parse check so bad grammar fails before any cell runs
         for plan in self.methods:
             m = parse_m_expr(plan.m_expr, self.n)

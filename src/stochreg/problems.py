@@ -70,8 +70,11 @@ class ProblemInstance:
 
 
 def exact_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x through the same einsum reduction the solvers use for row dots,
-    so exact-data fixed points hold bit for bit."""
+    """A x through the same einsum reduction the sgd steps use for row dots,
+    so an sgd start at x_dag with this data stays put bit for bit.  svrg and
+    landweber hold that fixed point through their full gradient, whose
+    product term vanishes with x - x0 and whose base term is zero at an
+    exact-data start."""
     return np.einsum("nm,m->n", a, x)
 
 

@@ -3,10 +3,10 @@ functional J(x) = (1/2n) ||A x - y||^2.
 
 Three methods share one batched core: plain stochastic gradient steps,
 a variance-reduced double loop with full-gradient anchors, and deterministic
-full-gradient descent.  All inner products go through ``einsum`` reductions,
-which are bitwise independent of the batch size; with data generated by
-``problems.exact_data`` this makes x0 = x_dag with exact data a bitwise fixed
-point of every method.
+full-gradient descent.  Row dots go through ``einsum`` reductions and the full
+gradient through fixed-size BLAS blocks, both bitwise independent of the
+batch size.  With data generated by ``problems.exact_data``, x0 = x_dag with
+exact data is a bitwise fixed point of every method.
 
 Update arithmetic (fixed, relied on by replay tests).  The stochastic and
 anchored steps run in place on buffers allocated once per ``Lockstep``, one
@@ -17,9 +17,12 @@ numpy call per statement, in this order:
     anchored:       diff = X - Xa;  d = einsum(rows, diff)
                     rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
     residual:       R = residuals(A, y, X) = einsum(X, A) - y, for the
-                    recorded residual and the full gradient
-    full gradient:  G = full_gradient(A, y, X) = einsum(R, A) / n, for
-                    anchors and descent
+                    recorded residual
+    full gradient:  G = FullGradient(inst, y, runs)(X) = (X - x0) @ B + g0,
+                    with B = A^T A / n the instance's Gram matrix and
+                    g0 = einsum(residuals(A, y, x0), A) / n; the product
+                    runs on X - x0 zero-padded to blocks of _GRADIENT_BLOCK
+                    rows, one stacked matmul, for anchors and descent
     descent:        X = X - (c0*n)*G
 Every entry gets the same IEEE operations, in the same order, as in the
 out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
@@ -28,6 +31,12 @@ because the default "raise" buffers the copy: 100 rows of 1000 took about
 100 us against 27 us on a 2-vCPU Xeon VM.  Indices are already reduced modulo
 n, so clipping never changes one.
 
+Every run starts at x0, and at an exact-data start x0 = x_dag both X - x0 and
+g0 are exactly zero, so the full gradient is too.  Each BLAS block has the
+same shape whatever the batch, so a run's gradient bits depend neither on the
+other runs nor on its place in the batch; they can depend on the BLAS build
+and its thread count.
+
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
 work), or a single descent step.
@@ -35,6 +44,7 @@ work), or a single descent step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +54,7 @@ from .rng import check_seed, index_blocks
 from .spectral import stability_step_bound
 
 _CHUNK = 4096  # iterations per index-stream draw
+_GRADIENT_BLOCK = 32  # rows per BLAS product of the full gradient
 DIVERGENCE_FACTOR = 1e12
 
 METHODS = ("sgd", "svrg", "landweber")
@@ -68,12 +79,12 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; choices: {METHODS}")
         if not self.c0 > 0:
             raise ValueError("c0 must be positive")
-        if not self.max_epochs > 0:
-            raise ValueError("max_epochs must be positive")
+        if not 0 < self.max_epochs < math.inf:
+            raise ValueError("max_epochs must be positive and finite")
         if self.M < 1:
             raise ValueError("inner loop length M must be >= 1")
-        if not self.checkpoint_every > 0:
-            raise ValueError("checkpoint_every must be positive")
+        if not 0 < self.checkpoint_every < math.inf:
+            raise ValueError("checkpoint_every must be positive and finite")
         check_seed(self.seed)
 
 
@@ -193,9 +204,29 @@ def residuals(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("rm,nm->rn", x, a) - y
 
 
-def full_gradient(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(1/n) A^T (A x - y) for each row of the (runs, m) matrix x."""
-    return np.einsum("rn,nm->rm", residuals(a, y, x), a) / a.shape[0]
+class FullGradient:
+    """(1/n) A^T (A x - y) for each row of a (runs, m) matrix x, as
+    g0 + (x - x0) @ B with g0 the gradient at inst.x0.  The product runs on
+    x - x0 zero-padded to blocks of _GRADIENT_BLOCK rows, one stacked matmul
+    over buffers allocated once; a call returns a view of the output buffer,
+    valid until the next call."""
+
+    def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int):
+        self.x0 = inst.x0
+        self.b = inst.gram.matrix
+        resid = residuals(inst.a, y, inst.x0[None])
+        self.g0 = np.einsum("rn,nm->rm", resid, inst.a)[0] / inst.n
+        blocks = -(-runs // _GRADIENT_BLOCK)
+        self._shifted = np.zeros((blocks, _GRADIENT_BLOCK, inst.m))
+        self._products = np.empty_like(self._shifted)
+        self._shifted_rows = self._shifted.reshape(-1, inst.m)[:runs]
+        self._gradient_rows = self._products.reshape(-1, inst.m)[:runs]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        np.subtract(x, self.x0, self._shifted_rows)
+        np.matmul(self._shifted, self.b, out=self._products)
+        self._gradient_rows += self.g0
+        return self._gradient_rows
 
 
 class Lockstep:
@@ -203,11 +234,11 @@ class Lockstep:
     drawn row per run per step.  ``t`` counts the steps taken; svrg refreshes
     its anchor whenever t % M == 0."""
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, x: np.ndarray,
+    def __init__(self, inst: ProblemInstance, y: np.ndarray, x: np.ndarray,
                  method: str, c0: float, M: int = 1):
         if method not in ("sgd", "svrg"):
             raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
-        self.a = a
+        self.a = inst.a
         self.y = np.asarray(y, dtype=np.float64)
         self.x = x
         self.method, self.c0, self.M = method, c0, M
@@ -217,6 +248,7 @@ class Lockstep:
         if method == "svrg":
             self._anchor = np.empty_like(self.x)
             self._diff = np.empty_like(self.x)
+            self._gradient = FullGradient(inst, self.y, x.shape[0])
             self._grad = None
 
     def advance(self, idx: np.ndarray) -> None:
@@ -240,7 +272,7 @@ class Lockstep:
         for i in idx:
             if t % M == 0:
                 np.copyto(anchor, x)
-                grad = full_gradient(a, y, anchor)
+                grad = self._gradient(anchor)
             a.take(i, 0, rows, "clip")
             np.subtract(x, anchor, diff)
             np.einsum("rm,rm->r", rows, diff, out=d)
@@ -262,7 +294,6 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         raise ValueError("data vector shape does not match the instance")
     _validate_step(inst, cfg)
 
-    a = inst.a
     n = inst.n
     runs = len(subkeys)
     total = int(recorder.cp[-1])
@@ -278,15 +309,16 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
 
     if cfg.method == "landweber":
         scale = cfg.c0 * n
+        gradient = FullGradient(inst, y, runs)
         for t in range(1, total + 1):
-            x = x - scale * full_gradient(a, y, x)
+            x = x - scale * gradient(x)
             if next_cp < cp.size and t == cp[next_cp]:
                 err = recorder.record(next_cp, x)
                 next_cp += 1
                 diverged |= ~np.isfinite(err) | (err > limit)
         return diverged
 
-    kernel = Lockstep(a, y, x, cfg.method, cfg.c0, cfg.M)
+    kernel = Lockstep(inst, y, x, cfg.method, cfg.c0, cfg.M)
     while kernel.t < total:
         start = kernel.t
         width = min(_CHUNK, total - start)

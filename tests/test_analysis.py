@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stochreg import analysis, verify
+from stochreg import analysis, solvers, verify
 from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                enumerate_exact_moments,
                                enumerate_weighted_second_moment,
@@ -512,7 +512,10 @@ def test_orthogonality_check_matches_inline_loop_bitwise(method, n, m, M, K,
 
 def loop_recursion_check(inst, y, c0, M, K, seed):
     """The single-path loop with its own svrg step and per-combination
-    path operators, as it ran before it used the solvers' kernel."""
+    path operators, as it ran before it used the solvers' kernel.  The
+    anchor gradient is the Gram form g0 + (x - x0) B, its product taken on
+    the path's row zero-padded to one block of _GRADIENT_BLOCK rows, and the
+    row dot is the kernel's einsum reduction."""
     kit = analysis._EpochKit(inst, y, c0, M)
     digits = IndexStream(seed, inst.n).block(0, K * M)
     a, n, m = inst.a, inst.n, inst.m
@@ -524,11 +527,14 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
         e_start = x - inst.x_dag
         epoch_digits = digits[k * M:(k + 1) * M]
         anchor = x.copy()
-        resid = np.einsum("rm,nm->rn", anchor[None], a)[0] - y
-        grad = np.einsum("n,nm->m", resid, a) / n
+        resid = np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y
+        g0 = np.einsum("n,nm->m", resid, a) / n
+        diff = np.zeros((1, solvers._GRADIENT_BLOCK, m))
+        diff[0, 0] = anchor - inst.x0
+        grad = (diff @ inst.gram.matrix)[0, 0] + g0
         for i in range(M):
             rows = a[epoch_digits[i]]
-            d = rows @ (x - anchor)
+            d = np.einsum("rm,rm->r", rows[None], (x - anchor)[None])[0]
             x = x - c0 * (d * rows + grad)
             if i == 0:
                 predicted = kit.m0 @ e_start + c0 * kit.zeta

@@ -79,6 +79,11 @@ def test_generate_normalize_flag(tmp_path):
     ["generate", "s-shaw", "--n", "8", "--seed", "-1", "--out", "x"],
     ["solve", "p", "--method", "landweber", "--seed", "-3", "--out", "x"],
     ["frobnicate"],
+    # an infinite horizon or checkpoint spacing
+    ["solve", "p", "--method", "landweber", "--max-epochs", "inf",
+     "--out", "x"],
+    ["solve", "p", "--method", "landweber", "--checkpoint-every", "inf",
+     "--out", "x"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -119,7 +119,8 @@ def test_spec_validates_values():
     for key, value in (("n", 8.9), ("runs", 2.7), ("runs", True),
                        ("base_seed", 1.5), ("precondition", "false"),
                        ("nu", [True]), ("epsilon", ["1e-2"]),
-                       ("max_epochs", True)):
+                       ("max_epochs", True),
+                       ("max_epochs", json.loads("Infinity"))):
         with pytest.raises(ValueError, match=key):
             small_spec(**{key: value})
     assert small_spec(n=16.0).n == 16

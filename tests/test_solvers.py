@@ -1,5 +1,7 @@
 """Iteration correctness: replay oracles, accounting, determinism, guards."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,7 +10,8 @@ from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, gen_shaw, make_instance
 from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.analysis import enumerate_exact_moments
-from stochreg.solvers import (_CHUNK, DivergenceError, EpochAccounting,
+from stochreg.solvers import (_CHUNK, _GRADIENT_BLOCK, DivergenceError,
+                              EpochAccounting, FullGradient,
                               Lockstep, SolverConfig, Trajectory, _Recorder,
                               checkpoint_iterations, oracle_stop, run_batch,
                               solve, step_is_admissible, step_stability_bound,
@@ -136,21 +139,29 @@ def test_runs_are_batch_invariant(noisy_shaw):
         assert_array_equal(rec.error_sq[r], solo.error_sq)
 
 
-def out_of_place_lockstep(a, y, x0, idx, method, c0, M):
+def out_of_place_lockstep(inst, y, idx, method, c0, M):
     """The batched update written out of place, as it was before the
-    in-place kernel: idx[t] holds each run's row at step t.  Returns the
-    iterate matrix after every step count 0..len(idx)."""
-    n = a.shape[0]
-    x = np.tile(x0, (idx.shape[1], 1))
+    in-place kernel: idx[t] holds each run's row at step t.  The anchor
+    gradient is the Gram form g0 + (x - x0) B, its product taken on rows
+    zero-padded to blocks of _GRADIENT_BLOCK.  Returns the iterate matrix
+    after every step count 0..len(idx)."""
+    a, x0, n, m = inst.a, inst.x0, inst.n, inst.m
+    runs = idx.shape[1]
+    x = np.tile(x0, (runs, 1))
     states = [x]
     anchor = grad = None
+    resid = np.einsum("rm,nm->rn", x0[None], a) - y
+    g0 = np.einsum("rn,nm->rm", resid, a)[0] / n
+    padded = -(-runs // _GRADIENT_BLOCK) * _GRADIENT_BLOCK
     for t, i in enumerate(idx):
         rows = a[i]
         if method == "svrg":
             if t % M == 0:
                 anchor = x.copy()
-                resid = np.einsum("rm,nm->rn", anchor, a) - y
-                grad = np.einsum("rn,nm->rm", resid, a) / n
+                diff = np.zeros((padded, m))
+                diff[:runs] = anchor - x0
+                blocks = diff.reshape(-1, _GRADIENT_BLOCK, m)
+                grad = (blocks @ inst.gram.matrix).reshape(-1, m)[:runs] + g0
             d = np.einsum("rm,rm->r", rows, x - anchor)
             x = x - c0 * (d[:, None] * rows + grad)
         else:
@@ -194,8 +205,8 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
     c0 = 0.5 * step_stability_bound(inst, method)
     runs, steps = 5, _CHUNK + 700
     idx = stream_indices(3, inst.n, runs, steps)
-    expected = out_of_place_lockstep(inst.a, y, inst.x0, idx, method, c0, M)
-    kernel = Lockstep(inst.a, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
+    expected = out_of_place_lockstep(inst, y, idx, method, c0, M)
+    kernel = Lockstep(inst, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
     # stops off the anchor grid and on both sides of the chunk boundary
     for stop in (1, 7, _CHUNK - 1, _CHUNK, steps):
         kernel.advance(idx[kernel.t:stop])
@@ -217,7 +228,7 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     runs = 4
     rec = SummingRecorder(inst, cp, runs)
     run_batch(inst, y, cfg, list(range(runs)), rec)
-    states = out_of_place_lockstep(inst.a, y, inst.x0,
+    states = out_of_place_lockstep(inst, y,
                                    stream_indices(cfg.seed, inst.n, runs, total),
                                    method, cfg.c0, M)
     at_cp = [states[c] for c in cp]
@@ -241,6 +252,87 @@ def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
     assert_array_equal(inst.a, a)
     assert_array_equal(inst.x0, x0)
     assert_array_equal(y, y_before)
+
+
+def gradient_case(m):
+    """An instance with m unknowns, noisy data and a nonzero start."""
+    if m == 200:
+        inst = gen_shaw(200)
+    else:
+        rng = np.random.default_rng(m)
+        inst = make_instance(f"rand5x{m}", rng.normal(size=(5, m)),
+                             rng.normal(size=m), x0=rng.normal(size=m))
+    return inst, add_noise(inst, 5e-2, seed=m).y
+
+
+@pytest.mark.parametrize("m", [2, 3, 200])
+def test_full_gradient_is_batch_invariant(m):
+    # single rows, subsets and reorders get the bits of the full batch, also
+    # when their last block ends in padding
+    inst, y = gradient_case(m)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(100, m))
+    full = FullGradient(inst, y, 100)(x).copy()
+    for runs in (1, 31, 32, 33, 100):
+        pick = rng.permutation(100)[:runs]
+        gradient = FullGradient(inst, y, runs)
+        assert_array_equal(gradient(x[pick]), full[pick])
+        # a second call on the same buffers
+        assert_array_equal(gradient(x[pick[::-1]]), full[pick[::-1]])
+    single = FullGradient(inst, y, 1)
+    for r in (0, 31, 32, 99):
+        assert_array_equal(single(x[r:r + 1])[0], full[r])
+
+
+@pytest.mark.parametrize("m", [2, 3, 200])
+def test_full_gradient_agrees_with_the_residual_form(m):
+    inst, y = gradient_case(m)
+    x = np.random.default_rng(8).normal(size=(33, m))
+    expected = np.einsum("rn,nm->rm", np.einsum("rm,nm->rn", x, inst.a) - y,
+                         inst.a) / inst.n
+    got = FullGradient(inst, y, 33)(x)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("method,M", [("svrg", 3), ("landweber", 1)])
+def test_full_gradient_keeps_the_exact_data_fixed_point(method, M):
+    base = gen_shaw(12)
+    inst = make_instance("start-at-solution", base.a, base.x_dag,
+                         x0=base.x_dag)
+    runs = _GRADIENT_BLOCK + 1
+    gradient = FullGradient(inst, inst.y_dag, runs)
+    assert not gradient(np.tile(inst.x0, (runs, 1))).any()
+    cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
+                       max_epochs=3.0, M=M, seed=5)
+    acct = EpochAccounting(method, inst.n, M)
+    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+    rec = _Recorder(inst, inst.y_dag, cp, runs, want_residual=True)
+    run_batch(inst, inst.y_dag, cfg, list(range(runs)), rec)
+    assert not rec.error_sq.any() and not rec.residual_sq.any()
+
+
+def test_full_gradient_bits_do_not_depend_on_python_threads():
+    inst, y = gradient_case(200)
+    inputs = np.random.default_rng(9).normal(size=(2, 20, 100, 200))
+
+    def gradients(batches):
+        gradient = FullGradient(inst, y, 100)
+        return np.array([gradient(x).copy() for x in batches])
+
+    expected = [gradients(batches) for batches in inputs]
+    got = [None, None]
+
+    def work(k):
+        got[k] = gradients(inputs[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for k in range(2):
+        assert_array_equal(got[k], expected[k])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
