@@ -54,13 +54,18 @@ _TOKEN = re.compile(r"^(I|B|M0)(?:\^([-0-9./]+))?$")
 
 
 def parse_rational(text: str) -> float:
-    """A number or a quotient of numbers, e.g. '5', '0.1', '1/2'."""
+    """A number or a quotient of numbers, e.g. '5', '0.1', '1/2'; a zero
+    denominator or a value that is not finite is a ValueError."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         value = float(num) / float(den)
     else:
         value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
@@ -584,7 +589,7 @@ def _mc_weighted_second_moment(inst, y, c0, M, K, method, r1, r2, runs, seed
     r2v = shift_vector(inst, y, r2)
     x_ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
     x = np.tile(inst.x0, (runs, 1))
-    idx = index_blocks(seed, inst.n, range(runs), 0, K * M)
+    idx = index_blocks(inst.n, [(seed, r) for r in range(runs)], 0, K * M)
     Lockstep(inst, y, x, method, c0, M).advance(idx)
     v = (x - x_ref) @ r1m.T + r2v
     vals = np.einsum("rm,rm->r", v, v)
@@ -702,50 +707,83 @@ class MomentReport:
     excluded_runs: tuple
 
 
+def _cell_group(y, cfg: SolverConfig, seeds, runs: int):
+    """The data stack of a cell group and its runs' stream keys, cell-major:
+    cell c holds y[c] (y itself when 1-d) and runs (seeds[c], 0..runs-1)."""
+    ys = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    seeds = (cfg.seed,) * ys.shape[0] if seeds is None else tuple(seeds)
+    if len(seeds) != ys.shape[0]:
+        raise ValueError("need one seed per data vector")
+    return ys, [(seed, r) for seed in seeds for r in range(runs)]
+
+
+def _per_cell(y, results: list):
+    """The results of a stack of data vectors, one per cell; for a 1-d y,
+    the one cell's result, raised if it is an error."""
+    if np.ndim(y) > 1:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
 def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
-               runs: int) -> MomentReport:
+               runs: int, seeds=None):
     """Sample moments over independently seeded runs at the checkpoint grid.
 
     One deterministic pass records per-run errors, the mean curve and the
     spread around the realized mean: the runs advance in lockstep, so the
     mean at each checkpoint is known before the next step.  Diverged runs
-    are excluded and reported; the kept runs are then run once more, since
-    their mean differs from the mean of the whole batch.
+    are excluded and reported; the kept runs are then run once more, alone,
+    since their mean differs from the mean of the whole batch.
+
+    y is one data vector, giving a MomentReport, or a (cells, n) stack of
+    them, giving a list with one entry per cell: its MomentReport, or the
+    ValueError that ended it.  All cells run in one lockstep batch with
+    cfg's method, step and inner loop; cell c runs with seed seeds[c]
+    (default cfg.seed).  Each run gives the same numbers alone or in a
+    batch, so each cell's report has the bits of its own call.
     """
     if runs < 2:
         raise ValueError("need at least two runs for sample moments")
-    y = np.asarray(y, dtype=np.float64)
+    ys, keys = _cell_group(y, cfg, seeds, runs)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
 
-    subkeys = list(range(runs))
-    rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
-                    center_on_mean=True)
-    diverged = run_batch(inst, y, cfg, subkeys, rec)
-    excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
-    if excluded:
-        subkeys = [r for r in range(runs) if r not in excluded]
-        if not subkeys:
-            raise ValueError("no runs survived the divergence guard")
-        if len(subkeys) < 2:
-            raise ValueError("fewer than two runs survived the divergence guard")
-        rec = _Recorder(inst, y, cp, len(subkeys), want_residual=False,
-                        center_on_mean=True)
-        run_batch(inst, y, cfg, subkeys, rec)
-    count = len(subkeys)
-    mean_x = rec.sum_x / count
+    group = _Recorder(inst, ys, cp, len(keys), want_residual=False,
+                      center_on_mean=True)
+    diverged = run_batch(inst, ys, cfg, keys, group).reshape(-1, runs)
+    reports = []
+    for c, lost in enumerate(diverged):
+        rec, cell = group, c
+        excluded = tuple(int(r) for r in np.nonzero(lost)[0])
+        if excluded:
+            kept = [key for key, out in zip(keys[group.blocks[c]], lost)
+                    if not out]
+            if len(kept) < 2:
+                reports.append(ValueError(
+                    "fewer than two runs survived the divergence guard" if kept
+                    else "no runs survived the divergence guard"))
+                continue
+            rec, cell = _Recorder(inst, ys[c], cp, len(kept),
+                                  want_residual=False, center_on_mean=True), 0
+            run_batch(inst, ys[c], cfg, kept, rec)
+        error_sq = rec.error_sq[rec.blocks[cell]]
+        count = error_sq.shape[0]
+        mean_x = rec.sum_x[cell] / count
 
-    diff = mean_x - inst.x_dag
-    bias_sq = np.einsum("cm,cm->c", diff, diff)
-    variance = rec.centered_sq.mean(axis=0)
-    mse = rec.error_sq.mean(axis=0)
-    stderr = rec.error_sq.std(axis=0, ddof=1) / math.sqrt(count)
-    return MomentReport(method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
-                        mean_iterate=mean_x, bias_sq=bias_sq, variance=variance,
-                        mse=mse, mse_stderr=stderr,
-                        error_sq=rec.error_sq, run_count=count,
-                        excluded_runs=excluded)
+        diff = mean_x - inst.x_dag
+        bias_sq = np.einsum("cm,cm->c", diff, diff)
+        variance = rec.centered_sq[rec.blocks[cell]].mean(axis=0)
+        mse = error_sq.mean(axis=0)
+        stderr = error_sq.std(axis=0, ddof=1) / math.sqrt(count)
+        reports.append(MomentReport(
+            method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
+            mean_iterate=mean_x, bias_sq=bias_sq, variance=variance, mse=mse,
+            mse_stderr=stderr, error_sq=error_sq, run_count=count,
+            excluded_runs=excluded))
+    return _per_cell(y, reports)
 
 
 @dataclass(frozen=True)
@@ -759,33 +797,41 @@ class ErrorCurves:
 
 
 def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
-                 runs: int, include_residual: bool = False) -> ErrorCurves:
+                 runs: int, include_residual: bool = False, seeds=None):
     """Per-run error curves at the checkpoint grid, in a single pass.
 
     Diverged runs are excluded and reported.  Their rows are dropped: each
     run gives the same numbers alone or in a batch, so the kept rows are
     those of a batch of the kept runs only.
+
+    y is one data vector, giving ErrorCurves, or a (cells, n) stack of
+    them, giving a list with one entry per cell: its ErrorCurves, or the
+    ValueError that ended it.  All cells run in one lockstep batch with
+    cfg's method, step and inner loop; cell c runs with seed seeds[c]
+    (default cfg.seed), and a diverged run is dropped from its own cell.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    y = np.asarray(y, dtype=np.float64)
+    ys, keys = _cell_group(y, cfg, seeds, runs)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
-    rec = _Recorder(inst, y, cp, runs, want_residual=include_residual)
-    diverged = run_batch(inst, y, cfg, list(range(runs)), rec)
-    excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
-    error_sq, residual_sq = rec.error_sq, rec.residual_sq
-    if excluded:
-        if diverged.all():
-            raise ValueError("no runs survived the divergence guard")
-        kept = ~diverged
-        error_sq = error_sq[kept]
-        if residual_sq is not None:
-            residual_sq = residual_sq[kept]
-    return ErrorCurves(method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
-                       error_sq=error_sq, residual_sq=residual_sq,
-                       excluded_runs=excluded)
+    rec = _Recorder(inst, ys, cp, len(keys), want_residual=include_residual)
+    diverged = run_batch(inst, ys, cfg, keys, rec).reshape(-1, runs)
+    curves = []
+    for lost, rows in zip(diverged, rec.blocks):
+        if lost.all():
+            curves.append(ValueError("no runs survived the divergence guard"))
+            continue
+        kept = ~lost if lost.any() else slice(None)  # a view if none dropped
+        error_sq = rec.error_sq[rows][kept]
+        residual_sq = (None if rec.residual_sq is None
+                       else rec.residual_sq[rows][kept])
+        curves.append(ErrorCurves(
+            method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
+            error_sq=error_sq, residual_sq=residual_sq,
+            excluded_runs=tuple(int(r) for r in np.nonzero(lost)[0])))
+    return _per_cell(y, curves)
 
 
 def stopping_stats(curves: ErrorCurves | MomentReport

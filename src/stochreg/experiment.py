@@ -6,6 +6,13 @@ paper's expectations are over the row indices for a fixed datum. Every random
 stream is derived from the base seed and the cell's position in the grid, never
 from execution order, which keeps all emitted files byte-stable under any
 STOCHREG_THREADS setting.
+
+Cells that share an instance and every solver setting but the seed (the
+epsilon points of one nu and method plan) form a group and run as one
+lockstep batch, each cell with its own data and seed; a lone cell is a group
+of one. A run gives the same numbers alone or in a batch, so grouping changes
+no output byte. The thread pool runs groups, and STOCHREG_THREADS caps the
+groups that run at once.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from . import fileio
 from .analysis import error_curves, mc_moments, parse_rational, stopping_stats
@@ -54,16 +63,19 @@ def parse_m_expr(expr, n: int) -> int:
     if expr is None:
         return 1
     if isinstance(expr, (int, float)):
-        value = int(round(expr))
+        value = expr
     else:
         text = str(expr).replace(" ", "")
         try:
             if text.endswith("*n"):
-                value = int(round(parse_rational(text[:-2]) * n))
+                value = parse_rational(text[:-2]) * n
             else:
-                value = int(round(parse_rational(text)))
+                value = parse_rational(text)
         except ValueError:
             raise ValueError(f"cannot parse inner-loop expression {expr!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"inner-loop expression {expr!r} is not finite")
+    value = int(round(value))
     if value < 1:
         raise ValueError(f"inner-loop expression {expr!r} gives M = {value} < 1")
     return value
@@ -279,30 +291,45 @@ def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
     return cfg, c0_expr, m_value
 
 
-def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
-              figure_grid: bool) -> CellOutcome:
-    i_nu, i_eps, i_m, plan = cell
-    nu = spec.nu[i_nu]
-    eps = spec.epsilon[i_eps]
-    inst, y, c_unit = prepared[(i_nu, i_eps)]
-    base_row = [spec.problem, nu, eps, plan.method]
+def _error_outcome(base_row: list, plan: MethodPlan, spec: ExperimentSpec,
+                   exc: Exception) -> CellOutcome:
+    message = f"{type(exc).__name__}: {exc}".replace(",", ";")
+    message = " ".join(message.split())
+    row = base_row + [plan.c0_expr if plan.c0_expr is not None else "auto",
+                      "", "", "", spec.runs, "", "", message]
+    return CellOutcome(row=row)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """A grid cell ready to run: its place, plan, data and configuration."""
+
+    index: int
+    plan: MethodPlan
+    base_row: list
+    inst: ProblemInstance
+    y: np.ndarray
+    cfg: SolverConfig
+    c0_expr: object
+    m_value: int
+
+
+def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
+                  figure_grid: bool) -> CellOutcome:
     try:
-        cfg, c0_expr, m_value = _cell_config(
-            inst, plan, spec, spec.solver_seed(cell_index), figure_grid, c_unit)
-        if figure_grid:
-            # one pass gives the figure moments and the per-run error curves
-            curves = mc_moments(inst, y, cfg, spec.runs)
-        else:
-            curves = error_curves(inst, y, cfg, runs=spec.runs)
+        if isinstance(curves, Exception):
+            raise curves
         kstar, e_mean, se = stopping_stats(curves)
         note = (f"{len(curves.excluded_runs)} runs diverged"
                 if curves.excluded_runs else "")
-        row = base_row + [c0_expr, m_value, e_mean, kstar, spec.runs,
-                          se if spec.runs > 1 else "", round(kstar), note]
+        row = cell.base_row + [cell.c0_expr, cell.m_value, e_mean, kstar,
+                               spec.runs, se if spec.runs > 1 else "",
+                               round(kstar), note]
         figure_name = None
         figure_rows = ()
         if figure_grid:
-            figure_name = f"figure_cell{cell_index:03d}_{plan.method}.csv"
+            figure_name = (f"figure_cell{cell.index:03d}_"
+                           f"{cell.plan.method}.csv")
             figure_rows = tuple(
                 (float(curves.epochs[j]), int(curves.iterations[j]),
                  float(curves.bias_sq[j]), float(curves.variance[j]),
@@ -311,16 +338,32 @@ def _run_cell(spec: ExperimentSpec, prepared: dict, cell, cell_index: int,
         return CellOutcome(row=row, figure_name=figure_name,
                            figure_rows=figure_rows, e_value=e_mean)
     except Exception as exc:  # per-cell failures leave the grid running
-        message = f"{type(exc).__name__}: {exc}".replace(",", ";")
-        message = " ".join(message.split())
-        row = base_row + [plan.c0_expr if plan.c0_expr is not None else "auto",
-                          "", "", "", spec.runs, "", "", message]
-        return CellOutcome(row=row)
+        return _error_outcome(cell.base_row, cell.plan, spec, exc)
+
+
+def _run_group(spec: ExperimentSpec, group: list, figure_grid: bool) -> list:
+    """One lockstep batch for cells that share the instance and every solver
+    setting but the seed; the outcomes of its cells, in its order."""
+    inst, cfg = group[0].inst, group[0].cfg
+    ys = np.stack([cell.y for cell in group])
+    seeds = [cell.cfg.seed for cell in group]
+    try:
+        if figure_grid:
+            # one pass gives the figure moments and the per-run error curves
+            results = mc_moments(inst, ys, cfg, spec.runs, seeds=seeds)
+        else:
+            results = error_curves(inst, ys, cfg, spec.runs, seeds=seeds)
+    except Exception as exc:  # the group's shared settings failed
+        results = [exc] * len(group)
+    return [_cell_outcome(spec, cell, curves, figure_grid)
+            for cell, curves in zip(group, results)]
 
 
 def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
     """Instance, noisy data and step unit c shared by every method in a
-    (nu, epsilon) point.
+    (nu, epsilon) point.  The epsilon points of one nu share one instance
+    object: the rotation of a preconditioned grid depends on A alone, so it
+    runs once per nu, each data vector rotated on its own.
 
     step_from_raw evaluates c on the unrotated rows even when solving the
     preconditioned system, so paired studies run with the same numeric step
@@ -330,29 +373,48 @@ def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
     prepared = {}
     for i_nu, nu in enumerate(spec.nu):
         inst_nu = smooth_solution(base, nu)
-        for i_eps, eps in enumerate(spec.epsilon):
-            y = add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps)).y
-            if spec.precondition:
-                inst_cell, y_cell = precondition(inst_nu, y)
-            else:
-                inst_cell, y_cell = inst_nu, y
-            c_unit = step_constant(inst_nu.a if step_from_raw else inst_cell.a)
-            prepared[(i_nu, i_eps)] = (inst_cell, y_cell, c_unit)
+        ys = np.array([add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps)).y
+                       for i_eps, eps in enumerate(spec.epsilon)])
+        if spec.precondition:
+            inst_cell, ys = precondition(inst_nu, ys)
+        else:
+            inst_cell = inst_nu
+        c_unit = step_constant(inst_nu.a if step_from_raw else inst_cell.a)
+        for i_eps, y in enumerate(ys):
+            prepared[(i_nu, i_eps)] = (inst_cell, y, c_unit)
     return prepared
 
 
 def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
-    """All grid cells, concurrently, results in grid order."""
+    """All grid cells, results in grid order.  Cells that share an instance
+    and every solver setting but the seed (the epsilon points of one nu and
+    method) form a group and run as one lockstep batch; the groups run
+    concurrently."""
     prepared = _prepare_cells(spec, step_from_raw)
     cells = spec.cells
     outcomes = [None] * len(cells)
+    groups = {}
+    for idx, (i_nu, i_eps, _, plan) in enumerate(cells):
+        inst, y, c_unit = prepared[(i_nu, i_eps)]
+        base_row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps],
+                    plan.method]
+        try:
+            cfg, c0_expr, m_value = _cell_config(
+                inst, plan, spec, spec.solver_seed(idx), figure_grid, c_unit)
+        except Exception as exc:  # a bad configuration fails its cell alone
+            outcomes[idx] = _error_outcome(base_row, plan, spec, exc)
+            continue
+        cell = _Cell(idx, plan, base_row, inst, y, cfg, c0_expr, m_value)
+        groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
 
-    def work(idx: int) -> None:
-        outcomes[idx] = _run_cell(spec, prepared, cells[idx], idx, figure_grid)
+    def work(group: list) -> None:
+        for cell, outcome in zip(group, _run_group(spec, group, figure_grid)):
+            outcomes[cell.index] = outcome
 
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(cells))) as pool:
-        list(pool.map(work, range(len(cells))))
+    workers = max(1, min(thread_count(), len(groups)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, groups.values()))
     return outcomes
 
 

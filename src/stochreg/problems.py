@@ -224,12 +224,14 @@ def precondition(inst: ProblemInstance, y: np.ndarray | None = None
     U is the full left singular factor under spectral.svd's sign convention,
     so the Gram operator, every residual norm, and the noise size are
     preserved exactly; only the row geometry changes.  Returns the rotated
-    instance and U^T y.
+    instance and U^T y.  y may also be a (k, n) stack of data vectors, for
+    one rotation shared by k data sets; each row is rotated on its own, so
+    it has the bits of a call with that row alone.
     """
     if y is None:
         y = inst.y_dag
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.n,):
+    if y.ndim not in (1, 2) or y.shape[-1] != inst.n:
         raise ValueError("data vector shape does not match the instance")
     u, _, vt = np.linalg.svd(inst.a, full_matrices=True)
     fix_singular_signs(u, vt)
@@ -237,6 +239,8 @@ def precondition(inst: ProblemInstance, y: np.ndarray | None = None
     inst_rot = ProblemInstance(name=inst.name, a=a_rot, x_dag=inst.x_dag,
                                y_dag=exact_data(a_rot, inst.x_dag), x0=inst.x0,
                                nu=inst.nu)
+    if y.ndim == 2:
+        return inst_rot, np.array([u.T @ row for row in y]).reshape(y.shape)
     return inst_rot, u.T @ y
 
 

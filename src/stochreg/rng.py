@@ -4,8 +4,9 @@ Every random quantity in the package comes from a Philox-4x64 stream keyed by
 an explicit (seed, subkey) pair.  Philox is counter based, so any position in
 a stream can be reached in O(1) with ``advance`` and the output depends only on
 (key, position), never on platform or draw history.  Subkeys keep streams for
-different purposes disjoint: run ``r`` of a solver uses subkey ``r``; noise
-generation uses a fixed high subkey that no run index reaches.
+different purposes disjoint: run ``r`` of a solver uses subkey ``r`` under
+its cell's seed; noise generation uses a fixed high subkey that no run index
+reaches.
 """
 
 from __future__ import annotations
@@ -60,29 +61,33 @@ class IndexStream:
         return (raw % np.uint64(self.n)).astype(np.int64)
 
 
-def index_blocks(seed: int, n: int, subkeys, start: int, count: int
-                 ) -> np.ndarray:
+def index_blocks(n: int, keys, start: int, count: int) -> np.ndarray:
     """Positions start..start+count-1 of many index streams at once.
 
-    Returns a (count, runs) int64 array whose column r is, bit for bit,
-    ``IndexStream(seed, n, subkeys[r]).block(start, count)``.  One Philox
-    generator serves every stream: its state is set to the key (seed,
-    subkey) with the counter at start // 4, which is the state a new
-    generator reaches after ``advance(start // 4)``.  Building a generator
-    per stream costs about 20 us (it also draws OS entropy for a
+    keys holds one (seed, subkey) pair per stream, so streams of different
+    seeds share one draw.  Returns a (count, runs) int64 array whose column
+    r is, bit for bit, ``IndexStream(seed_r, n, subkey_r).block(start,
+    count)``.  One Philox generator serves every stream: its state is set to
+    the key (seed, subkey) with the counter at start // 4, which is the
+    state a new generator reaches after ``advance(start // 4)``.  Building a
+    generator per stream costs about 20 us (it also draws OS entropy for a
     SeedSequence) and ``advance`` about 5 us; setting the state costs 2 us.
     """
     if n <= 0:
         raise ValueError("need at least one row to sample")
     if start < 0 or count < 0:
         raise ValueError("stream positions are nonnegative")
-    bg = _philox(seed, 0)
+    bg = _philox(0, 0)
     state = bg.state
     key = state["state"]["key"]
     state["state"]["counter"][0] = start // _WORDS_PER_BLOCK
     pad = start % _WORDS_PER_BLOCK
-    out = np.empty((count, len(subkeys)), dtype=np.uint64)
-    for r, subkey in enumerate(subkeys):
+    out = np.empty((count, len(keys)), dtype=np.uint64)
+    current = None
+    for r, (seed, subkey) in enumerate(keys):
+        if seed != current:  # keys come in runs of one seed per cell
+            check_seed(seed)
+            key[0] = current = seed
         key[1] = subkey
         bg.state = state
         out[:, r] = bg.random_raw(pad + count)[pad:]

@@ -8,23 +8,32 @@ gradient through fixed-size BLAS blocks, both bitwise independent of the
 batch size.  With data generated by ``problems.exact_data``, x0 = x_dag with
 exact data is a bitwise fixed point of every method.
 
+A batch may hold several cells: runs on one instance with one method, step
+and inner loop, but each cell with its own data vector.  The data come as a
+(cells, n) array y, and the runs split into equal contiguous blocks, one per
+cell, in the order of y's rows; each run reads only its own cell's data,
+here written y_r.  A 1-d y is one cell.
+
 Update arithmetic (fixed, relied on by replay tests).  The stochastic and
 anchored steps run in place on buffers allocated once per ``Lockstep``, one
 numpy call per statement, in this order:
     gather:         A.take(idx, 0, rows, "clip")
-    stochastic:     d = einsum(rows, X);  d -= y[idx];  d *= c0
+    stochastic:     d = einsum(rows, X);  d -= y_r[idx];  d *= c0
                     rows *= d[:,None];  X -= rows
     anchored:       diff = X - Xa;  d = einsum(rows, diff)
                     rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
-    residual:       R = residuals(A, y, X) = einsum(X, A) - y, for the
+    residual:       R = residuals(A, y_r, X) = einsum(X, A) - y_r, for the
                     recorded residual
-    full gradient:  G = FullGradient(inst, y, runs)(X) = (X - x0) @ B + g0,
+    full gradient:  G = FullGradient(inst, y, runs)(X) = (X - x0) @ B + g0_r,
                     with B = A^T A / n the instance's Gram matrix and
-                    g0 = einsum(residuals(A, y, x0), A) / n; the product
-                    runs on X - x0 zero-padded to blocks of _GRADIENT_BLOCK
-                    rows, one stacked matmul, for anchors and descent
+                    g0_r = einsum(residuals(A, y_r, x0), A) / n, taken once
+                    per cell on one row and added to each of its runs; the
+                    product runs on X - x0 zero-padded to blocks of
+                    _GRADIENT_BLOCK rows, one stacked matmul, for anchors
+                    and descent
     descent:        X = X - (c0*n)*G
-Every entry gets the same IEEE operations, in the same order, as in the
+The data entries y_r[idx] of all the steps of one advance call are gathered
+in one call before its loop.  Every entry gets the same IEEE operations, in the same order, as in the
 out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
 so the kernel's bits equal those forms' bits.  The gather uses mode "clip"
 because the default "raise" buffers the copy: 100 rows of 1000 took about
@@ -32,7 +41,7 @@ because the default "raise" buffers the copy: 100 rows of 1000 took about
 n, so clipping never changes one.
 
 Every run starts at x0, and at an exact-data start x0 = x_dag both X - x0 and
-g0 are exactly zero, so the full gradient is too.  Each BLAS block has the
+g0_r are exactly zero, so the full gradient is too.  Each BLAS block has the
 same shape whatever the batch, so a run's gradient bits depend neither on the
 other runs nor on its place in the batch; they can depend on the BLAS build
 and its thread count.
@@ -159,24 +168,44 @@ def _validate_step(inst: ProblemInstance, cfg: SolverConfig) -> None:
             f"{cfg.method}; pass allow_large_step to run anyway")
 
 
-class _Recorder:
-    """Collects per-checkpoint statistics from the batched iterate matrix.
+def _cell_data(y, n: int, runs: int) -> np.ndarray:
+    """y as a (cells, n) float array, one data vector per cell; the runs
+    must split into equal blocks, one per cell."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[None]
+    if y.ndim != 2 or y.shape[1] != n:
+        raise ValueError("data vector shape does not match the instance")
+    if not y.shape[0] or runs % y.shape[0]:
+        raise ValueError(f"{runs} runs do not split over {y.shape[0]} cells")
+    return y
 
-    With center_on_mean, sum_x[j] sums the iterates at checkpoint j and
-    centered_sq holds each run's squared distance to the batch mean
-    ``sum_x[j] / runs``: every run sits in one lockstep matrix, so one pass
-    gives the mean and the spread around it.  That center has the bits of
-    ``sum_x / runs`` taken after the pass, since sum_x starts at zero.
+
+class _Recorder:
+    """Collects per-checkpoint statistics from the batched iterate matrix,
+    whose runs split into one block per row of the data y.
+
+    With center_on_mean, sum_x[c, j] sums the iterates of cell c at
+    checkpoint j and centered_sq holds each run's squared distance to its
+    cell's mean ``sum_x[c, j] / runs_per_cell``: every run sits in one
+    lockstep matrix, so one pass gives the means and the spread around
+    them.  That center has the bits of ``sum_x / runs_per_cell`` taken after
+    the pass, since sum_x starts at zero.
     """
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, cp: np.ndarray,
                  runs: int, *, want_residual: bool,
                  center_on_mean: bool = False):
-        self.inst, self.y, self.cp = inst, y, cp
+        y = _cell_data(y, inst.n, runs)
+        cells, per_cell = y.shape[0], runs // y.shape[0]
+        self.inst, self.cp = inst, cp
+        self.y = y.repeat(per_cell, axis=0) if want_residual else None
+        self.blocks = [slice(k * per_cell, (k + 1) * per_cell)
+                       for k in range(cells)]
         c = cp.size
         self.error_sq = np.empty((runs, c))
         self.residual_sq = np.empty((runs, c)) if want_residual else None
-        self.sum_x = np.zeros((c, inst.m)) if center_on_mean else None
+        self.sum_x = np.zeros((cells, c, inst.m)) if center_on_mean else None
         self.centered_sq = np.empty((runs, c)) if center_on_mean else None
 
     def record(self, j: int, x: np.ndarray) -> np.ndarray:
@@ -187,9 +216,11 @@ class _Recorder:
             resid = residuals(self.inst.a, self.y, x)
             self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
         if self.sum_x is not None:
-            self.sum_x[j] += x.sum(axis=0)
-            d = x - self.sum_x[j] / x.shape[0]
-            self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
+            for k, rows in enumerate(self.blocks):
+                cell_x = x[rows]
+                self.sum_x[k, j] += cell_x.sum(axis=0)
+                d = cell_x - self.sum_x[k, j] / cell_x.shape[0]
+                self.centered_sq[rows, j] = np.einsum("rm,rm->r", d, d)
         return err
 
 
@@ -200,32 +231,37 @@ def _divergence_limit(inst: ProblemInstance) -> float:
 
 
 def residuals(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x - y for each row of the (runs, m) matrix x."""
+    """A x - y for each row of the (runs, m) matrix x; y is one data vector
+    or one per run."""
     return np.einsum("rm,nm->rn", x, a) - y
 
 
 class FullGradient:
-    """(1/n) A^T (A x - y) for each row of a (runs, m) matrix x, as
-    g0 + (x - x0) @ B with g0 the gradient at inst.x0.  The product runs on
-    x - x0 zero-padded to blocks of _GRADIENT_BLOCK rows, one stacked matmul
-    over buffers allocated once; a call returns a view of the output buffer,
-    valid until the next call."""
+    """(1/n) A^T (A x - y_r) for each row of a (runs, m) matrix x, as
+    g0_r + (x - x0) @ B with g0_r the gradient at inst.x0 on the run's cell
+    data.  The product runs on x - x0 zero-padded to blocks of
+    _GRADIENT_BLOCK rows, one stacked matmul over buffers allocated once; a
+    call returns a view of the output buffer, valid until the next call."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int):
+        y = _cell_data(y, inst.n, runs)
         self.x0 = inst.x0
         self.b = inst.gram.matrix
-        resid = residuals(inst.a, y, inst.x0[None])
-        self.g0 = np.einsum("rn,nm->rm", resid, inst.a)[0] / inst.n
+        # (cells, 1, m): each cell's g0, broadcast over its block of runs
+        self.g0 = np.array([
+            np.einsum("rn,nm->rm", residuals(inst.a, cell, inst.x0[None]),
+                      inst.a) / inst.n for cell in y])
         blocks = -(-runs // _GRADIENT_BLOCK)
         self._shifted = np.zeros((blocks, _GRADIENT_BLOCK, inst.m))
         self._products = np.empty_like(self._shifted)
         self._shifted_rows = self._shifted.reshape(-1, inst.m)[:runs]
         self._gradient_rows = self._products.reshape(-1, inst.m)[:runs]
+        self._cell_rows = self._gradient_rows.reshape(y.shape[0], -1, inst.m)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         np.subtract(x, self.x0, self._shifted_rows)
         np.matmul(self._shifted, self.b, out=self._products)
-        self._gradient_rows += self.g0
+        self._cell_rows += self.g0
         return self._gradient_rows
 
 
@@ -238,30 +274,36 @@ class Lockstep:
                  method: str, c0: float, M: int = 1):
         if method not in ("sgd", "svrg"):
             raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
+        y = _cell_data(y, inst.n, x.shape[0])
         self.a = inst.a
-        self.y = np.asarray(y, dtype=np.float64)
         self.x = x
         self.method, self.c0, self.M = method, c0, M
         self.t = 0
         self._rows = np.empty_like(x)
         self._d = np.empty(x.shape[0])
-        if method == "svrg":
+        if method == "sgd":
+            # run r reads its data at self._y[self._offsets[r] + i]
+            self._y = y.ravel()
+            per_cell = x.shape[0] // y.shape[0]
+            self._offsets = np.arange(y.shape[0]).repeat(per_cell) * inst.n
+        else:
             self._anchor = np.empty_like(self.x)
             self._diff = np.empty_like(self.x)
-            self._gradient = FullGradient(inst, self.y, x.shape[0])
+            self._gradient = FullGradient(inst, y, x.shape[0])
             self._grad = None
 
     def advance(self, idx: np.ndarray) -> None:
         """One step per row of idx, a (steps, runs) array of row indices in
         [0, n); idx[s, r] is the row run r draws at step t + s."""
-        a, y, x, c0 = self.a, self.y, self.x, self.c0
+        a, x, c0 = self.a, self.x, self.c0
         rows, d = self._rows, self._d
         scale = d[:, None]
         if self.method == "sgd":
-            for i in idx:
+            # each run's data entries for every step, in one gather
+            for i, y_i in zip(idx, self._y[idx + self._offsets]):
                 a.take(i, 0, rows, "clip")
                 np.einsum("rm,rm->r", rows, x, out=d)
-                d -= y[i]
+                d -= y_i
                 d *= c0
                 rows *= scale
                 x -= rows
@@ -286,16 +328,17 @@ class Lockstep:
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
-    """Advance all runs in lockstep, recording at recorder.cp.  Returns a
-    boolean mask of runs that tripped the divergence guard (they keep
-    iterating; their records past the trip point are not meaningful)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.n,):
-        raise ValueError("data vector shape does not match the instance")
+    """Advance all runs in lockstep, recording at recorder.cp.  Run r draws
+    its rows from the index stream subkeys[r], a (seed, subkey) pair, and
+    reads the data of its cell, a row of y; cfg gives the method, step and
+    inner loop, and its seed is not read.  Returns a boolean mask of runs
+    that tripped the divergence guard (they keep iterating; their records
+    past the trip point are not meaningful)."""
+    runs = len(subkeys)
+    y = _cell_data(y, inst.n, runs)
     _validate_step(inst, cfg)
 
     n = inst.n
-    runs = len(subkeys)
     total = int(recorder.cp[-1])
     limit = _divergence_limit(inst)
     diverged = np.zeros(runs, dtype=bool)
@@ -322,7 +365,7 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     while kernel.t < total:
         start = kernel.t
         width = min(_CHUNK, total - start)
-        idx = index_blocks(cfg.seed, n, subkeys, start, width)
+        idx = index_blocks(n, subkeys, start, width)
         while kernel.t < start + width:
             stop = min(start + width, int(cp[next_cp]))
             kernel.advance(idx[kernel.t - start:stop - start])
@@ -352,7 +395,7 @@ def solve(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     cp = checkpoint_iterations(acct, cfg, total)
     rec = _Recorder(inst, y, cp, 1, want_residual=True)
     admissible = step_is_admissible(inst, cfg)
-    diverged = run_batch(inst, y, cfg, [run], rec)
+    diverged = run_batch(inst, y, cfg, [(cfg.seed, run)], rec)
     if diverged[0]:
         raise DivergenceError(
             f"{cfg.method} with step c0={cfg.c0:.6g} left the guard region "

@@ -6,6 +6,7 @@ arithmetic) and by exact rational arithmetic for the bound formulas.  They
 protect the closed forms against silent regressions.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -645,12 +646,12 @@ def two_pass_mc_moments(inst, y, cfg, runs):
     mean, a re-run of the kept runs on divergence, then a second pass for
     the spread around the mean."""
     cp = checkpoints(inst, cfg)
-    subkeys = list(range(runs))
+    subkeys = [(cfg.seed, r) for r in range(runs)]
     rec = SummingRecorder(inst, cp, runs)
     diverged = run_batch(inst, y, cfg, subkeys, rec)
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
     if excluded:
-        subkeys = [r for r in range(runs) if r not in excluded]
+        subkeys = [(cfg.seed, r) for r in range(runs) if r not in excluded]
         rec = SummingRecorder(inst, cp, len(subkeys))
         run_batch(inst, y, cfg, subkeys, rec)
     count = len(subkeys)
@@ -672,7 +673,7 @@ def test_error_curves_drop_diverged_rows():
     inst, y, cfg = diverging_shaw_case(2.9)
     curves = error_curves(inst, y, cfg, runs=12, include_residual=True)
     assert curves.excluded_runs == (1, 10, 11)
-    kept = [r for r in range(12) if r not in curves.excluded_runs]
+    kept = [(cfg.seed, r) for r in range(12) if r not in curves.excluded_runs]
     rec = _Recorder(inst, y, checkpoints(inst, cfg), len(kept),
                     want_residual=True)
     assert not run_batch(inst, y, cfg, kept, rec).any()
@@ -712,6 +713,83 @@ def test_divergence_messages():
     assert error_curves(inst, y, cfg, runs=3).excluded_runs == (0, 1)
     with pytest.raises(ValueError, match="fewer than two runs survived"):
         mc_moments(inst, y, cfg, runs=3)
+
+
+# --- cell groups: one lockstep batch for several data vectors ----------------
+
+def assert_same_report(got, expected):
+    """Bitwise equality of two ErrorCurves or MomentReports, or of the two
+    ValueErrors that ended a cell."""
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(expected)
+        return
+    assert type(got) is type(expected)
+    for field in dataclasses.fields(expected):
+        want, have = getattr(expected, field.name), getattr(got, field.name)
+        if isinstance(want, np.ndarray):
+            assert_array_equal(have, want, err_msg=field.name)
+        else:
+            assert have == want, field.name
+
+
+def lone(fn, *args, **kwargs):
+    """fn's result, or the ValueError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def assert_group_is_its_lone_cells(inst, ys, cfg, runs, seeds):
+    curves = error_curves(inst, ys, cfg, runs, include_residual=True,
+                          seeds=seeds)
+    reports = mc_moments(inst, ys, cfg, runs, seeds=seeds)
+    assert len(curves) == len(reports) == len(seeds)
+    for c, seed in enumerate(seeds):
+        alone = dataclasses.replace(cfg, seed=seed)
+        y = ys[c].copy()
+        assert_same_report(curves[c], lone(error_curves, inst, y, alone, runs,
+                                           include_residual=True))
+        assert_same_report(reports[c], lone(mc_moments, inst, y, alone, runs))
+    return curves, reports
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 4),
+                                      ("landweber", 1)])
+def test_grouped_cells_are_bitwise_their_lone_calls(method, M, rotate):
+    # three noise levels in one batch; the sgd horizon crosses an index chunk
+    inst = gen_shaw(16)
+    ys = np.array([add_noise(inst, eps, seed=3 + k).y
+                   for k, eps in enumerate((5e-2, 1e-2, 1e-3))])
+    if rotate:
+        inst, ys = precondition(inst, ys)
+    cfg = SolverConfig(method=method,
+                       c0=0.5 * step_stability_bound(inst, method),
+                       max_epochs=300.0, M=M, seed=1, checkpoint_every=7.0)
+    assert_group_is_its_lone_cells(inst, ys, cfg, 4, seeds=(7, 11, 13))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grouped_divergence_is_bitwise_per_cell():
+    # at 3.1 times the bound, runs 0 and 1 of seed 0 diverge; data that is
+    # not finite ends every run of its cell
+    inst, y, cfg = diverging_shaw_case(3.1, seed=0)
+    ys = np.array([y, add_noise(inst, 1e-3, 4).y, np.full_like(y, np.nan), y])
+    curves, reports = assert_group_is_its_lone_cells(inst, ys, cfg, 3,
+                                                     seeds=(0, 5, 2, 9))
+    assert curves[0].excluded_runs == (0, 1)
+    assert "fewer than two" in str(reports[0])
+    assert (str(curves[2]) == str(reports[2])
+            == "no runs survived the divergence guard")
+
+
+def test_grouped_cells_need_one_seed_per_data_vector():
+    inst, y = raw_random(5, 3, seed=1)
+    cfg = SolverConfig(method="sgd", c0=0.1 * step_constant(inst.a),
+                       max_epochs=1.0)
+    with pytest.raises(ValueError, match="one seed per data vector"):
+        error_curves(inst, np.array([y, y]), cfg, 2, seeds=(1, 2, 3))
 
 
 # --- condition constants and bounds (frozen rational arithmetic) --------------

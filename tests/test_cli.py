@@ -84,6 +84,16 @@ def test_generate_normalize_flag(tmp_path):
      "--out", "x"],
     ["solve", "p", "--method", "landweber", "--checkpoint-every", "inf",
      "--out", "x"],
+    # a zero denominator, or an inner loop that is not finite
+    ["solve", "p", "--method", "sgd", "--c0", "1/0*c", "--out", "x"],
+    ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "1/0",
+     "--out", "x"],
+    ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "inf",
+     "--out", "x"],
+    ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "1e400",
+     "--out", "x"],
+    ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "inf*n",
+     "--out", "x"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -228,6 +238,22 @@ def test_experiment_rejects_seed_outside_key_range(overrides, tmp_path,
     rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
     assert rc == 4
     assert "outside [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", [
+    '{"method": "sgd", "c0": "1/0*c"}',
+    '{"method": "svrg", "c0": "1/2*c", "M": "1/0"}',
+    '{"method": "svrg", "c0": "1/2*c", "M": "inf*n"}',
+    # JSON reads 1e400 as an infinite float
+    '{"method": "svrg", "c0": "1/2*c", "M": 1e400}',
+])
+def test_experiment_rejects_unbounded_expressions(method, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    text = json.dumps(_spec_doc(methods=["METHOD"]))
+    spec_path.write_text(text.replace('"METHOD"', method))
+    rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    assert "expression" in capsys.readouterr().err
 
 
 def test_precondition_study_cli(tmp_path, capsys):

@@ -2,12 +2,14 @@
 
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stochreg import experiment
-from stochreg.analysis import ErrorCurves, stopping_stats
+from stochreg.analysis import (ErrorCurves, error_curves, mc_moments,
+                               stopping_stats)
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  FIGURE_HEADER, load_spec, parse_c0_expr,
                                  parse_m_expr, parse_rational,
@@ -15,8 +17,11 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  run_precondition_study, spec_from_dict,
                                  spec_to_dict, thread_count)
 from stochreg.fileio import read_csv
+from stochreg.problems import (add_noise, generate, precondition,
+                               smooth_solution)
 from stochreg.solvers import (EpochAccounting, SolverConfig,
                               checkpoint_iterations, run_batch)
+from stochreg.spectral import step_constant
 
 from recorders import SummingRecorder
 
@@ -30,7 +35,8 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == pytest.approx(value, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["", "c", "1/2/3", "one"])
+@pytest.mark.parametrize("bad", ["", "c", "1/2/3", "one", "1/0", "0/0", "inf",
+                                 "-inf", "nan", "1e400", "1e300/1e-300"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -51,6 +57,13 @@ def test_parse_m_expr_rejects():
         parse_m_expr("n*2", 10)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "1/0*n", "inf", "1e400", "inf*n",
+                                 "1e308*n", float("inf"), json.loads("1e400")])
+def test_parse_m_expr_rejects_unbounded(bad):
+    with pytest.raises(ValueError):
+        parse_m_expr(bad, 10)
+
+
 @pytest.mark.parametrize("expr,c,M,n,value", [
     ("5*c/M", 0.2, 5, 100, 0.2),
     ("4*c/n", 0.5, 1, 8, 0.25),
@@ -63,7 +76,8 @@ def test_parse_c0_expr(expr, c, M, n, value):
     assert parse_c0_expr(expr, c, M, n) == pytest.approx(value, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["c/M*5", "-1*c", "0", "five*c"])
+@pytest.mark.parametrize("bad", ["c/M*5", "-1*c", "0", "five*c", "1/0*c",
+                                 "1/0", "inf*c", "1e400*c/M"])
 def test_parse_c0_expr_rejects(bad):
     with pytest.raises(ValueError):
         parse_c0_expr(bad, 0.1, 2, 4)
@@ -114,6 +128,12 @@ def test_spec_validates_values():
         small_spec(methods=[{"method": "svrg"}])
     with pytest.raises(ValueError, match="step expression"):
         small_spec(methods=[{"method": "sgd", "c0": "bogus"}])
+    with pytest.raises(ValueError, match="step expression"):
+        small_spec(methods=[{"method": "sgd", "c0": "1/0*c"}])
+    for m_expr in ("1/0", json.loads("1e400")):
+        with pytest.raises(ValueError, match="inner-loop expression"):
+            small_spec(methods=[{"method": "svrg", "c0": "1/2*c",
+                                 "M": m_expr}])
     # integers must be integral, numbers JSON numbers and flags boolean;
     # nothing is rounded or cast
     for key, value in (("n", 8.9), ("runs", 2.7), ("runs", True),
@@ -278,7 +298,8 @@ def three_pass_figure_cell(spec, cell_index):
 
     def batch(subkeys, centers=None):
         rec = SummingRecorder(inst, cp, len(subkeys), centers)
-        return rec, run_batch(inst, y, cfg, subkeys, rec)
+        keys = [(cfg.seed, r) for r in subkeys]
+        return rec, run_batch(inst, y, cfg, keys, rec)
 
     rec, diverged = batch(list(range(spec.runs)))
     excluded = tuple(int(r) for r in np.nonzero(diverged)[0])
@@ -349,3 +370,122 @@ def test_figure_cells_with_diverged_runs(tmp_path, monkeypatch):
     assert [r[RESULT_HEADER.index("error")] for r in parsed] == notes
     assert sorted(p.name for p in (tmp_path / "fig").iterdir()) == [
         "figure_cell000_sgd.csv", "figure_cell002_svrg.csv"]
+
+
+# --- one lockstep batch per cell group -------------------------------------------
+
+def lone_cell(spec, cell_index, figure_grid):
+    """The (result row, figure rows) of a grid cell run on its own: the
+    instance and data of its (nu, epsilon) point alone, rotated with that
+    point's data, and one error_curves or mc_moments call."""
+    i_nu, i_eps, _, plan = spec.cells[cell_index]
+    inst = smooth_solution(generate(spec.problem, spec.n), spec.nu[i_nu])
+    y = experiment.add_noise(inst, spec.epsilon[i_eps],
+                             spec.noise_seed(i_nu, i_eps)).y
+    if spec.precondition:
+        inst, y = precondition(inst, y)
+    try:
+        cfg, c0_expr, m_value = experiment._cell_config(
+            inst, plan, spec, spec.solver_seed(cell_index), figure_grid,
+            step_constant(inst.a))
+        curves = (mc_moments if figure_grid else error_curves)(
+            inst, y, cfg, spec.runs)
+    except ValueError as exc:
+        return error_row(spec, cell_index, f"ValueError: {exc}"), ()
+    kstar, e_mean, se = stopping_stats(curves)
+    note = (f"{len(curves.excluded_runs)} runs diverged"
+            if curves.excluded_runs else "")
+    row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
+           c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), note]
+    figure = ()
+    if figure_grid:
+        figure = tuple((float(e), int(i), float(b), float(v), float(m))
+                       for e, i, b, v, m in zip(
+                           curves.epochs, curves.iterations, curves.bias_sq,
+                           curves.variance, curves.mse))
+    return row, figure
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("figure_grid,epsilon", [
+    (False, [5e-2, 1e-2, 1e-3]),
+    (True, [1e-2, 1e-3]),  # per-cell mean and spread
+])
+def test_grouped_grid_rows_are_bitwise_their_lone_cells(rotate, figure_grid,
+                                                        epsilon):
+    spec = small_spec(
+        nu=[0.5, 1.0], epsilon=epsilon, runs=4, max_epochs=30.0,
+        precondition=rotate,
+        methods=[{"method": "sgd", "c0": "1/2*c"},
+                 {"method": "svrg", "c0": "1/2*c", "M": "4"},
+                 {"method": "landweber"}])
+    outcomes = run_grid(spec, figure_grid=figure_grid)
+    for index, outcome in enumerate(outcomes):
+        row, figure = lone_cell(spec, index, figure_grid)
+        assert outcome.row == row and row[-1] == ""
+        assert outcome.figure_rows == figure
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("figure_grid", [False, True])
+def test_grouped_grid_errors_stay_in_their_cells_bitwise(figure_grid,
+                                                         monkeypatch):
+    # steps above the stability bound make runs diverge cell by cell, data
+    # that is not finite ends every run of the epsilon = 1e-2 cells, and a
+    # bad configuration fails the epsilon = 1e-3 sgd cell alone
+    monkeypatch.setattr(experiment, "SolverConfig",
+                        functools.partial(SolverConfig, allow_large_step=True))
+    spec = small_spec(
+        n=10, nu=[0.0], epsilon=[5e-2, 1e-2, 1e-3], runs=12, max_epochs=60.0,
+        base_seed=0, methods=[{"method": "sgd", "c0": "2.9*c"},
+                              {"method": "svrg", "c0": "2.9*c", "M": "5"}])
+    draw, configure = experiment.add_noise, experiment._cell_config
+
+    def noise(inst, epsilon, seed):
+        data = draw(inst, epsilon, seed)
+        if seed == spec.noise_seed(0, 1):
+            return SimpleNamespace(y=np.full_like(data.y, np.nan))
+        return data
+
+    def config(inst, plan, spec_, seed, *args):
+        if seed == spec.solver_seed(4):
+            raise ValueError("bad configuration")
+        return configure(inst, plan, spec_, seed, *args)
+
+    monkeypatch.setattr(experiment, "add_noise", noise)
+    monkeypatch.setattr(experiment, "_cell_config", config)
+    outcomes = run_grid(spec, figure_grid=figure_grid)
+    for index, outcome in enumerate(outcomes):
+        row, figure = lone_cell(spec, index, figure_grid)
+        assert outcome.row == row
+        assert outcome.figure_rows == figure
+    notes = [o.row[-1] for o in outcomes]
+    lost = "ValueError: no runs survived the divergence guard"
+    assert notes[2:5] == [lost, lost, "ValueError: bad configuration"]
+    assert all(note.endswith("runs diverged")
+               for note in notes[:2] + notes[5:])
+
+
+def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
+    spec = small_spec(nu=[1.0], epsilon=[5e-2, 1e-2, 1e-3], precondition=True)
+    calls = []
+    rotate = experiment.precondition
+
+    def counting(*args):
+        calls.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(experiment, "precondition", counting)
+    prepared = experiment._prepare_cells(spec)
+    assert len(calls) == 1
+    assert len({id(prepared[(0, k)][0]) for k in range(3)}) == 1
+    inst_nu = smooth_solution(generate(spec.problem, spec.n), 1.0)
+    for k, eps in enumerate(spec.epsilon):
+        inst, y, c_unit = prepared[(0, k)]
+        data = add_noise(inst_nu, eps, spec.noise_seed(0, k))
+        alone, y_alone = precondition(inst_nu, data.y)
+        assert y.tobytes() == y_alone.tobytes()
+        assert inst.a.tobytes() == alone.a.tobytes()
+        assert c_unit == step_constant(alone.a)
+    run_grid(spec)
+    assert len(calls) == 2

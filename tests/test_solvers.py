@@ -133,7 +133,7 @@ def test_runs_are_batch_invariant(noisy_shaw):
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
     rec = _Recorder(inst, y, cp, 3, want_residual=False)
-    run_batch(inst, y, cfg, [0, 1, 2], rec)
+    run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(3)], rec)
     for r in range(3):
         solo = solve(inst, y, cfg, run=r)
         assert_array_equal(rec.error_sq[r], solo.error_sq)
@@ -182,7 +182,7 @@ def stream_indices(seed, n, runs, steps):
                                          (2 * _CHUNK - 2, 0)])
 def test_index_blocks_equal_single_stream_blocks(n, start, count):
     subkeys = [0, 1, 5, 2**32 + 3, NOISE_SUBKEY - 1, NOISE_SUBKEY]
-    got = index_blocks(17, n, subkeys, start, count)
+    got = index_blocks(n, [(17, k) for k in subkeys], start, count)
     assert got.dtype == np.int64 and got.shape == (count, len(subkeys))
     for r, subkey in enumerate(subkeys):
         assert_array_equal(got[:, r],
@@ -191,11 +191,23 @@ def test_index_blocks_equal_single_stream_blocks(n, start, count):
         assert not got.any()
 
 
+def test_index_blocks_mix_seeds_in_one_draw():
+    # runs of several cells share a draw, each under its own cell's seed
+    keys = [(17, 0), (5, 0), (17, 1), (2**64 - 1, NOISE_SUBKEY), (0, 3)]
+    start = _CHUNK - 2
+    got = index_blocks(7, keys, start, 9)
+    for r, (seed, subkey) in enumerate(keys):
+        assert_array_equal(got[:, r],
+                           IndexStream(seed, 7, subkey=subkey).block(start, 9))
+    with pytest.raises(ValueError, match="outside"):
+        index_blocks(7, [(17, 0), (2**64, 0)], 0, 4)
+
+
 def test_index_blocks_reject_bad_arguments():
     with pytest.raises(ValueError, match="row"):
-        index_blocks(0, 0, [0], 0, 4)
+        index_blocks(0, [(0, 0)], 0, 4)
     with pytest.raises(ValueError, match="nonnegative"):
-        index_blocks(0, 3, [0], -1, 4)
+        index_blocks(3, [(0, 0)], -1, 4)
 
 
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
@@ -227,7 +239,7 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     cp = checkpoint_iterations(acct, cfg, total)
     runs = 4
     rec = SummingRecorder(inst, cp, runs)
-    run_batch(inst, y, cfg, list(range(runs)), rec)
+    run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
     states = out_of_place_lockstep(inst, y,
                                    stream_indices(cfg.seed, inst.n, runs, total),
                                    method, cfg.c0, M)
@@ -246,7 +258,7 @@ def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
         cfg = SolverConfig(method=method, c0=c0, max_epochs=3.0, M=M, seed=1)
         acct = EpochAccounting(method, inst.n, M)
         cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
-        run_batch(inst, y, cfg, [0, 1, 2, 3],
+        run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(4)],
                   _Recorder(inst, y, cp, 4, want_residual=True))
         enumerate_exact_moments(inst, y, c0, M, K, method)
     assert_array_equal(inst.a, a)
@@ -307,7 +319,8 @@ def test_full_gradient_keeps_the_exact_data_fixed_point(method, M):
     acct = EpochAccounting(method, inst.n, M)
     cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
     rec = _Recorder(inst, inst.y_dag, cp, runs, want_residual=True)
-    run_batch(inst, inst.y_dag, cfg, list(range(runs)), rec)
+    run_batch(inst, inst.y_dag, cfg, [(cfg.seed, r) for r in range(runs)],
+              rec)
     assert not rec.error_sq.any() and not rec.residual_sq.any()
 
 
