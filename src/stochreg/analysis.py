@@ -10,16 +10,15 @@ ways, which cross-check each other:
 * closed forms: the mean iterate and the second-moment decompositions into a
   deterministic head term plus per-epoch fluctuation terms, each evaluated by
   enumeration over the epoch's own digits only;
-* epoch propagation: exact first/second moments pushed through the epoch
-  transition maps.  The n**M single-epoch maps are built once per call as
-  stacked matmuls over blocks of digit combinations, bitwise equal to
-  building them one combination at a time; the moments average over the
-  whole stack with matmuls and agree with enumeration to 1e-12 relative.
+* moment recursion: exact first/second moments pushed one inner step at a
+  time, O(n m^2) per step on any instance and horizon, in agreement with
+  enumeration to 1e-12 relative.  The n**M single-epoch maps of
+  epoch_transitions, built as stacked matmuls, are a second referee for it.
 
 The per-path identity checks use the same arithmetic: recursion_check
 advances one seeded path with solvers.Lockstep, the solvers' own step kernel,
 and compares it with the path operators of _EpochKit that also build the
-propagation maps.
+epoch maps.
 
 Conventions used throughout: K counts completed outer loops, so the final
 iterate is x_{KM} and per-epoch sums run over j = 0..K-1; inner step t of the
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance, noise_functional
-from .rng import IndexStream, index_blocks
+from .rng import IndexStream
 from .solvers import EpochAccounting, Lockstep, SolverConfig, _Recorder, \
     checkpoint_iterations, run_batch
 from .spectral import GramOperator, Propagator
@@ -433,7 +432,7 @@ def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
 
 
 # ---------------------------------------------------------------------------
-# exact epoch propagation (first and second moments, no sampling)
+# exact first and second moments (no sampling)
 
 EPOCH_COMBO_BUDGET = 10**6
 EPOCH_STACK_BUDGET = 2 * 10**8  # entries of the n^M (m, m) transition stack
@@ -456,7 +455,8 @@ def epoch_transitions(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     P_k = I - c0 a_k a_k^T gathered per block, and svrg's L and sgd's noise
     sum accumulated in ascending step order.  Each combination gets the same
     BLAS products in the same order as a loop over the combinations, so the
-    stacks are bitwise those of that loop.
+    stacks are bitwise those of that loop.  exact_final_moments does not use
+    them; the maps are a second referee for its recursion.
     """
     if method not in ("sgd", "svrg"):
         raise ValueError(f"unknown method {method!r}")
@@ -493,37 +493,52 @@ def exact_final_moments(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                         K: int, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and second-moment matrix of u_K = x_{KM} - x_dag - B^+ zeta.
 
-    Each epoch averages the n^M maps: mu <- mean_c (T_c mu + v_c) and
-    S <- mean_c (T_c S T_c^T + T_c mu v_c^T + v_c mu^T T_c^T + v_c v_c^T).
-    The sums over c are matmuls over the whole stack, so they round
-    differently from a per-combination sum; the results agree with path
+    The state z is (u, 1) for sgd and (u, anchor, 1) for svrg.  A step with
+    row j maps its first m entries, u, by u <- u - c0 (a_j f_j^T + G) z: sgd
+    has f_j = (a_j, -r_j), r = y - A x_ref, and G = 0; svrg has f_j = (a_j,
+    -a_j, 0) and G z its anchor's full gradient.  With T_j that step's
+    matrix on z, Z = E z z^T follows Z <- mean_j T_j Z T_j^T, at O(n m^2)
+    per step, with no path or epoch map built; it agrees with path
     enumeration to 1e-12 relative.
     """
     y = np.asarray(y, dtype=np.float64)
-    t_stack, v_stack = epoch_transitions(inst, y, c0, M, method)
-    count, m, _ = t_stack.shape
-    bz = inst.gram.pinv_apply(noise_functional(inst, y))
-    mu = inst.x0 - inst.x_dag - bz
-    s = np.outer(mu, mu)
-    # rows (l, c), columns j: t_rows[l * count + c, j] = T_c[l, j]
-    t_rows = np.ascontiguousarray(t_stack.transpose(1, 0, 2)).reshape(m * count, m)
-    t_wide = t_rows.reshape(m, count * m)
-    vv = v_stack.T @ v_stack
-    v_sum = v_stack.sum(axis=0)
+    a, b = inst.a, inst.gram.matrix
+    n, m = a.shape
+    x_ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
+    r = y - a @ x_ref
+    if method == "sgd":
+        f = np.hstack([a, -r[:, None]])
+        g = np.zeros((m, m + 1))
+    elif method == "svrg":
+        f = np.hstack([a, -a, np.zeros((n, 1))])
+        g = np.hstack([np.zeros((m, m)), b, -(a.T @ r / n)[:, None]])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    size = f.shape[1]
+    fold = np.eye(size)
+    fold[m:-1] = np.eye(size - m - 1, size)  # an epoch starts: anchor <- u
+    f_mean = a.T @ f / n
+    drift = f_mean + g  # mean_j (a_j f_j^T + G)
+    z = np.concatenate([inst.x0 - x_ref, np.zeros(size - m - 1), [1.0]])
+    zz = np.outer(z, z)
     for _ in range(K):
-        tmu = t_stack @ mu
-        tv = tmu.T @ v_stack
-        s_next = ((t_rows @ s).reshape(m, count * m) @ t_wide.T
-                  + tv + tv.T + vv) / count
-        mu = (tmu.sum(axis=0) + v_sum) / count
-        s = s_next
-    return mu, s
+        zz = fold @ zz @ fold.T
+        for _ in range(M):
+            w = np.einsum("js,js->j", f @ zz, f)
+            dz = drift @ zz
+            nxt = zz.copy()
+            nxt[:m] -= c0 * dz
+            nxt[:, :m] -= c0 * dz.T
+            nxt[:m, :m] += c0**2 * ((a.T * w) @ a / n + dz @ g.T
+                                    + g @ zz @ f_mean.T)
+            zz = nxt
+    return zz[:m, -1], zz[:m, :m]
 
 
 def exact_weighted_second_moment(inst: ProblemInstance, y: np.ndarray, c0: float,
                                  M: int, K: int, method: str, r1="I",
                                  r2="0") -> float:
-    """E || R1 u_K + R2 ||^2 via exact epoch propagation (no sampling)."""
+    """E || R1 u_K + R2 ||^2 via the exact moment recursion (no sampling)."""
     y = np.asarray(y, dtype=np.float64)
     mu, s = exact_final_moments(inst, y, c0, M, K, method)
     r1m = operator_word_matrix(inst.gram, c0, r1)
@@ -539,61 +554,25 @@ def exact_weighted_second_moment(inst: ProblemInstance, y: np.ndarray, c0: float
 class VarianceComparison:
     svrg_value: float
     sgd_value: float
-    mode: str            # enumeration | propagation | monte-carlo
     margin: float        # sgd - svrg; positive favors the anchored method
     ordered: bool
     condition_ok: bool   # comparison-side step/size condition; warning only
-    stderr: float = 0.0
 
 
 def variance_compare(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
-                     K: int, r1="I", r2="0", runs: int | None = None,
-                     seed: int = 0) -> VarianceComparison:
-    """Compare E||R1 u_K + R2||^2 between the two stochastic methods.
-
-    Small path spaces are enumerated outright; mid-size ones use exact epoch
-    propagation; otherwise `runs` Monte Carlo trajectories decide, with a
-    3-standard-error margin.  The ordering is guaranteed only under the
-    comparison condition, so condition_ok=False marks the result as merely
-    empirical; the comparison is still computed.
+                     K: int, r1="I", r2="0") -> VarianceComparison:
+    """Compare E||R1 u_K + R2||^2 between the two stochastic methods, both
+    from the exact moment recursion.  The ordering is guaranteed only under
+    the comparison condition, so condition_ok=False marks the result as
+    merely empirical; the comparison is still computed.
     """
     _require_preconditioned(inst)
     condition_ok = condition_report(inst, c0, M).compare_ok
-    n = inst.n
-    if n ** (K * M) <= 10**5:
-        svrg = enumerate_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2)
-        sgd = enumerate_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2)
-        mode, stderr = "enumeration", 0.0
-    elif n**M <= EPOCH_COMBO_BUDGET and n**M * inst.m**2 <= EPOCH_STACK_BUDGET:
-        svrg = exact_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2)
-        sgd = exact_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2)
-        mode, stderr = "propagation", 0.0
-    else:
-        if not runs or runs < 2:
-            raise ValueError("instance too large for exact evaluation; pass runs")
-        svrg, se1 = _mc_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2,
-                                               runs, seed)
-        sgd, se2 = _mc_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2,
-                                              runs, seed + 1)
-        mode, stderr = "monte-carlo", float(np.hypot(se1, se2))
-    margin = sgd - svrg
-    ordered = bool(svrg <= sgd + 1e-12 + 3.0 * stderr)
-    return VarianceComparison(svrg_value=float(svrg), sgd_value=float(sgd),
-                              mode=mode, margin=float(margin), ordered=ordered,
-                              condition_ok=condition_ok, stderr=stderr)
-
-
-def _mc_weighted_second_moment(inst, y, c0, M, K, method, r1, r2, runs, seed
-                               ) -> tuple[float, float]:
-    r1m = operator_word_matrix(inst.gram, c0, r1)
-    r2v = shift_vector(inst, y, r2)
-    x_ref = inst.x_dag + inst.gram.pinv_apply(noise_functional(inst, y))
-    x = np.tile(inst.x0, (runs, 1))
-    idx = index_blocks(inst.n, [(seed, r) for r in range(runs)], 0, K * M)
-    Lockstep(inst, y, x, method, c0, M).advance(idx)
-    v = (x - x_ref) @ r1m.T + r2v
-    vals = np.einsum("rm,rm->r", v, v)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(runs))
+    svrg = exact_weighted_second_moment(inst, y, c0, M, K, "svrg", r1, r2)
+    sgd = exact_weighted_second_moment(inst, y, c0, M, K, "sgd", r1, r2)
+    return VarianceComparison(svrg_value=svrg, sgd_value=sgd,
+                              margin=sgd - svrg, ordered=svrg <= sgd + 1e-12,
+                              condition_ok=condition_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def parse_m_expr(expr, n: int) -> int:
     """Inner-loop length: a literal, or '<rational>*n' scaled by problem size."""
     if expr is None:
         return 1
-    if isinstance(expr, (int, float)):
+    if isinstance(expr, (int, float)) and not isinstance(expr, bool):
         value = expr
     else:
         text = str(expr).replace(" ", "")

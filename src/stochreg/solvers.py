@@ -65,6 +65,7 @@ from .spectral import stability_step_bound
 _CHUNK = 4096  # iterations per index-stream draw
 _GRADIENT_BLOCK = 32  # rows per BLAS product of the full gradient
 DIVERGENCE_FACTOR = 1e12
+MAX_CHECKPOINTS = 10**6  # about 100 times the longest record of the rate grid
 
 METHODS = ("sgd", "svrg", "landweber")
 
@@ -123,7 +124,10 @@ class EpochAccounting:
         return np.asarray(iterations, dtype=np.float64) / self.iterations_per_epoch
 
     def iterations(self, epochs: float) -> int:
-        return max(1, int(round(epochs * self.iterations_per_epoch)))
+        steps = epochs * self.iterations_per_epoch
+        if not math.isfinite(steps):
+            raise ValueError(f"{epochs!r} epochs overflow the iteration count")
+        return max(1, int(round(steps)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,17 @@ class Trajectory:
 
 def checkpoint_iterations(acct: EpochAccounting, cfg: SolverConfig, total: int
                           ) -> np.ndarray:
-    stride = max(1, round(cfg.checkpoint_every * acct.iterations_per_epoch))
+    # a stride past the horizon marks the same checkpoints as one at it
+    stride = max(1, round(min(cfg.checkpoint_every * acct.iterations_per_epoch,
+                              total)))
+    # the multiples of stride and, for svrg, of M, counted before any is built
+    count = total // stride + 1
+    if cfg.method == "svrg":
+        count += total // cfg.M - total // math.lcm(stride, cfg.M)
+    if count > MAX_CHECKPOINTS:
+        raise ValueError(f"max_epochs {cfg.max_epochs!r} at checkpoint_every "
+                         f"{cfg.checkpoint_every!r} needs more than "
+                         f"{MAX_CHECKPOINTS} checkpoints")
     marks = set(range(0, total + 1, stride))
     if cfg.method == "svrg":
         marks.update(range(0, total + 1, cfg.M))  # anchor states

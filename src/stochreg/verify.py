@@ -286,8 +286,8 @@ def check_decomposition_sgd() -> CheckResult:
                    "second moments")
 
 
-def _ordering_worst(n: int, m: int, m_len: int, k_values, seed: int,
-                    runs=None) -> tuple[float, bool]:
+def _ordering_worst(n: int, m: int, m_len: int, k_values, seed: int
+                    ) -> tuple[float, bool]:
     inst, y = _noisy_preconditioned(n, m, seed=seed)
     c0 = step_constant(inst.a)
     ok = condition_report(inst, c0, m_len).compare_ok
@@ -295,8 +295,7 @@ def _ordering_worst(n: int, m: int, m_len: int, k_values, seed: int,
     for k_out in k_values:
         for r1 in ("I", "B", "M0^2"):
             for r2 in ("0", "Binv_zeta"):
-                cmp = variance_compare(inst, y, c0, m_len, k_out, r1=r1, r2=r2,
-                                       runs=runs, seed=seed)
+                cmp = variance_compare(inst, y, c0, m_len, k_out, r1=r1, r2=r2)
                 worst = min(worst, cmp.margin)
     return worst, ok
 

@@ -260,10 +260,19 @@ def test_epoch_transitions_reject_oversized_stacks():
         epoch_transitions(tall, tall.y_dag, 1e-3, 1, "landweber")
 
 
+def rank_deficient(seed):
+    """A raw instance with more unknowns than rows, so B is singular."""
+    return raw_random(2, 3, seed)
+
+
 @pytest.mark.parametrize("method", ["sgd", "svrg"])
 @pytest.mark.parametrize("M,K", [(1, 1), (1, 3), (3, 1), (3, 3)])
-def test_propagation_matches_enumeration_across_loop_lengths(method, M, K):
-    inst, y = random_preconditioned(3, 2, seed=7 + M + K)
+@pytest.mark.parametrize("build", [
+    lambda seed: random_preconditioned(3, 2, seed), rank_deficient],
+    ids=["preconditioned", "rank_deficient"])
+def test_propagation_matches_enumeration_across_loop_lengths(method, M, K,
+                                                             build):
+    inst, y = build(7 + M + K)
     c0 = step_constant(inst.a)
     enum = enumerate_exact_moments(inst, y, c0, M, K, method)
     mu, s = exact_final_moments(inst, y, c0, M, K, method)
@@ -278,13 +287,59 @@ def test_propagation_matches_enumeration_across_loop_lengths(method, M, K):
         assert_allclose(weighted, brute, rtol=1e-12)
 
 
+def averaged_epoch_maps(inst, y, c0, M, K, method):
+    """Reference: the moments of u_K averaged over the n^M epoch maps."""
+    t_stack, v_stack = epoch_transitions(inst, y, c0, M, method)
+    mu = inst.x0 - inst.x_dag - inst.gram.pinv_apply(noise_functional(inst, y))
+    s = np.outer(mu, mu)
+    for _ in range(K):
+        tmu = t_stack @ mu
+        cross = np.einsum("ci,cj->ij", tmu, v_stack)
+        s = (np.einsum("cij,jk,clk->il", t_stack, s, t_stack) + cross + cross.T
+             + v_stack.T @ v_stack) / t_stack.shape[0]
+        mu = (tmu + v_stack).mean(axis=0)
+    return mu, s
+
+
+@pytest.mark.parametrize("method", ["sgd", "svrg"])
+@pytest.mark.parametrize("build", [
+    lambda seed: raw_random(3, 2, seed),
+    lambda seed: random_preconditioned(3, 3, seed), rank_deficient],
+    ids=["raw", "preconditioned", "rank_deficient"])
+def test_moment_recursion_matches_averaged_epoch_maps(method, build):
+    for M, K in ((1, 4), (2, 3), (4, 2)):
+        inst, y = build(60 + M)
+        c0 = 0.8 * step_constant(inst.a)
+        mu, s = exact_final_moments(inst, y, c0, M, K, method)
+        mu_ref, s_ref = averaged_epoch_maps(inst, y, c0, M, K, method)
+        scale = np.trace(s_ref)
+        assert np.abs(mu - mu_ref).max() <= 1e-12 * math.sqrt(scale)
+        assert np.abs(s - s_ref).max() <= 1e-12 * scale
+
+
+def test_moment_recursion_runs_past_the_epoch_map_budgets():
+    # 1001^2 digit combinations per epoch: no epoch map stack is built
+    inst, y = random_preconditioned(1001, 2, seed=19)
+    c0 = step_constant(inst.a)
+    with pytest.raises(ValueError, match="digit space exceeds the budget"):
+        epoch_transitions(inst, y, c0, 2, "svrg")
+    zeta = noise_functional(inst, y)
+    ref = inst.x_dag + inst.gram.pinv_apply(zeta)
+    mean = closed_form_mean(inst.gram, inst.x0 - inst.x_dag, zeta, c0, 2, 3,
+                            x_dag=inst.x_dag)
+    for method in ("sgd", "svrg"):
+        mu, _ = exact_final_moments(inst, y, c0, 2, 3, method)
+        assert_allclose(ref + mu, mean, rtol=1e-12)
+    cmp = variance_compare(inst, y, c0, M=2, K=3)
+    assert cmp.ordered and cmp.margin >= -1e-12
+
+
 # --- variance comparison ------------------------------------------------------
 
 def test_variance_compare_enumeration_mode():
     inst, y = random_preconditioned(3, 2, seed=11)
     c0 = step_constant(inst.a)
     cmp = variance_compare(inst, y, c0, M=2, K=2)
-    assert cmp.mode == "enumeration" and cmp.stderr == 0.0
     assert cmp.svrg_value == pytest.approx(
         enumerate_weighted_second_moment(inst, y, c0, 2, 2, "svrg"), rel=1e-13)
     assert cmp.margin == pytest.approx(cmp.sgd_value - cmp.svrg_value,
@@ -295,20 +350,8 @@ def test_variance_compare_propagation_mode():
     inst, y = random_preconditioned(25, 3, seed=13)
     c0 = step_constant(inst.a)
     cmp = variance_compare(inst, y, c0, M=2, K=3)
-    assert cmp.mode == "propagation"
     assert cmp.condition_ok
     assert cmp.ordered and cmp.margin >= -1e-12
-
-
-def test_variance_compare_monte_carlo_mode():
-    inst, y = random_preconditioned(64, 3, seed=17)
-    c0 = step_constant(inst.a)
-    with pytest.raises(ValueError, match="runs"):
-        variance_compare(inst, y, c0, M=4, K=1)
-    cmp = variance_compare(inst, y, c0, M=4, K=1, runs=800, seed=4)
-    assert cmp.mode == "monte-carlo" and cmp.stderr > 0
-    assert cmp.condition_ok
-    assert cmp.ordered
 
 
 # --- identity reports ---------------------------------------------------------

@@ -84,6 +84,9 @@ def test_generate_normalize_flag(tmp_path):
      "--out", "x"],
     ["solve", "p", "--method", "landweber", "--checkpoint-every", "inf",
      "--out", "x"],
+    # a horizon just past the cap of 10**6 checkpoints
+    ["solve", "p", "--method", "landweber", "--max-epochs", "1000000",
+     "--out", "x"],
     # a zero denominator, or an inner loop that is not finite
     ["solve", "p", "--method", "sgd", "--c0", "1/0*c", "--out", "x"],
     ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "1/0",

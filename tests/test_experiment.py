@@ -130,7 +130,7 @@ def test_spec_validates_values():
         small_spec(methods=[{"method": "sgd", "c0": "bogus"}])
     with pytest.raises(ValueError, match="step expression"):
         small_spec(methods=[{"method": "sgd", "c0": "1/0*c"}])
-    for m_expr in ("1/0", json.loads("1e400")):
+    for m_expr in ("1/0", json.loads("1e400"), json.loads("true")):
         with pytest.raises(ValueError, match="inner-loop expression"):
             small_spec(methods=[{"method": "svrg", "c0": "1/2*c",
                                  "M": m_expr}])

@@ -10,8 +10,8 @@ from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, gen_shaw, make_instance
 from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.analysis import enumerate_exact_moments
-from stochreg.solvers import (_CHUNK, _GRADIENT_BLOCK, DivergenceError,
-                              EpochAccounting, FullGradient,
+from stochreg.solvers import (_CHUNK, _GRADIENT_BLOCK, MAX_CHECKPOINTS,
+                              DivergenceError, EpochAccounting, FullGradient,
                               Lockstep, SolverConfig, Trajectory, _Recorder,
                               checkpoint_iterations, oracle_stop, run_batch,
                               solve, step_is_admissible, step_stability_bound,
@@ -408,6 +408,23 @@ def test_checkpoint_grid_structure():
     assert np.all(np.diff(cp) > 0)
     anchors = set(range(0, total + 1, 4))
     assert anchors <= set(int(c) for c in cp)
+
+
+def test_checkpoint_grid_rejects_a_horizon_past_the_cap():
+    # one iteration per epoch, 10**6 of them: 10**6 + 1 checkpoints with 0,
+    # the anchors at every second iteration among them
+    acct = EpochAccounting("svrg", 2, 2)
+    cfg = SolverConfig(method="svrg", c0=1e-3, max_epochs=float(MAX_CHECKPOINTS),
+                       M=2)
+    with pytest.raises(ValueError, match="more than 1000000 checkpoints"):
+        checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+    with pytest.raises(ValueError, match="overflow the iteration count"):
+        EpochAccounting("sgd", 16).iterations(1e308)
+    # a stride past the horizon marks only its ends
+    acct = EpochAccounting("sgd", 16)
+    cfg = SolverConfig(method="sgd", c0=1e-3, max_epochs=3.0,
+                       checkpoint_every=1e308)
+    assert_array_equal(checkpoint_iterations(acct, cfg, 48), [0, 48])
 
 
 def test_oracle_stop_takes_first_minimum():
