@@ -59,15 +59,18 @@ def thread_count() -> int:
 # step and inner-loop expression grammar
 
 def parse_m_expr(expr, n: int) -> int:
-    """Inner-loop length: a literal, or '<rational>*n' scaled by problem size."""
+    """Inner-loop length: an integral literal, or '<rational>*n' scaled by
+    problem size and rounded to the nearest integer."""
     if expr is None:
         return 1
+    scaled = False
     if isinstance(expr, (int, float)) and not isinstance(expr, bool):
         value = expr
     else:
         text = str(expr).replace(" ", "")
+        scaled = text.endswith("*n")
         try:
-            if text.endswith("*n"):
+            if scaled:
                 value = parse_rational(text[:-2]) * n
             else:
                 value = parse_rational(text)
@@ -75,6 +78,8 @@ def parse_m_expr(expr, n: int) -> int:
             raise ValueError(f"cannot parse inner-loop expression {expr!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"inner-loop expression {expr!r} is not finite")
+    if not scaled and value != int(value):
+        raise ValueError(f"inner-loop expression {expr!r} is not an integer")
     value = int(round(value))
     if value < 1:
         raise ValueError(f"inner-loop expression {expr!r} gives M = {value} < 1")
@@ -412,6 +417,10 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
         for cell, outcome in zip(group, _run_group(spec, group, figure_grid)):
             outcomes[cell.index] = outcome
 
+    for group in groups.values():
+        if group[0].cfg.method != "landweber":
+            # built here, once per instance: groups on other threads share it
+            group[0].inst.row_gram
     workers = max(1, min(thread_count(), len(groups)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, groups.values()))

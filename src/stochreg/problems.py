@@ -68,13 +68,19 @@ class ProblemInstance:
     def gram(self) -> GramOperator:
         return build_gram(self.a)
 
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        """K = A A^T (n x n), the row dots a_i . a_j the sgd and svrg steps
+        read; built once per instance, so every kernel on it shares it."""
+        return self.a @ self.a.T
+
 
 def exact_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x through the same einsum reduction the sgd steps use for row dots,
-    so an sgd start at x_dag with this data stays put bit for bit.  svrg and
-    landweber hold that fixed point through their full gradient, whose
-    product term vanishes with x - x0 and whose base term is zero at an
-    exact-data start."""
+    """A x through the same einsum reduction that solvers.residuals takes at
+    x0, so the residual of an exact-data start at x_dag is exactly zero and
+    every method stays put bit for bit: the step kernel's dual coordinates
+    and svrg's anchor shift stay zero, and so does the full gradient, whose
+    product term vanishes with x - x0."""
     return np.einsum("nm,m->n", a, x)
 
 

@@ -3,10 +3,10 @@ functional J(x) = (1/2n) ||A x - y||^2.
 
 Three methods share one batched core: plain stochastic gradient steps,
 a variance-reduced double loop with full-gradient anchors, and deterministic
-full-gradient descent.  Row dots go through ``einsum`` reductions and the full
-gradient through fixed-size BLAS blocks, both bitwise independent of the
-batch size.  With data generated by ``problems.exact_data``, x0 = x_dag with
-exact data is a bitwise fixed point of every method.
+full-gradient descent.  Row dots go through ``einsum`` reductions and every
+matrix product through fixed-size BLAS blocks, both bitwise independent of
+the batch size.  With data generated by ``problems.exact_data``, x0 = x_dag
+with exact data is a bitwise fixed point of every method.
 
 A batch may hold several cells: runs on one instance with one method, step
 and inner loop, but each cell with its own data vector.  The data come as a
@@ -14,37 +14,47 @@ and inner loop, but each cell with its own data vector.  The data come as a
 cell, in the order of y's rows; each run reads only its own cell's data,
 here written y_r.  A 1-d y is one cell.
 
-Update arithmetic (fixed, relied on by replay tests).  The stochastic and
-anchored steps run in place on buffers allocated once per ``Lockstep``, one
-numpy call per statement, in this order:
-    gather:         A.take(idx, 0, rows, "clip")
-    stochastic:     d = einsum(rows, X);  d -= y_r[idx];  d *= c0
-                    rows *= d[:,None];  X -= rows
-    anchored:       diff = X - Xa;  d = einsum(rows, diff)
-                    rows *= d[:,None];  rows += G;  rows *= c0;  X -= rows
-    residual:       R = residuals(A, y_r, X) = einsum(X, A) - y_r, for the
-                    recorded residual
-    full gradient:  G = FullGradient(inst, y, runs)(X) = (X - x0) @ B + g0_r,
-                    with B = A^T A / n the instance's Gram matrix and
-                    g0_r = einsum(residuals(A, y_r, x0), A) / n, taken once
-                    per cell on one row and added to each of its runs; the
-                    product runs on X - x0 zero-padded to blocks of
-                    _GRADIENT_BLOCK rows, one stacked matmul, for anchors
-                    and descent
-    descent:        X = X - (c0*n)*G
-The data entries y_r[idx] of all the steps of one advance call are gathered
-in one call before its loop.  Every entry gets the same IEEE operations, in the same order, as in the
-out-of-place forms X - (c0*d)[:,None]*rows and X - c0*(d[:,None]*rows + G),
-so the kernel's bits equal those forms' bits.  The gather uses mode "clip"
-because the default "raise" buffers the copy: 100 rows of 1000 took about
-100 us against 27 us on a 2-vCPU Xeon VM.  Indices are already reduced modulo
-n, so clipping never changes one.
+Update arithmetic (fixed, relied on by replay tests).  An sgd or svrg step
+moves run r's iterate along its drawn row a_i, and the svrg anchor gradient
+A^T (A xa - y_r)/n lies in the row space too.  So the step kernel keeps each
+iterate as X = Xb + W @ A, with W a (runs, n) matrix of dual coordinates,
+and works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers
+one row of K per run, takes one row dot and changes one coordinate of W per
+run (svrg adds one shift of W), one numpy call per statement:
+    gather:     K.take(idx, 0, rows, "clip")
+    sgd:        d = einsum(rows, W);  d += R[idx];  d *= c0;  W[idx] -= d
+    svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= S
+Here R = A Xb - y_r and S = (c0/n) (A Xa - y_r), with Xa the svrg anchor,
+and R[idx] and W[idx] mean each run's entry at its own drawn index.  W is folded back
+into Xb through products on W zero-padded to blocks of _GRADIENT_BLOCK rows,
+one stacked matmul each:
+    sgd fold:   Xb += W @ A;  R += W @ K;  W = 0, at the end of every
+                advance call, so X = Xb at every stop
+    svrg fold:  Xa += W @ A;  S += (c0/n) (W @ K);  W = 0, after every step
+                that ends with t % M == 0; X = Xa there, and X = Xa + W @ A
+                at every other stop
+    start:      R = residuals(A, y_r, x0) + (X - x0) @ A^T, the first term
+                taken once per cell on one row, the product on blocks; svrg
+                takes Xa = X and S = (c0/n) R
+    residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
+                residual
+    descent:    X = X - (c0*n)*G, with G = FullGradient(inst, y, runs)(X) =
+                (X - x0) @ B + g0_r, B = A^T A / n the instance's Gram matrix
+                and g0_r = einsum(residuals(A, y_r, x0), A) / n, the product
+                on blocks as above
+The entries R[idx] of all the steps of one advance call are gathered in one
+call before its loop.  sgd folds at every stop, so its bits depend on where
+the advance calls stop, which run_batch fixes by the checkpoint grid and
+_CHUNK alone.  The gather uses mode "clip" because the default "raise"
+buffers the copy: 100 rows of 1000 took about 100 us against 27 us on a
+2-vCPU Xeon VM.  Indices are already reduced modulo n, so clipping never
+changes one.
 
-Every run starts at x0, and at an exact-data start x0 = x_dag both X - x0 and
-g0_r are exactly zero, so the full gradient is too.  Each BLAS block has the
-same shape whatever the batch, so a run's gradient bits depend neither on the
-other runs nor on its place in the batch; they can depend on the BLAS build
-and its thread count.
+Every run starts at x0, and at an exact-data start x0 = x_dag the residual
+R (or S) is exactly zero, so W stays zero and every fold adds zero; the full
+gradient is zero too.  Each BLAS block has the same shape whatever the
+batch, so a run's bits depend neither on the other runs nor on its place in
+the batch; they can depend on the BLAS build and its thread count.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
@@ -63,7 +73,7 @@ from .rng import check_seed, index_blocks
 from .spectral import stability_step_bound
 
 _CHUNK = 4096  # iterations per index-stream draw
-_GRADIENT_BLOCK = 32  # rows per BLAS product of the full gradient
+_GRADIENT_BLOCK = 32  # rows per block of every padded BLAS product
 DIVERGENCE_FACTOR = 1e12
 MAX_CHECKPOINTS = 10**6  # about 100 times the longest record of the rate grid
 
@@ -250,12 +260,25 @@ def residuals(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("rm,nm->rn", x, a) - y
 
 
+def _padded(runs: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros in blocks of _GRADIENT_BLOCK rows, the stacked-matmul layout
+    whose products are batch-invariant, and the view of its first runs rows."""
+    blocks = np.zeros((-(-runs // _GRADIENT_BLOCK), _GRADIENT_BLOCK, width))
+    return blocks, blocks.reshape(-1, width)[:runs]
+
+
+def _cell_rows(rows: np.ndarray, cells: int) -> np.ndarray:
+    """A (runs, k) matrix as (cells, runs per cell, k), a view."""
+    return rows.reshape(cells, -1, rows.shape[1])
+
+
 class FullGradient:
     """(1/n) A^T (A x - y_r) for each row of a (runs, m) matrix x, as
     g0_r + (x - x0) @ B with g0_r the gradient at inst.x0 on the run's cell
     data.  The product runs on x - x0 zero-padded to blocks of
     _GRADIENT_BLOCK rows, one stacked matmul over buffers allocated once; a
-    call returns a view of the output buffer, valid until the next call."""
+    call returns a view of the output buffer, valid until the next call.
+    The landweber step."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int):
         y = _cell_data(y, inst.n, runs)
@@ -265,12 +288,9 @@ class FullGradient:
         self.g0 = np.array([
             np.einsum("rn,nm->rm", residuals(inst.a, cell, inst.x0[None]),
                       inst.a) / inst.n for cell in y])
-        blocks = -(-runs // _GRADIENT_BLOCK)
-        self._shifted = np.zeros((blocks, _GRADIENT_BLOCK, inst.m))
-        self._products = np.empty_like(self._shifted)
-        self._shifted_rows = self._shifted.reshape(-1, inst.m)[:runs]
-        self._gradient_rows = self._products.reshape(-1, inst.m)[:runs]
-        self._cell_rows = self._gradient_rows.reshape(y.shape[0], -1, inst.m)
+        self._shifted, self._shifted_rows = _padded(runs, inst.m)
+        self._products, self._gradient_rows = _padded(runs, inst.m)
+        self._cell_rows = _cell_rows(self._gradient_rows, y.shape[0])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         np.subtract(x, self.x0, self._shifted_rows)
@@ -280,64 +300,98 @@ class FullGradient:
 
 
 class Lockstep:
-    """Advances a (runs, m) matrix x of sgd or svrg iterates in place, one
-    drawn row per run per step.  ``t`` counts the steps taken; svrg refreshes
-    its anchor whenever t % M == 0."""
+    """Advances a (runs, m) matrix x of sgd or svrg iterates, started at
+    inst.x0 or elsewhere, one drawn row per run per step, in the row-space
+    form of the module docstring; x holds the iterates after every advance
+    call.  ``t`` counts the steps taken; svrg refreshes its anchor whenever
+    t % M == 0."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, x: np.ndarray,
                  method: str, c0: float, M: int = 1):
         if method not in ("sgd", "svrg"):
             raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
-        y = _cell_data(y, inst.n, x.shape[0])
-        self.a = inst.a
+        runs, (n, m) = x.shape[0], inst.a.shape
+        y = _cell_data(y, n, runs)
+        self.a, self.k = inst.a, inst.row_gram
         self.x = x
         self.method, self.c0, self.M = method, c0, M
         self.t = 0
-        self._rows = np.empty_like(x)
-        self._d = np.empty(x.shape[0])
+        self._rows = np.empty((runs, n))
+        self._d = np.empty(runs)
+        self._w_blocks, self._w = _padded(runs, n)
+        self._w_flat = self._w.reshape(-1)
+        # run r's entry i of a (runs, n) matrix sits at flat r*n + i
+        self._offsets = np.arange(runs) * n
+        # one output buffer for the W @ A and W @ K products, zero so that
+        # its padding rows are zero when it first holds x - x0
+        size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
+        out = np.zeros(size * max(n, m))
+        self._by_a = out[:size * m].reshape(-1, _GRADIENT_BLOCK, m)
+        self._by_k = out[:size * n].reshape(-1, _GRADIENT_BLOCK, n)
+        self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
+        self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
+        # A x - y_r: each cell's residual at x0, plus (x - x0) @ A^T
+        np.subtract(x, inst.x0, self._by_a_rows)
+        np.matmul(self._by_a, self.a.T, out=self._w_blocks)
+        resid = self._w.copy()
+        self._w.fill(0.0)
+        cell_resid = _cell_rows(resid, y.shape[0])
+        cell_resid += np.array([residuals(self.a, cell, inst.x0[None])
+                                for cell in y])
         if method == "sgd":
-            # run r reads its data at self._y[self._offsets[r] + i]
-            self._y = y.ravel()
-            per_cell = x.shape[0] // y.shape[0]
-            self._offsets = np.arange(y.shape[0]).repeat(per_cell) * inst.n
+            self._resid = resid
         else:
-            self._anchor = np.empty_like(self.x)
-            self._diff = np.empty_like(self.x)
-            self._gradient = FullGradient(inst, y, x.shape[0])
-            self._grad = None
+            self._anchor = x.copy()
+            self._shift_scale = c0 / n
+            resid *= self._shift_scale
+            self._shift = resid
+
+    def _fold(self, base: np.ndarray, dual: np.ndarray,
+              scale: float | None = None) -> None:
+        """base += W @ A and dual += W @ K, times scale if given; W = 0."""
+        np.matmul(self._w_blocks, self.a, out=self._by_a)
+        base += self._by_a_rows
+        np.matmul(self._w_blocks, self.k, out=self._by_k)
+        if scale is not None:
+            self._by_k_rows *= scale
+        dual += self._by_k_rows
+        self._w.fill(0.0)
 
     def advance(self, idx: np.ndarray) -> None:
         """One step per row of idx, a (steps, runs) array of row indices in
         [0, n); idx[s, r] is the row run r draws at step t + s."""
-        a, x, c0 = self.a, self.x, self.c0
-        rows, d = self._rows, self._d
-        scale = d[:, None]
-        if self.method == "sgd":
-            # each run's data entries for every step, in one gather
-            for i, y_i in zip(idx, self._y[idx + self._offsets]):
-                a.take(i, 0, rows, "clip")
-                np.einsum("rm,rm->r", rows, x, out=d)
-                d -= y_i
-                d *= c0
-                rows *= scale
-                x -= rows
-            self.t += len(idx)
+        if not len(idx):
             return
-        anchor, diff, grad = self._anchor, self._diff, self._grad
-        M, t = self.M, self.t
-        for i in idx:
-            if t % M == 0:
-                np.copyto(anchor, x)
-                grad = self._gradient(anchor)
-            a.take(i, 0, rows, "clip")
-            np.subtract(x, anchor, diff)
-            np.einsum("rm,rm->r", rows, diff, out=d)
-            rows *= scale
-            rows += grad
-            rows *= c0
-            x -= rows
+        k, w, w_flat, c0 = self.k, self._w, self._w_flat, self.c0
+        rows, d = self._rows, self._d
+        flat = idx + self._offsets
+        if self.method == "sgd":
+            # each run's residual entries for every step, in one gather
+            for i, at, r_i in zip(idx, flat, self._resid.reshape(-1)[flat]):
+                k.take(i, 0, rows, "clip")
+                np.einsum("rn,rn->r", rows, w, out=d)
+                d += r_i
+                d *= c0
+                w_flat[at] -= d
+            self.t += len(idx)
+            self._fold(self.x, self._resid)
+            return
+        anchor, shift, M, t = self._anchor, self._shift, self.M, self.t
+        for i, at in zip(idx, flat):
+            k.take(i, 0, rows, "clip")
+            np.einsum("rn,rn->r", rows, w, out=d)
+            d *= c0
+            w_flat[at] -= d
+            w -= shift
             t += 1
-        self._grad, self.t = grad, t
+            if t % M == 0:
+                self._fold(anchor, shift, self._shift_scale)
+        self.t = t
+        if t % M == 0:
+            np.copyto(self.x, anchor)
+        else:
+            np.matmul(self._w_blocks, self.a, out=self._by_a)
+            np.add(anchor, self._by_a_rows, out=self.x)
 
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,

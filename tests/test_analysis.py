@@ -556,30 +556,42 @@ def test_orthogonality_check_matches_inline_loop_bitwise(method, n, m, M, K,
 
 def loop_recursion_check(inst, y, c0, M, K, seed):
     """The single-path loop with its own svrg step and per-combination
-    path operators, as it ran before it used the solvers' kernel.  The
-    anchor gradient is the Gram form g0 + (x - x0) B, its product taken on
-    the path's row zero-padded to one block of _GRADIENT_BLOCK rows, and the
-    row dot is the kernel's einsum reduction."""
+    path operators, as it ran before it used the solvers' kernel, the step
+    written in the kernel's row-space arithmetic: the iterate is the anchor
+    plus w A, the dual coordinates w step through rows of K = A A^T with
+    the kernel's einsum row dot, and every product is taken on the path's
+    row zero-padded to one block of _GRADIENT_BLOCK rows."""
     kit = analysis._EpochKit(inst, y, c0, M)
     digits = IndexStream(seed, inst.n).block(0, K * M)
-    a, n, m = inst.a, inst.n, inst.m
+    a, k_mat, n, m = inst.a, inst.row_gram, inst.n, inst.m
     eye = np.eye(m)
     rel = analysis._rel
-    x = inst.x0.copy()
+
+    def padded(v, mat):
+        block = np.zeros((1, solvers._GRADIENT_BLOCK, v.size))
+        block[0, 0] = v
+        return (block @ mat)[0, 0]
+
+    resid = padded(inst.x0 - inst.x0, a.T) \
+        + (np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y)
+    shift = resid * (c0 / n)
+    anchor = x = inst.x0.copy()
+    w = np.zeros(n)
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):
         e_start = x - inst.x_dag
         epoch_digits = digits[k * M:(k + 1) * M]
-        anchor = x.copy()
-        resid = np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y
-        g0 = np.einsum("n,nm->m", resid, a) / n
-        diff = np.zeros((1, solvers._GRADIENT_BLOCK, m))
-        diff[0, 0] = anchor - inst.x0
-        grad = (diff @ inst.gram.matrix)[0, 0] + g0
         for i in range(M):
-            rows = a[epoch_digits[i]]
-            d = np.einsum("rm,rm->r", rows[None], (x - anchor)[None])[0]
-            x = x - c0 * (d * rows + grad)
+            row = epoch_digits[i]
+            d = np.einsum("rn,rn->r", k_mat[row][None], w[None])[0]
+            w = w.copy()
+            w[row] -= d * c0
+            w = w - shift
+            if i == M - 1:
+                anchor = anchor + padded(w, a)
+                shift = shift + padded(w, k_mat) * (c0 / n)
+                w = np.zeros(n)
+            x = anchor + padded(w, a) if i < M - 1 else anchor
             if i == 0:
                 predicted = kit.m0 @ e_start + c0 * kit.zeta
                 got = x - inst.x_dag

@@ -97,6 +97,8 @@ def test_generate_normalize_flag(tmp_path):
      "--out", "x"],
     ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "inf*n",
      "--out", "x"],
+    ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "2.7",
+     "--out", "x"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -257,6 +259,16 @@ def test_experiment_rejects_unbounded_expressions(method, tmp_path, capsys):
     rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
     assert rc == 4
     assert "expression" in capsys.readouterr().err
+
+
+def test_experiment_rejects_a_fractional_inner_loop(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(
+        methods=[{"method": "svrg", "c0": "1/2*c", "M": 2.7}])))
+    rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    assert "not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_precondition_study_cli(tmp_path, capsys):

@@ -2,12 +2,13 @@
 
 import functools
 import json
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stochreg import experiment
+from stochreg import experiment, solvers
 from stochreg.analysis import (ErrorCurves, error_curves, mc_moments,
                                stopping_stats)
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
@@ -17,8 +18,8 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  run_precondition_study, spec_from_dict,
                                  spec_to_dict, thread_count)
 from stochreg.fileio import read_csv
-from stochreg.problems import (add_noise, generate, precondition,
-                               smooth_solution)
+from stochreg.problems import (ProblemInstance, add_noise, generate,
+                               precondition, smooth_solution)
 from stochreg.solvers import (EpochAccounting, SolverConfig,
                               checkpoint_iterations, run_batch)
 from stochreg.spectral import step_constant
@@ -44,10 +45,16 @@ def test_parse_rational_rejects(bad):
 
 @pytest.mark.parametrize("expr,n,value", [
     (None, 10, 1), ("7", 10, 7), (7, 10, 7), ("1/10*n", 100, 10),
-    ("0.25*n", 16, 4), (2.6, 10, 3),
+    ("0.25*n", 16, 4), (7.0, 10, 7), ("7.0", 10, 7), ("0.26*n", 10, 3),
 ])
 def test_parse_m_expr(expr, n, value):
     assert parse_m_expr(expr, n) == value
+
+
+@pytest.mark.parametrize("bad", [2.6, "2.6", "5/2", 0.5])
+def test_parse_m_expr_rejects_a_fractional_literal(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_m_expr(bad, 10)
 
 
 def test_parse_m_expr_rejects():
@@ -222,6 +229,36 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         run_experiment(spec, out)
         blobs[workers] = out.read_bytes()
     assert blobs["1"] == blobs["3"]
+
+
+def test_method_groups_share_one_row_gram(tmp_path, monkeypatch):
+    # the sgd and svrg groups of one instance run on two threads; K = A A^T
+    # is built once, before the pool starts, and both kernels read it
+    monkeypatch.setenv("STOCHREG_THREADS", "2")
+    built, seen = [], []
+    build = ProblemInstance.row_gram.func
+
+    def recording_build(inst):
+        built.append(threading.current_thread() is threading.main_thread())
+        return build(inst)
+
+    row_gram = functools.cached_property(recording_build)
+    row_gram.__set_name__(ProblemInstance, "row_gram")
+    monkeypatch.setattr(ProblemInstance, "row_gram", row_gram)
+    init = solvers.Lockstep.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self.k)
+
+    monkeypatch.setattr(solvers.Lockstep, "__init__", recording_init)
+    spec = small_spec(nu=[0.0], methods=[{"method": "sgd", "c0": "1/2*c"},
+                                         {"method": "svrg", "c0": "1/2*c",
+                                          "M": "4"}])
+    rows = run_experiment(spec, tmp_path / "t.csv")
+    assert all(row[-1] == "" for row in rows)
+    assert built == [True]
+    assert len(seen) == 2 and seen[0] is seen[1]
 
 
 def test_figure_outputs_share_iteration_grid(tmp_path):

@@ -139,29 +139,73 @@ def test_runs_are_batch_invariant(noisy_shaw):
         assert_array_equal(rec.error_sq[r], solo.error_sq)
 
 
-def out_of_place_lockstep(inst, y, idx, method, c0, M):
-    """The batched update written out of place, as it was before the
-    in-place kernel: idx[t] holds each run's row at step t.  The anchor
-    gradient is the Gram form g0 + (x - x0) B, its product taken on rows
-    zero-padded to blocks of _GRADIENT_BLOCK.  Returns the iterate matrix
-    after every step count 0..len(idx)."""
-    a, x0, n, m = inst.a, inst.x0, inst.n, inst.m
+def padded_product(rows, mat):
+    """rows @ mat on rows zero-padded to blocks of _GRADIENT_BLOCK, the
+    layout of the kernel's products."""
+    runs, width = rows.shape
+    padded = np.zeros((-(-runs // _GRADIENT_BLOCK) * _GRADIENT_BLOCK, width))
+    padded[:runs] = rows
+    blocks = padded.reshape(-1, _GRADIENT_BLOCK, width)
+    return (blocks @ mat).reshape(-1, mat.shape[1])[:runs]
+
+
+def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
+    """The row-space update written out of place: idx[t] holds each run's
+    row at step t, and the kernel's advance calls end at each of stops.  The
+    iterate is a base plus W @ A, with dual coordinates W stepped through
+    rows of K = A A^T and folded into the base by padded products.  Returns
+    the iterate matrix at each stop."""
+    a, k, x0, n = inst.a, inst.row_gram, inst.x0, inst.n
     runs = idx.shape[1]
+    every = np.arange(runs)
     x = np.tile(x0, (runs, 1))
+    resid = padded_product(x - x0, a.T) \
+        + (np.einsum("rm,nm->rn", x0[None], a) - y)
+    shift = resid * (c0 / n)
+    w = np.zeros((runs, n))
+    states, t = {}, 0
+    for stop in stops:
+        for i in idx[t:stop]:
+            d = np.einsum("rn,rn->r", k[i], w)
+            w = w.copy()
+            if method == "svrg":
+                w[every, i] -= d * c0
+                w = w - shift
+                t += 1
+                if t % M == 0:
+                    x = x + padded_product(w, a)
+                    shift = shift + padded_product(w, k) * (c0 / n)
+                    w = np.zeros((runs, n))
+            else:
+                w[every, i] -= (d + resid[every, i]) * c0
+                t += 1
+        if method == "svrg":
+            states[stop] = x if t % M == 0 else x + padded_product(w, a)
+        else:
+            x = x + padded_product(w, a)
+            resid = resid + padded_product(w, k)
+            w = np.zeros((runs, n))
+            states[stop] = x
+    return states
+
+
+def primal_lockstep(inst, y, idx, method, c0, M):
+    """The batched update on the iterates themselves, as the kernel ran it
+    before the row-space form: idx[t] holds each run's row at step t.  The
+    anchor gradient is the Gram form g0 + (x - x0) B on padded blocks.
+    Returns the iterate matrix after every step count 0..len(idx)."""
+    a, x0, n = inst.a, inst.x0, inst.n
+    x = np.tile(x0, (idx.shape[1], 1))
     states = [x]
     anchor = grad = None
     resid = np.einsum("rm,nm->rn", x0[None], a) - y
     g0 = np.einsum("rn,nm->rm", resid, a)[0] / n
-    padded = -(-runs // _GRADIENT_BLOCK) * _GRADIENT_BLOCK
     for t, i in enumerate(idx):
         rows = a[i]
         if method == "svrg":
             if t % M == 0:
                 anchor = x.copy()
-                diff = np.zeros((padded, m))
-                diff[:runs] = anchor - x0
-                blocks = diff.reshape(-1, _GRADIENT_BLOCK, m)
-                grad = (blocks @ inst.gram.matrix).reshape(-1, m)[:runs] + g0
+                grad = padded_product(anchor - x0, inst.gram.matrix) + g0
             d = np.einsum("rm,rm->r", rows, x - anchor)
             x = x - c0 * (d[:, None] * rows + grad)
         else:
@@ -217,13 +261,21 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
     c0 = 0.5 * step_stability_bound(inst, method)
     runs, steps = 5, _CHUNK + 700
     idx = stream_indices(3, inst.n, runs, steps)
-    expected = out_of_place_lockstep(inst, y, idx, method, c0, M)
-    kernel = Lockstep(inst, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
     # stops off the anchor grid and on both sides of the chunk boundary
-    for stop in (1, 7, _CHUNK - 1, _CHUNK, steps):
+    stops = (1, 7, _CHUNK - 1, _CHUNK, steps)
+    expected = out_of_place_lockstep(inst, y, idx, method, c0, M, stops)
+    kernel = Lockstep(inst, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
+    for stop in stops:
         kernel.advance(idx[kernel.t:stop])
         assert kernel.t == stop
         assert_array_equal(kernel.x, expected[stop])
+
+
+def run_batch_stops(cp, total):
+    """Where run_batch's advance calls end: every checkpoint past 0 and
+    every end of an index chunk."""
+    return sorted({int(c) for c in cp if c > 0}
+                  | set(range(_CHUNK, total + 1, _CHUNK)))
 
 
 @pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
@@ -240,14 +292,58 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     runs = 4
     rec = SummingRecorder(inst, cp, runs)
     run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
-    states = out_of_place_lockstep(inst, y,
-                                   stream_indices(cfg.seed, inst.n, runs, total),
-                                   method, cfg.c0, M)
-    at_cp = [states[c] for c in cp]
+    states = out_of_place_lockstep(
+        inst, y, stream_indices(cfg.seed, inst.n, runs, total), method,
+        cfg.c0, M, run_batch_stops(cp, total))
+    at_cp = [states[c] if c else np.tile(inst.x0, (runs, 1)) for c in cp]
     assert_array_equal(rec.sum_x, [x.sum(axis=0) for x in at_cp])
     diffs = [x - inst.x_dag for x in at_cp]
     assert_array_equal(rec.error_sq.T,
                        [np.einsum("rm,rm->r", d, d) for d in diffs])
+
+
+class IterateRecorder:
+    """Keeps a copy of the iterate matrix at each checkpoint."""
+
+    def __init__(self, inst, cp):
+        self.inst, self.cp, self.x = inst, cp, []
+
+    def record(self, j, x):
+        self.x.append(x.copy())
+        diff = x - self.inst.x_dag
+        return np.einsum("rm,rm->r", diff, diff)
+
+
+def random_case(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    inst = make_instance(f"rand{n}x{m}", rng.normal(size=(n, m)),
+                         rng.normal(size=m))
+    return inst, add_noise(inst, 5e-2, seed=n).y
+
+
+@pytest.mark.parametrize("shape", [None, (12, 3), (3, 12)],
+                         ids=["shaw12", "tall12x3", "wide3x12"])
+@pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
+                                             ("svrg", 3, 2000.0)])
+def test_row_space_kernel_matches_the_primal_update(noisy_shaw, shape, method,
+                                                    M, epochs):
+    # the row-space form is the primal update regrouped: over thousands of
+    # steps the two stay within roundoff of each other
+    inst, y = noisy_shaw if shape is None else random_case(*shape)
+    cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
+                       max_epochs=epochs, M=M, seed=6, checkpoint_every=50.0)
+    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+    total = acct.iterations(cfg.max_epochs)
+    cp = checkpoint_iterations(acct, cfg, total)
+    runs = 3
+    rec = IterateRecorder(inst, cp)
+    run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
+    states = primal_lockstep(inst, y,
+                             stream_indices(cfg.seed, inst.n, runs, total),
+                             method, cfg.c0, M)
+    primal = np.array([states[c] for c in cp])
+    gap = np.abs(np.array(rec.x) - primal).max()
+    assert gap <= 1e-11 * np.abs(primal - inst.x_dag).max()
 
 
 def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
