@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance, noise_functional
-from .rng import IndexStream
+from .rng import index_blocks
 from .solvers import EpochAccounting, Lockstep, SolverConfig, _Recorder, \
     checkpoint_iterations, run_batch
 from .spectral import GramOperator, Propagator
@@ -128,12 +128,12 @@ def _iterate_paths(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     """Advance one block of paths `steps` inner steps; return the iterate
     matrix after each step count listed in stop_states (default: just the
     final one).  The steps are solvers.Lockstep, the solvers' own kernel."""
-    kernel = Lockstep(inst, y, np.tile(inst.x0, (ids.size, 1)), method, c0, M)
+    kernel = Lockstep(inst, y, ids.size, method, c0, M)
     idx = _digit(ids, inst.n, np.arange(steps)[:, None])
     out = {}
     for s in sorted(set([steps] if stop_states is None else stop_states)):
         kernel.advance(idx[kernel.t:s])
-        out[s] = kernel.x.copy()
+        out[s] = kernel.iterates().copy()
     return out
 
 
@@ -593,19 +593,19 @@ def recursion_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     solvers.Lockstep, the kernel the solvers run.  Valid on any instance."""
     y = np.asarray(y, dtype=np.float64)
     kit = _EpochKit(inst, y, c0, M)
-    idx = IndexStream(seed, inst.n).block(0, K * M)[:, None]
-    kernel = Lockstep(inst, y, inst.x0[None].copy(), "svrg", c0, M)
+    idx = index_blocks(inst.n, [(seed, 0)], 0, K * M)
+    kernel = Lockstep(inst, y, 1, "svrg", c0, M)
 
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):
-        e_start = kernel.x[0] - inst.x_dag
+        e_start = kernel.iterates()[0] - inst.x_dag
         epoch_idx = idx[k * M:(k + 1) * M]
         kernel.advance(epoch_idx[:1])
-        got = kernel.x[0] - inst.x_dag
+        got = kernel.iterates()[0] - inst.x_dag
         predicted = kit.m0 @ e_start + c0 * kit.zeta
         dev_anchor = max(dev_anchor, _rel(got - predicted, got))
         kernel.advance(epoch_idx[1:])
-        e_end = kernel.x[0] - inst.x_dag
+        e_end = kernel.iterates()[0] - inst.x_dag
 
         digits = epoch_idx.T  # the epoch's one digit combination
         suf = kit.suffix_products(digits)

@@ -144,7 +144,7 @@ def _load_problem(args):
 def cmd_solve(args) -> int:
     try:
         inst, y = _load_problem(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load problem: {exc}")
     try:
         m_value = parse_m_expr(args.M, inst.n)

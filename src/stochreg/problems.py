@@ -296,7 +296,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    if doc.get("kind") != "problem_instance":
+    if not isinstance(doc, dict) or doc.get("kind") != "problem_instance":
         raise ValueError("not a problem-instance document")
     return ProblemInstance(name=doc["name"], a=np.array(doc["a"], dtype=np.float64),
                            x_dag=np.array(doc["x_dag"], dtype=np.float64),
@@ -316,7 +316,7 @@ def noisy_to_dict(data: NoisyData) -> dict:
 
 
 def noisy_from_dict(doc: dict) -> NoisyData:
-    if doc.get("kind") != "noisy_data":
+    if not isinstance(doc, dict) or doc.get("kind") != "noisy_data":
         raise ValueError("not a noisy-data document")
     return NoisyData(y=np.array(doc["y"], dtype=np.float64), epsilon=doc["epsilon"],
                      seed=doc["seed"], delta=doc["delta"])

@@ -22,36 +22,32 @@ and works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers
 one row of K per run, takes one row dot and changes one coordinate of W per
 run (svrg adds one shift of W), one numpy call per statement:
     gather:     K.take(idx, 0, rows, "clip")
-    sgd:        d = einsum(rows, W);  d += R[idx];  d *= c0;  W[idx] -= d
-    svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= S
-Here R = A Xb - y_r and S = (c0/n) (A Xa - y_r), with Xa the svrg anchor,
-and R[idx] and W[idx] mean each run's entry at its own drawn index.  W is folded back
-into Xb through products on W zero-padded to blocks of _GRADIENT_BLOCK rows,
-one stacked matmul each:
-    sgd fold:   Xb += W @ A;  R += W @ K;  W = 0, at the end of every
-                advance call, so X = Xb at every stop
-    svrg fold:  Xa += W @ A;  S += (c0/n) (W @ K);  W = 0, after every step
-                that ends with t % M == 0; X = Xa there, and X = Xa + W @ A
-                at every other stop
-    start:      R = residuals(A, y_r, x0) + (X - x0) @ A^T, the first term
-                taken once per cell on one row, the product on blocks; svrg
-                takes Xa = X and S = (c0/n) R
+    sgd:        d = einsum(rows, W);  d += D[idx];  d *= c0;  W[idx] -= d
+    svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= D
+Here D = s (A Xb - y_r) is the dual of the base, with s = 1 for sgd and
+s = c0/n for svrg, whose base is its anchor; D[idx] and W[idx] mean each
+run's entry at its own drawn index.  W is folded back into the base through
+products on W zero-padded to blocks of _GRADIENT_BLOCK rows, one stacked
+matmul each, by one rule for both methods:
+    fold:       Xb += W @ A;  D += s (W @ K);  W = 0, after every step that
+                ends with t % every == 0, every = n for sgd (one epoch) and
+                M for svrg (one anchor)
+    iterate:    X = Xb on the fold grid, X = (W @ A) + Xb at every other t
+    start:      Xb = x0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
     descent:    X = X - (c0*n)*G, with G = FullGradient(inst, y, runs)(X) =
                 (X - x0) @ B + g0_r, B = A^T A / n the instance's Gram matrix
                 and g0_r = einsum(residuals(A, y_r, x0), A) / n, the product
                 on blocks as above
-The entries R[idx] of all the steps of one advance call are gathered in one
-call before its loop.  sgd folds at every stop, so its bits depend on where
-the advance calls stop, which run_batch fixes by the checkpoint grid and
-_CHUNK alone.  The gather uses mode "clip" because the default "raise"
-buffers the copy: 100 rows of 1000 took about 100 us against 27 us on a
-2-vCPU Xeon VM.  Indices are already reduced modulo n, so clipping never
-changes one.
+The fold grid depends on the step count alone, so a run's bits depend
+neither on where its advance calls stop nor on the checkpoint grid or
+_CHUNK.  The gather uses mode "clip" because the default "raise" buffers
+the copy: 100 rows of 1000 took about 100 us against 27 us on a 2-vCPU Xeon
+VM.  Indices are already reduced modulo n, so clipping never changes one.
 
-Every run starts at x0, and at an exact-data start x0 = x_dag the residual
-R (or S) is exactly zero, so W stays zero and every fold adds zero; the full
+Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
+is exactly zero, so W stays zero and every fold adds zero; the full
 gradient is zero too.  Each BLAS block has the same shape whatever the
 batch, so a run's bits depend neither on the other runs nor on its place in
 the batch; they can depend on the BLAS build and its thread count.
@@ -300,98 +296,82 @@ class FullGradient:
 
 
 class Lockstep:
-    """Advances a (runs, m) matrix x of sgd or svrg iterates, started at
-    inst.x0 or elsewhere, one drawn row per run per step, in the row-space
-    form of the module docstring; x holds the iterates after every advance
-    call.  ``t`` counts the steps taken; svrg refreshes its anchor whenever
-    t % M == 0."""
+    """Advances the sgd or svrg iterates of `runs` runs from inst.x0, one
+    drawn row per run per step, in the row-space form of the module
+    docstring.  ``t`` counts the steps taken, and W folds into the base
+    after every step that ends with t % every == 0: every = M for svrg, so
+    the base is its anchor, and every = n for sgd, once per epoch."""
 
-    def __init__(self, inst: ProblemInstance, y: np.ndarray, x: np.ndarray,
+    def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int,
                  method: str, c0: float, M: int = 1):
         if method not in ("sgd", "svrg"):
             raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
-        runs, (n, m) = x.shape[0], inst.a.shape
+        n, m = inst.a.shape
         y = _cell_data(y, n, runs)
         self.a, self.k = inst.a, inst.row_gram
-        self.x = x
-        self.method, self.c0, self.M = method, c0, M
+        self.method, self.c0 = method, c0
+        self.every = n if method == "sgd" else M
+        self._scale = 1.0 if method == "sgd" else c0 / n
         self.t = 0
+        self.base = np.tile(inst.x0, (runs, 1))
+        # scale (A x0 - y_r): each cell's residual, over its block of runs
+        self._dual = np.zeros((runs, n))
+        cell_dual = _cell_rows(self._dual, y.shape[0])
+        cell_dual += residuals(self.a, y, inst.x0[None])[:, None]
+        self._dual *= self._scale
         self._rows = np.empty((runs, n))
         self._d = np.empty(runs)
         self._w_blocks, self._w = _padded(runs, n)
         self._w_flat = self._w.reshape(-1)
         # run r's entry i of a (runs, n) matrix sits at flat r*n + i
         self._offsets = np.arange(runs) * n
-        # one output buffer for the W @ A and W @ K products, zero so that
-        # its padding rows are zero when it first holds x - x0
+        # one output buffer for the W @ A and W @ K products
         size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
         out = np.zeros(size * max(n, m))
         self._by_a = out[:size * m].reshape(-1, _GRADIENT_BLOCK, m)
         self._by_k = out[:size * n].reshape(-1, _GRADIENT_BLOCK, n)
         self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
-        # A x - y_r: each cell's residual at x0, plus (x - x0) @ A^T
-        np.subtract(x, inst.x0, self._by_a_rows)
-        np.matmul(self._by_a, self.a.T, out=self._w_blocks)
-        resid = self._w.copy()
-        self._w.fill(0.0)
-        cell_resid = _cell_rows(resid, y.shape[0])
-        cell_resid += np.array([residuals(self.a, cell, inst.x0[None])
-                                for cell in y])
-        if method == "sgd":
-            self._resid = resid
-        else:
-            self._anchor = x.copy()
-            self._shift_scale = c0 / n
-            resid *= self._shift_scale
-            self._shift = resid
 
-    def _fold(self, base: np.ndarray, dual: np.ndarray,
-              scale: float | None = None) -> None:
-        """base += W @ A and dual += W @ K, times scale if given; W = 0."""
+    def _fold(self) -> None:
+        """base += W @ A and dual += scale (W @ K); W = 0."""
         np.matmul(self._w_blocks, self.a, out=self._by_a)
-        base += self._by_a_rows
+        self.base += self._by_a_rows
         np.matmul(self._w_blocks, self.k, out=self._by_k)
-        if scale is not None:
-            self._by_k_rows *= scale
-        dual += self._by_k_rows
+        self._by_k_rows *= self._scale
+        self._dual += self._by_k_rows
         self._w.fill(0.0)
 
     def advance(self, idx: np.ndarray) -> None:
         """One step per row of idx, a (steps, runs) array of row indices in
         [0, n); idx[s, r] is the row run r draws at step t + s."""
-        if not len(idx):
-            return
         k, w, w_flat, c0 = self.k, self._w, self._w_flat, self.c0
-        rows, d = self._rows, self._d
-        flat = idx + self._offsets
-        if self.method == "sgd":
-            # each run's residual entries for every step, in one gather
-            for i, at, r_i in zip(idx, flat, self._resid.reshape(-1)[flat]):
-                k.take(i, 0, rows, "clip")
-                np.einsum("rn,rn->r", rows, w, out=d)
-                d += r_i
-                d *= c0
-                w_flat[at] -= d
-            self.t += len(idx)
-            self._fold(self.x, self._resid)
-            return
-        anchor, shift, M, t = self._anchor, self._shift, self.M, self.t
-        for i, at in zip(idx, flat):
+        dual, dual_flat = self._dual, self._dual.reshape(-1)
+        rows, d, every, t = self._rows, self._d, self.every, self.t
+        sgd = self.method == "sgd"
+        for i, at in zip(idx, idx + self._offsets):
             k.take(i, 0, rows, "clip")
             np.einsum("rn,rn->r", rows, w, out=d)
+            if sgd:
+                d += dual_flat[at]
             d *= c0
             w_flat[at] -= d
-            w -= shift
+            if not sgd:
+                w -= dual
             t += 1
-            if t % M == 0:
-                self._fold(anchor, shift, self._shift_scale)
+            if t % every == 0:
+                self._fold()
         self.t = t
-        if t % M == 0:
-            np.copyto(self.x, anchor)
-        else:
-            np.matmul(self._w_blocks, self.a, out=self._by_a)
-            np.add(anchor, self._by_a_rows, out=self.x)
+
+    def iterates(self) -> np.ndarray:
+        """The (runs, m) iterates after t steps: the base on the fold grid,
+        else base + W @ A in the product buffer.  Not to be written; valid
+        until the next advance or iterates call."""
+        if self.t % self.every == 0:
+            return self.base
+        np.matmul(self._w_blocks, self.a, out=self._by_a)
+        self._by_a_rows += self.base
+        return self._by_a_rows
 
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
@@ -411,14 +391,16 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     limit = _divergence_limit(inst)
     diverged = np.zeros(runs, dtype=bool)
 
-    x = np.tile(inst.x0, (runs, 1))
+    kernel = None if cfg.method == "landweber" else \
+        Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M)
+    x = np.tile(inst.x0, (runs, 1)) if kernel is None else kernel.iterates()
     cp = recorder.cp
     next_cp = 0
     if cp[0] == 0:
         recorder.record(0, x)
         next_cp = 1
 
-    if cfg.method == "landweber":
+    if kernel is None:
         scale = cfg.c0 * n
         gradient = FullGradient(inst, y, runs)
         for t in range(1, total + 1):
@@ -429,7 +411,6 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                 diverged |= ~np.isfinite(err) | (err > limit)
         return diverged
 
-    kernel = Lockstep(inst, y, x, cfg.method, cfg.c0, cfg.M)
     while kernel.t < total:
         start = kernel.t
         width = min(_CHUNK, total - start)
@@ -438,7 +419,7 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
             stop = min(start + width, int(cp[next_cp]))
             kernel.advance(idx[kernel.t - start:stop - start])
             if kernel.t == cp[next_cp]:
-                err = recorder.record(next_cp, x)
+                err = recorder.record(next_cp, kernel.iterates())
                 next_cp += 1
                 diverged |= ~np.isfinite(err) | (err > limit)
     return diverged

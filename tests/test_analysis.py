@@ -385,7 +385,7 @@ def test_recursion_check_runs_the_solver_kernel(monkeypatch):
 
     def drifting(self, idx):
         advance(self, idx)
-        self.x *= 1 + 1e-6
+        self.base *= 1 + 1e-6
 
     monkeypatch.setattr(Lockstep, "advance", drifting)
     rep = recursion_check(inst, y, c0, M=3, K=2, seed=0)
@@ -837,6 +837,42 @@ def test_grouped_divergence_is_bitwise_per_cell():
     assert "fewer than two" in str(reports[0])
     assert (str(curves[2]) == str(reports[2])
             == "no runs survived the divergence guard")
+
+
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 4)])
+def test_curves_are_bitwise_the_same_on_any_checkpoint_grid_and_chunk(
+        monkeypatch, method, M):
+    # a run's iterates are a function of its index path alone: neither the
+    # checkpoint grid nor the index chunk, which decide where the kernel's
+    # advance calls stop, changes a bit; the sgd horizon crosses a chunk
+    # of the default length, and both cross many chunks of 97
+    inst = gen_shaw(16)
+    ys = np.array([add_noise(inst, eps, seed=3 + k).y
+                   for k, eps in enumerate((5e-2, 1e-3))])
+    base = SolverConfig(method=method,
+                        c0=0.5 * step_stability_bound(inst, method),
+                        max_epochs=300.0, M=M, seed=1)
+
+    def curves(every):
+        cfg = dataclasses.replace(base, checkpoint_every=every)
+        grouped = error_curves(inst, ys, cfg, 3, include_residual=True,
+                               seeds=(7, 11))
+        alone = error_curves(inst, ys[1].copy(),
+                             dataclasses.replace(cfg, seed=11), 3,
+                             include_residual=True)
+        return [*grouped, alone]
+
+    fine = curves(1.0)
+    others = [curves(7.0)]
+    monkeypatch.setattr(solvers, "_CHUNK", 97)
+    others += [curves(1.0), curves(7.0)]
+    for other in others:
+        for want, got in zip(fine, other):
+            shared, i, j = np.intersect1d(want.iterations, got.iterations,
+                                          return_indices=True)
+            assert shared.size > 2 and shared[-1] == want.iterations[-1]
+            assert_array_equal(got.error_sq[:, j], want.error_sq[:, i])
+            assert_array_equal(got.residual_sq[:, j], want.residual_sq[:, i])
 
 
 def test_grouped_cells_need_one_seed_per_data_vector():

@@ -99,10 +99,19 @@ def test_generate_normalize_flag(tmp_path):
      "--out", "x"],
     ["solve", "p", "--method", "svrg", "--c0", "1/2*c", "--M", "2.7",
      "--out", "x"],
+    # documents that are not objects, and a null smoothness
+    ["solve", "list.instance.json", "--method", "landweber", "--out", "x"],
+    ["solve", "null-nu.instance.json", "--method", "landweber", "--out", "x"],
+    ["solve", "p.instance.json", "--noise", "list.noise.json",
+     "--method", "landweber", "--out", "x"],
 ])
 def test_bad_input_exits_four(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _generate(tmp_path, "p")
+    prefix = _generate(tmp_path, "p")
+    doc = fileio.load_json(f"{prefix}.instance.json")
+    fileio.dump_json({**doc, "nu": None}, tmp_path / "null-nu.instance.json")
+    (tmp_path / "list.instance.json").write_text("[1, 2]")
+    (tmp_path / "list.noise.json").write_text("[1]")
     assert main(argv) == 4
     assert "error" in capsys.readouterr().err
 

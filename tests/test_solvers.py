@@ -151,41 +151,38 @@ def padded_product(rows, mat):
 
 def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
     """The row-space update written out of place: idx[t] holds each run's
-    row at step t, and the kernel's advance calls end at each of stops.  The
-    iterate is a base plus W @ A, with dual coordinates W stepped through
-    rows of K = A A^T and folded into the base by padded products.  Returns
-    the iterate matrix at each stop."""
+    row at step t.  The iterate is a base plus W @ A, with dual coordinates
+    W stepped through rows of K = A A^T and folded into the base by padded
+    products after every step that ends with t % every == 0, every = n for
+    sgd and M for svrg.  Returns the iterate matrix after each step count
+    in stops."""
     a, k, x0, n = inst.a, inst.row_gram, inst.x0, inst.n
     runs = idx.shape[1]
-    every = np.arange(runs)
-    x = np.tile(x0, (runs, 1))
-    resid = padded_product(x - x0, a.T) \
-        + (np.einsum("rm,nm->rn", x0[None], a) - y)
-    shift = resid * (c0 / n)
+    every_run = np.arange(runs)
+    scale, every = (1.0, n) if method == "sgd" else (c0 / n, M)
+    base = np.tile(x0, (runs, 1))
+    dual = (np.zeros((runs, n))
+            + (np.einsum("rm,nm->rn", x0[None], a) - y)) * scale
     w = np.zeros((runs, n))
-    states, t = {}, 0
-    for stop in stops:
-        for i in idx[t:stop]:
-            d = np.einsum("rn,rn->r", k[i], w)
-            w = w.copy()
-            if method == "svrg":
-                w[every, i] -= d * c0
-                w = w - shift
-                t += 1
-                if t % M == 0:
-                    x = x + padded_product(w, a)
-                    shift = shift + padded_product(w, k) * (c0 / n)
-                    w = np.zeros((runs, n))
-            else:
-                w[every, i] -= (d + resid[every, i]) * c0
-                t += 1
-        if method == "svrg":
-            states[stop] = x if t % M == 0 else x + padded_product(w, a)
+
+    def iterate(t):
+        return base if t % every == 0 else padded_product(w, a) + base
+
+    states = {0: iterate(0)}
+    for t, i in enumerate(idx[:max(stops)], start=1):
+        d = np.einsum("rn,rn->r", k[i], w)
+        w = w.copy()
+        if method == "sgd":
+            w[every_run, i] -= (d + dual[every_run, i]) * c0
         else:
-            x = x + padded_product(w, a)
-            resid = resid + padded_product(w, k)
+            w[every_run, i] -= d * c0
+            w = w - dual
+        if t % every == 0:
+            base = base + padded_product(w, a)
+            dual = dual + padded_product(w, k) * scale
             w = np.zeros((runs, n))
-            states[stop] = x
+        if t in stops:
+            states[t] = iterate(t)
     return states
 
 
@@ -261,21 +258,15 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
     c0 = 0.5 * step_stability_bound(inst, method)
     runs, steps = 5, _CHUNK + 700
     idx = stream_indices(3, inst.n, runs, steps)
-    # stops off the anchor grid and on both sides of the chunk boundary
-    stops = (1, 7, _CHUNK - 1, _CHUNK, steps)
+    # stops on and off the fold grid (n = 12 for sgd, M = 3 for svrg) and on
+    # both sides of the chunk boundary
+    stops = (1, 7, 60, _CHUNK - 1, _CHUNK, steps)
     expected = out_of_place_lockstep(inst, y, idx, method, c0, M, stops)
-    kernel = Lockstep(inst, y, np.tile(inst.x0, (runs, 1)), method, c0, M)
+    kernel = Lockstep(inst, y, runs, method, c0, M)
     for stop in stops:
         kernel.advance(idx[kernel.t:stop])
         assert kernel.t == stop
-        assert_array_equal(kernel.x, expected[stop])
-
-
-def run_batch_stops(cp, total):
-    """Where run_batch's advance calls end: every checkpoint past 0 and
-    every end of an index chunk."""
-    return sorted({int(c) for c in cp if c > 0}
-                  | set(range(_CHUNK, total + 1, _CHUNK)))
+        assert_array_equal(kernel.iterates(), expected[stop])
 
 
 @pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
@@ -294,8 +285,8 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
     states = out_of_place_lockstep(
         inst, y, stream_indices(cfg.seed, inst.n, runs, total), method,
-        cfg.c0, M, run_batch_stops(cp, total))
-    at_cp = [states[c] if c else np.tile(inst.x0, (runs, 1)) for c in cp]
+        cfg.c0, M, {int(c) for c in cp})
+    at_cp = [states[c] for c in cp]
     assert_array_equal(rec.sum_x, [x.sum(axis=0) for x in at_cp])
     diffs = [x - inst.x_dag for x in at_cp]
     assert_array_equal(rec.error_sq.T,
