@@ -127,7 +127,10 @@ def _iterate_paths(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                    stop_states: list[int] | None = None) -> dict[int, np.ndarray]:
     """Advance one block of paths `steps` inner steps; return the iterate
     matrix after each step count listed in stop_states (default: just the
-    final one).  The steps are solvers.Lockstep, the solvers' own kernel."""
+    final one).  The steps are solvers.Lockstep, the solvers' own kernel;
+    only the two stochastic methods have paths."""
+    if method not in ("sgd", "svrg"):
+        raise ValueError(f"the path oracles run sgd and svrg, not {method!r}")
     kernel = Lockstep(inst, y, ids.size, method, c0, M)
     idx = _digit(ids, inst.n, np.arange(steps)[:, None])
     out = {}

@@ -418,9 +418,8 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
             outcomes[cell.index] = outcome
 
     for group in groups.values():
-        if group[0].cfg.method != "landweber":
-            # built here, once per instance: groups on other threads share it
-            group[0].inst.row_gram
+        # built here, once per instance: groups on other threads share it
+        group[0].inst.row_gram
     workers = max(1, min(thread_count(), len(groups)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, groups.values()))

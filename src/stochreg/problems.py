@@ -70,8 +70,9 @@ class ProblemInstance:
 
     @cached_property
     def row_gram(self) -> np.ndarray:
-        """K = A A^T (n x n), the row dots a_i . a_j the sgd and svrg steps
-        read; built once per instance, so every kernel on it shares it."""
+        """K = A A^T (n x n), the row dots a_i . a_j that every method's step
+        reads and row_orthogonality_gap checks; built once per instance, so
+        every kernel on it shares it."""
         return self.a @ self.a.T
 
 
@@ -79,8 +80,7 @@ def exact_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x through the same einsum reduction that solvers.residuals takes at
     x0, so the residual of an exact-data start at x_dag is exactly zero and
     every method stays put bit for bit: the step kernel's dual coordinates
-    and svrg's anchor shift stay zero, and so does the full gradient, whose
-    product term vanishes with x - x0."""
+    and its anchor shift stay zero."""
     return np.einsum("nm,m->n", a, x)
 
 
@@ -263,7 +263,7 @@ def rescale_to_unit_norm(inst: ProblemInstance) -> ProblemInstance:
 
 def row_orthogonality_gap(inst: ProblemInstance) -> float:
     """Largest off-diagonal |a_i . a_j| relative to the largest row norm^2."""
-    gram_rows = inst.a @ inst.a.T
+    gram_rows = inst.row_gram
     scale = np.abs(np.diag(gram_rows)).max()
     off = gram_rows - np.diag(np.diag(gram_rows))
     if scale == 0:

@@ -1,12 +1,13 @@
 """Stochastic and deterministic iterations for the regularized least-squares
 functional J(x) = (1/2n) ||A x - y||^2.
 
-Three methods share one batched core: plain stochastic gradient steps,
-a variance-reduced double loop with full-gradient anchors, and deterministic
-full-gradient descent.  Row dots go through ``einsum`` reductions and every
-matrix product through fixed-size BLAS blocks, both bitwise independent of
-the batch size.  With data generated by ``problems.exact_data``, x0 = x_dag
-with exact data is a bitwise fixed point of every method.
+Three methods share one batched core: plain stochastic gradient steps, a
+variance-reduced double loop with full-gradient anchors, and deterministic
+full-gradient descent (Landweber), which is the double loop with an anchor
+at every step.  Row dots go through ``einsum`` reductions and every matrix
+product through fixed-size BLAS blocks, both bitwise independent of the
+batch size.  With data generated by ``problems.exact_data``, x0 = x_dag with
+exact data is a bitwise fixed point of every method.
 
 A batch may hold several cells: runs on one instance with one method, step
 and inner loop, but each cell with its own data vector.  The data come as a
@@ -15,31 +16,31 @@ cell, in the order of y's rows; each run reads only its own cell's data,
 here written y_r.  A 1-d y is one cell.
 
 Update arithmetic (fixed, relied on by replay tests).  An sgd or svrg step
-moves run r's iterate along its drawn row a_i, and the svrg anchor gradient
+moves run r's iterate along its drawn row a_i, and the anchor gradient
 A^T (A xa - y_r)/n lies in the row space too.  So the step kernel keeps each
 iterate as X = Xb + W @ A, with W a (runs, n) matrix of dual coordinates,
 and works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers
 one row of K per run, takes one row dot and changes one coordinate of W per
-run (svrg adds one shift of W), one numpy call per statement:
+run (svrg and landweber add one shift of W), one numpy call per statement:
     gather:     K.take(idx, 0, rows, "clip")
     sgd:        d = einsum(rows, W);  d += D[idx];  d *= c0;  W[idx] -= d
     svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= D
-Here D = s (A Xb - y_r) is the dual of the base, with s = 1 for sgd and
-s = c0/n for svrg, whose base is its anchor; D[idx] and W[idx] mean each
-run's entry at its own drawn index.  W is folded back into the base through
-products on W zero-padded to blocks of _GRADIENT_BLOCK rows, one stacked
-matmul each, by one rule for both methods:
+    landweber:  the svrg statements
+Here D = s (A Xb - y_r) is the dual of the base, with s = 1 for sgd,
+s = c0/n for svrg and s = c0 for landweber, whose base is their anchor;
+D[idx] and W[idx] mean each run's entry at its own drawn index.  W is
+folded back into the base through products on W zero-padded to blocks of
+_GRADIENT_BLOCK rows, one stacked matmul each, by one rule for all methods:
     fold:       Xb += W @ A;  D += s (W @ K);  W = 0, after every step that
-                ends with t % every == 0, every = n for sgd (one epoch) and
-                M for svrg (one anchor)
+                ends with t % every == 0, every = n for sgd (one epoch), M
+                for svrg (one anchor) and 1 for landweber
     iterate:    X = Xb on the fold grid, X = (W @ A) + Xb at every other t
     start:      Xb = x0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
-    descent:    X = X - (c0*n)*G, with G = FullGradient(inst, y, runs)(X) =
-                (X - x0) @ B + g0_r, B = A^T A / n the instance's Gram matrix
-                and g0_r = einsum(residuals(A, y_r, x0), A) / n, the product
-                on blocks as above
+A landweber step starts at W = 0, so its row dot is exactly zero whatever
+the index (``run_batch`` passes row 0 and draws none), W -= D leaves
+W = -c0 (A Xb - y_r), and the fold is the step Xb -= c0 A^T (A Xb - y_r).
 The fold grid depends on the step count alone, so a run's bits depend
 neither on where its advance calls stop nor on the checkpoint grid or
 _CHUNK.  The gather uses mode "clip" because the default "raise" buffers
@@ -47,14 +48,14 @@ the copy: 100 rows of 1000 took about 100 us against 27 us on a 2-vCPU Xeon
 VM.  Indices are already reduced modulo n, so clipping never changes one.
 
 Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
-is exactly zero, so W stays zero and every fold adds zero; the full
-gradient is zero too.  Each BLAS block has the same shape whatever the
-batch, so a run's bits depend neither on the other runs nor on its place in
-the batch; they can depend on the BLAS build and its thread count.
+is exactly zero, so W stays zero and every fold adds zero.  Each BLAS block
+has the same shape whatever the batch, so a run's bits depend neither on
+the other runs nor on its place in the batch; they can depend on the BLAS
+build and its thread count.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
-work), or a single descent step.
+work), or a single landweber step.
 """
 
 from __future__ import annotations
@@ -263,60 +264,29 @@ def _padded(runs: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks, blocks.reshape(-1, width)[:runs]
 
 
-def _cell_rows(rows: np.ndarray, cells: int) -> np.ndarray:
-    """A (runs, k) matrix as (cells, runs per cell, k), a view."""
-    return rows.reshape(cells, -1, rows.shape[1])
-
-
-class FullGradient:
-    """(1/n) A^T (A x - y_r) for each row of a (runs, m) matrix x, as
-    g0_r + (x - x0) @ B with g0_r the gradient at inst.x0 on the run's cell
-    data.  The product runs on x - x0 zero-padded to blocks of
-    _GRADIENT_BLOCK rows, one stacked matmul over buffers allocated once; a
-    call returns a view of the output buffer, valid until the next call.
-    The landweber step."""
-
-    def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int):
-        y = _cell_data(y, inst.n, runs)
-        self.x0 = inst.x0
-        self.b = inst.gram.matrix
-        # (cells, 1, m): each cell's g0, broadcast over its block of runs
-        self.g0 = np.array([
-            np.einsum("rn,nm->rm", residuals(inst.a, cell, inst.x0[None]),
-                      inst.a) / inst.n for cell in y])
-        self._shifted, self._shifted_rows = _padded(runs, inst.m)
-        self._products, self._gradient_rows = _padded(runs, inst.m)
-        self._cell_rows = _cell_rows(self._gradient_rows, y.shape[0])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        np.subtract(x, self.x0, self._shifted_rows)
-        np.matmul(self._shifted, self.b, out=self._products)
-        self._cell_rows += self.g0
-        return self._gradient_rows
-
-
 class Lockstep:
-    """Advances the sgd or svrg iterates of `runs` runs from inst.x0, one
-    drawn row per run per step, in the row-space form of the module
-    docstring.  ``t`` counts the steps taken, and W folds into the base
-    after every step that ends with t % every == 0: every = M for svrg, so
-    the base is its anchor, and every = n for sgd, once per epoch."""
+    """Advances the iterates of `runs` runs from inst.x0 by any of the three
+    methods, one drawn row per run per step, in the row-space form of the
+    module docstring.  ``t`` counts the steps taken, and W folds into the
+    base after every step that ends with t % every == 0: every = n for sgd,
+    once per epoch; every = M for svrg, so the base is its anchor; and
+    every = 1 for landweber, an anchor at every step."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int,
                  method: str, c0: float, M: int = 1):
-        if method not in ("sgd", "svrg"):
-            raise ValueError(f"the step kernel runs sgd and svrg, not {method!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
         n, m = inst.a.shape
         y = _cell_data(y, n, runs)
         self.a, self.k = inst.a, inst.row_gram
         self.method, self.c0 = method, c0
-        self.every = n if method == "sgd" else M
-        self._scale = 1.0 if method == "sgd" else c0 / n
+        self.every, self._scale = {"sgd": (n, 1.0), "svrg": (M, c0 / n),
+                                   "landweber": (1, c0)}[method]
         self.t = 0
         self.base = np.tile(inst.x0, (runs, 1))
         # scale (A x0 - y_r): each cell's residual, over its block of runs
         self._dual = np.zeros((runs, n))
-        cell_dual = _cell_rows(self._dual, y.shape[0])
+        cell_dual = self._dual.reshape(y.shape[0], -1, n)
         cell_dual += residuals(self.a, y, inst.x0[None])[:, None]
         self._dual *= self._scale
         self._rows = np.empty((runs, n))
@@ -377,8 +347,8 @@ class Lockstep:
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
     """Advance all runs in lockstep, recording at recorder.cp.  Run r draws
-    its rows from the index stream subkeys[r], a (seed, subkey) pair, and
-    reads the data of its cell, a row of y; cfg gives the method, step and
+    its rows from the index stream subkeys[r], a (seed, subkey) pair
+    (landweber draws none), and reads the data of its cell, a row of y; cfg gives the method, step and
     inner loop, and its seed is not read.  Returns a boolean mask of runs
     that tripped the divergence guard (they keep iterating; their records
     past the trip point are not meaningful)."""
@@ -391,30 +361,19 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     limit = _divergence_limit(inst)
     diverged = np.zeros(runs, dtype=bool)
 
-    kernel = None if cfg.method == "landweber" else \
-        Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M)
-    x = np.tile(inst.x0, (runs, 1)) if kernel is None else kernel.iterates()
+    kernel = Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M)
     cp = recorder.cp
     next_cp = 0
     if cp[0] == 0:
-        recorder.record(0, x)
+        recorder.record(0, kernel.iterates())
         next_cp = 1
-
-    if kernel is None:
-        scale = cfg.c0 * n
-        gradient = FullGradient(inst, y, runs)
-        for t in range(1, total + 1):
-            x = x - scale * gradient(x)
-            if next_cp < cp.size and t == cp[next_cp]:
-                err = recorder.record(next_cp, x)
-                next_cp += 1
-                diverged |= ~np.isfinite(err) | (err > limit)
-        return diverged
 
     while kernel.t < total:
         start = kernel.t
         width = min(_CHUNK, total - start)
-        idx = index_blocks(n, subkeys, start, width)
+        idx = (np.zeros((width, runs), dtype=np.int64)
+               if cfg.method == "landweber"
+               else index_blocks(n, subkeys, start, width))
         while kernel.t < start + width:
             stop = min(start + width, int(cp[next_cp]))
             kernel.advance(idx[kernel.t - start:stop - start])

@@ -111,12 +111,15 @@ def step_constant(a) -> float:
 
 
 def stability_step_bound(a, gram: GramOperator | None = None) -> float:
-    """Largest c0 under which every propagator eigenvalue stays in [0, 1]."""
+    """Largest c0 under which every propagator eigenvalue 1 - c0*lambda
+    stays in [0, 1] (c0 <= 1/||B||) and no row step overshoots its row's
+    projection (c0 <= 1/max_i ||a_i||^2).  For B = build_gram(a) the row
+    term governs, since ||B|| <= mean_i ||a_i||^2."""
     mat = np.asarray(a, dtype=np.float64)
     if gram is None:
         gram = build_gram(mat)
     norms = np.einsum("ij,ij->i", mat, mat)
-    cap = max(norms.max(), gram.norm**2)
+    cap = max(norms.max(), gram.norm)
     if cap <= 0:
         raise ValueError("all rows are zero; no admissible step exists")
     return float(1.0 / cap)

@@ -260,6 +260,16 @@ def test_epoch_transitions_reject_oversized_stacks():
         epoch_transitions(tall, tall.y_dag, 1e-3, 1, "landweber")
 
 
+@pytest.mark.parametrize("oracle", [enumerate_exact_moments,
+                                    enumerate_weighted_second_moment,
+                                    orthogonality_check, exact_final_moments])
+def test_analysis_oracles_reject_landweber(oracle):
+    # landweber has no index paths; its moments are its one trajectory
+    inst = tiny_instance()[0]
+    with pytest.raises(ValueError, match="landweber"):
+        oracle(inst, inst.y_dag, 0.1, 1, 2, method="landweber")
+
+
 def rank_deficient(seed):
     """A raw instance with more unknowns than rows, so B is singular."""
     return raw_random(2, 3, seed)

@@ -232,8 +232,9 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
 
 
 def test_method_groups_share_one_row_gram(tmp_path, monkeypatch):
-    # the sgd and svrg groups of one instance run on two threads; K = A A^T
-    # is built once, before the pool starts, and both kernels read it
+    # the sgd, svrg and landweber groups of one instance run on two
+    # threads; K = A A^T is built once, before the pool starts, and every
+    # kernel reads it
     monkeypatch.setenv("STOCHREG_THREADS", "2")
     built, seen = [], []
     build = ProblemInstance.row_gram.func
@@ -254,11 +255,12 @@ def test_method_groups_share_one_row_gram(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers.Lockstep, "__init__", recording_init)
     spec = small_spec(nu=[0.0], methods=[{"method": "sgd", "c0": "1/2*c"},
                                          {"method": "svrg", "c0": "1/2*c",
-                                          "M": "4"}])
+                                          "M": "4"},
+                                         {"method": "landweber"}])
     rows = run_experiment(spec, tmp_path / "t.csv")
     assert all(row[-1] == "" for row in rows)
     assert built == [True]
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
 
 
 def test_figure_outputs_share_iteration_grid(tmp_path):

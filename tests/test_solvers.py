@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from stochreg.fileio import read_csv
 from stochreg.problems import add_noise, gen_shaw, make_instance
 from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
+from stochreg.spectral import step_constant
 from stochreg.analysis import enumerate_exact_moments
 from stochreg.solvers import (_CHUNK, _GRADIENT_BLOCK, MAX_CHECKPOINTS,
-                              DivergenceError, EpochAccounting, FullGradient,
-                              Lockstep, SolverConfig, Trajectory, _Recorder,
+                              DivergenceError, EpochAccounting, Lockstep, SolverConfig, Trajectory, _Recorder,
                               checkpoint_iterations, oracle_stop, run_batch,
                               solve, step_is_admissible, step_stability_bound,
                               write_trajectory)
@@ -154,12 +154,13 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
     row at step t.  The iterate is a base plus W @ A, with dual coordinates
     W stepped through rows of K = A A^T and folded into the base by padded
     products after every step that ends with t % every == 0, every = n for
-    sgd and M for svrg.  Returns the iterate matrix after each step count
-    in stops."""
+    sgd, M for svrg and 1 for landweber, which takes the svrg statements.
+    Returns the iterate matrix after each step count in stops."""
     a, k, x0, n = inst.a, inst.row_gram, inst.x0, inst.n
     runs = idx.shape[1]
     every_run = np.arange(runs)
-    scale, every = (1.0, n) if method == "sgd" else (c0 / n, M)
+    scale, every = {"sgd": (1.0, n), "svrg": (c0 / n, M),
+                    "landweber": (c0, 1)}[method]
     base = np.tile(x0, (runs, 1))
     dual = (np.zeros((runs, n))
             + (np.einsum("rm,nm->rn", x0[None], a) - y)) * scale
@@ -189,8 +190,9 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
 def primal_lockstep(inst, y, idx, method, c0, M):
     """The batched update on the iterates themselves, as the kernel ran it
     before the row-space form: idx[t] holds each run's row at step t.  The
-    anchor gradient is the Gram form g0 + (x - x0) B on padded blocks.
-    Returns the iterate matrix after every step count 0..len(idx)."""
+    anchor gradient and the landweber step's gradient are the Gram form
+    g0 + (x - x0) B on padded blocks.  Returns the iterate matrix after
+    every step count 0..len(idx)."""
     a, x0, n = inst.a, inst.x0, inst.n
     x = np.tile(x0, (idx.shape[1], 1))
     states = [x]
@@ -205,6 +207,9 @@ def primal_lockstep(inst, y, idx, method, c0, M):
                 grad = padded_product(anchor - x0, inst.gram.matrix) + g0
             d = np.einsum("rm,rm->r", rows, x - anchor)
             x = x - c0 * (d[:, None] * rows + grad)
+        elif method == "landweber":
+            grad = padded_product(x - x0, inst.gram.matrix) + g0
+            x = x - (c0 * n) * grad
         else:
             d = np.einsum("rm,rm->r", rows, x) - y[i]
             x = x - (c0 * d)[:, None] * rows
@@ -251,15 +256,16 @@ def test_index_blocks_reject_bad_arguments():
         index_blocks(3, [(0, 0)], -1, 4)
 
 
-@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
+                                      ("landweber", 1)])
 def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
                                                             method, M):
     inst, y = noisy_shaw
     c0 = 0.5 * step_stability_bound(inst, method)
     runs, steps = 5, _CHUNK + 700
     idx = stream_indices(3, inst.n, runs, steps)
-    # stops on and off the fold grid (n = 12 for sgd, M = 3 for svrg) and on
-    # both sides of the chunk boundary
+    # stops on and off the fold grid (n = 12 for sgd, M = 3 for svrg, every
+    # step for landweber) and on both sides of the chunk boundary
     stops = (1, 7, 60, _CHUNK - 1, _CHUNK, steps)
     expected = out_of_place_lockstep(inst, y, idx, method, c0, M, stops)
     kernel = Lockstep(inst, y, runs, method, c0, M)
@@ -270,7 +276,8 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
 
 
 @pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
-                                             ("svrg", 3, 2000.0)])
+                                             ("svrg", 3, 2000.0),
+                                             ("landweber", 1, 5000.0)])
 def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
                                                       epochs):
     inst, y = noisy_shaw
@@ -315,7 +322,8 @@ def random_case(n, m):
 @pytest.mark.parametrize("shape", [None, (12, 3), (3, 12)],
                          ids=["shaw12", "tall12x3", "wide3x12"])
 @pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
-                                             ("svrg", 3, 2000.0)])
+                                             ("svrg", 3, 2000.0),
+                                             ("landweber", 1, 2000.0)])
 def test_row_space_kernel_matches_the_primal_update(noisy_shaw, shape, method,
                                                     M, epochs):
     # the row-space form is the primal update regrouped: over thousands of
@@ -353,54 +361,69 @@ def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
     assert_array_equal(y, y_before)
 
 
-def gradient_case(m):
-    """An instance with m unknowns, noisy data and a nonzero start."""
+def kernel_case(m, runs):
+    """An instance with m unknowns, a nonzero start for the random ones and
+    one noisy data vector per run."""
     if m == 200:
         inst = gen_shaw(200)
     else:
         rng = np.random.default_rng(m)
         inst = make_instance(f"rand5x{m}", rng.normal(size=(5, m)),
                              rng.normal(size=m), x0=rng.normal(size=m))
-    return inst, add_noise(inst, 5e-2, seed=m).y
+    noise = np.random.default_rng(m + 1).normal(size=(runs, inst.n))
+    return inst, inst.y_dag + 5e-2 * noise
 
 
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
+                                      ("landweber", 1)])
 @pytest.mark.parametrize("m", [2, 3, 200])
-def test_full_gradient_is_batch_invariant(m):
-    # single rows, subsets and reorders get the bits of the full batch, also
-    # when their last block ends in padding
-    inst, y = gradient_case(m)
+def test_step_kernel_is_batch_invariant(m, method, M):
+    # single runs, subsets and reorders get the bits of the full batch, also
+    # when their last block ends in padding; both stops are off the fold
+    # grids of sgd and svrg, so the iterate is built by a W @ A product
+    inst, ys = kernel_case(m, 100)
+    c0 = 0.5 * step_stability_bound(inst, method)
+    stops = (inst.n + 2, 2 * inst.n + 1)
+    idx = stream_indices(5, inst.n, 100, stops[-1])
+
+    def states(pick):
+        kernel = Lockstep(inst, ys[pick], pick.size, method, c0, M)
+        out = []
+        for stop in stops:
+            kernel.advance(idx[kernel.t:stop, pick])
+            out.append(kernel.iterates().copy())
+        return out
+
+    full = states(np.arange(100))
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(100, m))
-    full = FullGradient(inst, y, 100)(x).copy()
-    for runs in (1, 31, 32, 33, 100):
-        pick = rng.permutation(100)[:runs]
-        gradient = FullGradient(inst, y, runs)
-        assert_array_equal(gradient(x[pick]), full[pick])
-        # a second call on the same buffers
-        assert_array_equal(gradient(x[pick[::-1]]), full[pick[::-1]])
-    single = FullGradient(inst, y, 1)
-    for r in (0, 31, 32, 99):
-        assert_array_equal(single(x[r:r + 1])[0], full[r])
+    picks = [rng.permutation(100)[:runs] for runs in (1, 31, 32, 33, 100)]
+    picks += [np.array([r]) for r in (0, 31, 32, 99)]
+    for pick in picks:
+        for got, want in zip(states(pick), full):
+            assert_array_equal(got, want[pick])
 
 
 @pytest.mark.parametrize("m", [2, 3, 200])
-def test_full_gradient_agrees_with_the_residual_form(m):
-    inst, y = gradient_case(m)
-    x = np.random.default_rng(8).normal(size=(33, m))
-    expected = np.einsum("rn,nm->rm", np.einsum("rm,nm->rn", x, inst.a) - y,
-                         inst.a) / inst.n
-    got = FullGradient(inst, y, 33)(x)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+def test_landweber_steps_agree_with_the_residual_form(m):
+    inst, ys = kernel_case(m, 33)
+    c0 = step_stability_bound(inst, "landweber")
+    kernel = Lockstep(inst, ys, 33, "landweber", c0)
+    x = np.tile(inst.x0, (33, 1))
+    for _ in range(3):
+        kernel.advance(np.zeros((1, 33), dtype=np.int64))
+        x = x - c0 * np.einsum("rn,nm->rm",
+                               np.einsum("rm,nm->rn", x, inst.a) - ys, inst.a)
+        got = kernel.iterates()
+        assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("method,M", [("svrg", 3), ("landweber", 1)])
-def test_full_gradient_keeps_the_exact_data_fixed_point(method, M):
+def test_step_kernel_keeps_the_exact_data_fixed_point(method, M):
+    # 33 runs: the last padded block holds one run
     base = gen_shaw(12)
     inst = make_instance("start-at-solution", base.a, base.x_dag,
                          x0=base.x_dag)
     runs = _GRADIENT_BLOCK + 1
-    gradient = FullGradient(inst, inst.y_dag, runs)
-    assert not gradient(np.tile(inst.x0, (runs, 1))).any()
     cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
                        max_epochs=3.0, M=M, seed=5)
     acct = EpochAccounting(method, inst.n, M)
@@ -411,19 +434,27 @@ def test_full_gradient_keeps_the_exact_data_fixed_point(method, M):
     assert not rec.error_sq.any() and not rec.residual_sq.any()
 
 
-def test_full_gradient_bits_do_not_depend_on_python_threads():
-    inst, y = gradient_case(200)
-    inputs = np.random.default_rng(9).normal(size=(2, 20, 100, 200))
+def test_step_kernel_bits_do_not_depend_on_python_threads():
+    # a landweber and an svrg batch at 100 x 200, alone and then on two
+    # threads at once
+    inst, ys = kernel_case(200, 100)
+    idx = stream_indices(9, inst.n, 100, 40)
+    plans = [("landweber", 1), ("svrg", 3)]
 
-    def gradients(batches):
-        gradient = FullGradient(inst, y, 100)
-        return np.array([gradient(x).copy() for x in batches])
+    def states(method, M):
+        kernel = Lockstep(inst, ys, 100, method,
+                          0.5 * step_stability_bound(inst, method), M)
+        out = []
+        for step in idx:
+            kernel.advance(step[None])
+            out.append(kernel.iterates().copy())
+        return np.array(out)
 
-    expected = [gradients(batches) for batches in inputs]
+    expected = [states(*plan) for plan in plans]
     got = [None, None]
 
     def work(k):
-        got[k] = gradients(inputs[k])
+        got[k] = states(*plans[k])
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
     for t in threads:
@@ -433,6 +464,18 @@ def test_full_gradient_bits_do_not_depend_on_python_threads():
         assert not t.is_alive()
     for k in range(2):
         assert_array_equal(got[k], expected[k])
+
+
+def test_row_projection_step_is_admissible():
+    # at c0 = c = 1/max ||a_i||^2 an sgd step on a row of 10 I projects onto
+    # that row's solution set; the step guard must let it run
+    inst = make_instance("ten", 10.0 * np.eye(2), np.array([1.0, -1.0]))
+    cfg = SolverConfig(method="sgd", c0=step_constant(inst.a), max_epochs=3.0,
+                       seed=0)
+    assert step_is_admissible(inst, cfg)
+    traj = solve(inst, inst.y_dag, cfg)
+    assert traj.error_sq[0] == 2.0
+    assert traj.error_sq[-1] <= 1e-28
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
