@@ -166,8 +166,9 @@ class ExperimentSpec:
             parse_c0_expr(plan.c0_expr if plan.c0_expr is not None else 1.0,
                           1.0, m, self.n)
         # the derived seeds grow with grid position, so the extremes bound
-        # every seed a cell can key a stream with
-        for seed in (self.noise_seed(0, 0),
+        # every seed a cell can key a stream with; the base seed is checked
+        # too, since every derived seed lies above it
+        for seed in (self.base_seed, self.noise_seed(0, 0),
                      self.noise_seed(len(self.nu) - 1, len(self.epsilon) - 1),
                      self.solver_seed(0),
                      self.solver_seed(len(self.cells) - 1)):

@@ -243,13 +243,24 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
     {},  # the noise seed derived from this base seed is negative
     # no noise is drawn at eps 0, but the solver seed is negative too
     {"epsilon": [0], "methods": [{"method": "sgd", "c0": "1/2*c"}]},
+    # every derived seed is in range; the given one is not
+    {"base_seed": -1},
 ])
 def test_experiment_rejects_seed_outside_key_range(overrides, tmp_path,
                                                    capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec_doc(base_seed=-1000000,
-                                              **overrides)))
+    spec_path.write_text(json.dumps(_spec_doc(**{"base_seed": -1000000,
+                                                 **overrides})))
     rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    assert "outside [0, 2**64)" in capsys.readouterr().err
+
+
+def test_precondition_study_rejects_a_negative_base_seed(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(base_seed=-1)))
+    rc = main(["precondition-study", str(spec_path),
+               "--out", str(tmp_path / "pairs.csv")])
     assert rc == 4
     assert "outside [0, 2**64)" in capsys.readouterr().err
 

@@ -1,0 +1,76 @@
+"""The `verify` suite driver: one table of named checks.
+
+Each report entry takes its name and softness from the tables in
+`stochreg.verify`, whether the check returned or crashed.
+"""
+
+from stochreg import verify
+
+REPORT_NAMES = [
+    "propagator-range", "spectral-kernel-bounds", "step-sum-identity",
+    "row-commutation", "centering-factor", "exact-data-fixed-point",
+    "epoch-recursion", "inner-term-orthogonality", "mean-closed-form",
+    "bias-method-equality", "anchored-decomposition",
+    "unanchored-decomposition", "variance-ordering", "mc-consistency",
+    "noise-scale-concentration",
+    # full level only
+    "error-bound-monte-carlo", "residual-bound-monte-carlo",
+    "variance-ordering-midsize", "smoothness-saturation", "rate-slope",
+    "phillips-benchmark-bands",
+]
+
+
+def _stub_tables(monkeypatch, make_check):
+    """Replace every table check by make_check(report name)."""
+    for table in ("FAST_CHECKS", "FULL_CHECKS"):
+        monkeypatch.setattr(verify, table, [
+            (name, make_check(name)) for name, _ in getattr(verify, table)])
+
+
+def test_report_names_are_unique_and_in_order():
+    names = [name for name, _ in verify.FAST_CHECKS + verify.FULL_CHECKS]
+    assert names == REPORT_NAMES
+    assert len(set(names + ["fast-wallclock"])) == len(names) + 1
+
+
+def test_a_crashed_check_keeps_its_table_name(monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("solver down")
+    monkeypatch.setattr(verify, "solve", broken)
+    report = verify.run_suite("fast")
+    assert report["passed"] is False
+    assert report["failed_checks"] == ["exact-data-fixed-point"]
+    entry = next(e for e in report["checks"]
+                 if e["name"] == "exact-data-fixed-point")
+    assert entry["passed"] is False and entry["soft"] is False
+    assert entry["margin"] == -1e308
+    assert entry["detail"] == "RuntimeError: solver down"
+    assert ([e["name"] for e in report["checks"]]
+            == REPORT_NAMES[:15] + ["fast-wallclock"])
+
+
+def test_soft_is_set_only_for_the_soft_checks(monkeypatch):
+    _stub_tables(monkeypatch, lambda name: lambda: (False, -1.0, "stub"))
+    full = verify.run_suite("full")
+    fast = verify.run_suite("fast")
+    soft = {e["name"] for e in full["checks"] + fast["checks"] if e["soft"]}
+    assert soft == {"smoothness-saturation", "fast-wallclock"}
+    assert full["failed_checks"] == [name for name in REPORT_NAMES
+                                     if name != "smoothness-saturation"]
+    assert fast["failed_checks"] == REPORT_NAMES[:15]
+
+
+def test_a_crashed_soft_check_never_fails_the_suite(monkeypatch):
+    def make_check(name):
+        def check():
+            if name == "smoothness-saturation":
+                raise RuntimeError("diverged")
+            return True, 1.0, "stub"
+        return check
+    _stub_tables(monkeypatch, make_check)
+    report = verify.run_suite("full")
+    assert report["passed"] is True
+    entry = next(e for e in report["checks"]
+                 if e["name"] == "smoothness-saturation")
+    assert entry["passed"] is False and entry["soft"] is True
+    assert entry["detail"] == "RuntimeError: diverged"
