@@ -674,6 +674,9 @@ def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
 # ---------------------------------------------------------------------------
 # sampled moments on top of the batched solvers
 
+# the error of a cell whose every run tripped the divergence guard
+NO_SURVIVORS = "no runs survived the divergence guard"
+
 @dataclass(frozen=True)
 class MomentReport:
     method: str
@@ -689,14 +692,14 @@ class MomentReport:
     excluded_runs: tuple
 
 
-def _cell_group(y, cfg: SolverConfig, seeds, runs: int):
+def _cell_group(y, cfg: SolverConfig, seeds, runs: range):
     """The data stack of a cell group and its runs' stream keys, cell-major:
-    cell c holds y[c] (y itself when 1-d) and runs (seeds[c], 0..runs-1)."""
+    cell c holds y[c] (y itself when 1-d) and runs (seeds[c], r), r in runs."""
     ys = np.atleast_2d(np.asarray(y, dtype=np.float64))
     seeds = (cfg.seed,) * ys.shape[0] if seeds is None else tuple(seeds)
     if len(seeds) != ys.shape[0]:
         raise ValueError("need one seed per data vector")
-    return ys, [(seed, r) for seed in seeds for r in range(runs)]
+    return ys, [(seed, r) for seed in seeds for r in runs]
 
 
 def _per_cell(y, results: list):
@@ -728,7 +731,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     """
     if runs < 2:
         raise ValueError("need at least two runs for sample moments")
-    ys, keys = _cell_group(y, cfg, seeds, runs)
+    ys, keys = _cell_group(y, cfg, seeds, range(runs))
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
@@ -746,7 +749,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
             if len(kept) < 2:
                 reports.append(ValueError(
                     "fewer than two runs survived the divergence guard" if kept
-                    else "no runs survived the divergence guard"))
+                    else NO_SURVIVORS))
                 continue
             rec, cell = _Recorder(inst, ys[c], cp, len(kept),
                                   want_residual=False, center_on_mean=True), 0
@@ -779,12 +782,16 @@ class ErrorCurves:
 
 
 def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
-                 runs: int, include_residual: bool = False, seeds=None):
+                 runs: int | range, include_residual: bool = False,
+                 seeds=None):
     """Per-run error curves at the checkpoint grid, in a single pass.
 
-    Diverged runs are excluded and reported.  Their rows are dropped: each
-    run gives the same numbers alone or in a batch, so the kept rows are
-    those of a batch of the kept runs only.
+    runs is a count, meaning runs 0..runs-1, or a range of run numbers: run
+    r of a cell draws its rows from the stream (seed, r) whatever the other
+    runs, so the curves of range(a, b) are rows a..b-1 of those of b runs.
+    Diverged runs are excluded and reported by run number.  Their rows are
+    dropped: each run gives the same numbers alone or in a batch, so the
+    kept rows are those of a batch of the kept runs only.
 
     y is one data vector, giving ErrorCurves, or a (cells, n) stack of
     them, giving a list with one entry per cell: its ErrorCurves, or the
@@ -792,18 +799,19 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     cfg's method, step and inner loop; cell c runs with seed seeds[c]
     (default cfg.seed), and a diverged run is dropped from its own cell.
     """
-    if runs < 1:
+    runs = runs if isinstance(runs, range) else range(runs)
+    if len(runs) < 1:
         raise ValueError("need at least one run")
     ys, keys = _cell_group(y, cfg, seeds, runs)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     cp = checkpoint_iterations(acct, cfg, total)
     rec = _Recorder(inst, ys, cp, len(keys), want_residual=include_residual)
-    diverged = run_batch(inst, ys, cfg, keys, rec).reshape(-1, runs)
+    diverged = run_batch(inst, ys, cfg, keys, rec).reshape(-1, len(runs))
     curves = []
     for lost, rows in zip(diverged, rec.blocks):
         if lost.all():
-            curves.append(ValueError("no runs survived the divergence guard"))
+            curves.append(ValueError(NO_SURVIVORS))
             continue
         kept = ~lost if lost.any() else slice(None)  # a view if none dropped
         error_sq = rec.error_sq[rows][kept]
@@ -812,7 +820,7 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         curves.append(ErrorCurves(
             method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
             error_sq=error_sq, residual_sq=residual_sq,
-            excluded_runs=tuple(int(r) for r in np.nonzero(lost)[0])))
+            excluded_runs=tuple(runs[r] for r in np.nonzero(lost)[0])))
     return _per_cell(y, curves)
 
 

@@ -8,11 +8,18 @@ from execution order, which keeps all emitted files byte-stable under any
 STOCHREG_THREADS setting.
 
 Cells that share an instance and every solver setting but the seed (the
-epsilon points of one nu and method plan) form a group and run as one
-lockstep batch, each cell with its own data and seed; a lone cell is a group
-of one. A run gives the same numbers alone or in a batch, so grouping changes
-no output byte. The thread pool runs groups, and STOCHREG_THREADS caps the
-groups that run at once.
+epsilon points of one nu and method plan) form a group and run as lockstep
+batches, each cell with its own data and seed; a lone cell is a group of one.
+The thread pool runs run slices: one batch over runs [a, b) of every cell of
+a group, and STOCHREG_THREADS caps the slices that run at once. A group is
+cut into the most slices, at most STOCHREG_THREADS, such that each slice
+holds at least one BLAS block (32 runs over its cells) and the slices pad no
+more BLAS rows than the whole group. So the paper's 100-run table cells run
+as two halves; a rate group of three 20-run cells stays whole, since its
+short steps cost interpreter time that more threads only contend for; and a
+figure group stays whole, since each cell's spread is taken around the mean
+of all its runs in one batch. A run gives the same numbers alone or in any
+batch, so neither grouping nor slicing changes an output byte.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fileio
-from .analysis import error_curves, mc_moments, parse_rational, stopping_stats
+from .analysis import (NO_SURVIVORS, error_curves, mc_moments, parse_rational,
+                       stopping_stats)
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
                        precondition, smooth_solution)
 from .rng import check_seed
-from .solvers import (METHODS, EpochAccounting, SolverConfig,
+from .solvers import (_GRADIENT_BLOCK, METHODS, EpochAccounting, SolverConfig,
                       step_stability_bound)
 from .spectral import step_constant
 
@@ -347,22 +355,55 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
         return _error_outcome(cell.base_row, cell.plan, spec, exc)
 
 
-def _run_group(spec: ExperimentSpec, group: list, figure_grid: bool) -> list:
-    """One lockstep batch for cells that share the instance and every solver
-    setting but the seed; the outcomes of its cells, in its order."""
+def _run_slices(cells: int, runs: int, threads: int) -> list:
+    """The run slices of a group of `cells` cells with `runs` runs each: the
+    most near-equal run ranges, at most `threads`, such that every slice
+    holds at least _GRADIENT_BLOCK runs over its cells and the slices pad no
+    more BLAS rows than the whole group does."""
+    whole = -(-cells * runs // _GRADIENT_BLOCK)
+    for count in range(min(threads, runs), 1, -1):
+        bounds = [runs * k // count for k in range(count + 1)]
+        sizes = [cells * (b - a) for a, b in zip(bounds, bounds[1:])]
+        if (min(sizes) >= _GRADIENT_BLOCK
+                and sum(-(-z // _GRADIENT_BLOCK) for z in sizes) <= whole):
+            return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [range(runs)]
+
+
+def _run_slice(spec: ExperimentSpec, group: list, runs: range,
+               figure_grid: bool) -> list:
+    """One lockstep batch over runs `runs` of every cell of a group; per
+    cell, its curves or the exception that ended it, in group order."""
     inst, cfg = group[0].inst, group[0].cfg
     ys = np.stack([cell.y for cell in group])
     seeds = [cell.cfg.seed for cell in group]
     try:
         if figure_grid:
             # one pass gives the figure moments and the per-run error curves
-            results = mc_moments(inst, ys, cfg, spec.runs, seeds=seeds)
-        else:
-            results = error_curves(inst, ys, cfg, spec.runs, seeds=seeds)
+            return mc_moments(inst, ys, cfg, spec.runs, seeds=seeds)
+        return error_curves(inst, ys, cfg, runs, seeds=seeds)
     except Exception as exc:  # the group's shared settings failed
-        results = [exc] * len(group)
-    return [_cell_outcome(spec, cell, curves, figure_grid)
-            for cell, curves in zip(group, results)]
+        return [exc] * len(group)
+
+
+def _join_slices(slices: list):
+    """One cell's error curves from the (runs, curves) of its run slices, in
+    run order.  A slice whose runs all diverged adds them to the excluded
+    runs; the cell fails only if every slice failed, with the first error."""
+    done = [part for _, part in slices if not isinstance(part, Exception)]
+    if not done:
+        return slices[0][1]
+    excluded = []
+    for runs, part in slices:
+        if not isinstance(part, Exception):
+            excluded += part.excluded_runs
+        elif part.args == (NO_SURVIVORS,):
+            excluded += runs
+        else:
+            return part
+    # the grid records no residuals
+    return replace(done[0], excluded_runs=tuple(excluded),
+                   error_sq=np.concatenate([part.error_sq for part in done]))
 
 
 def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
@@ -395,8 +436,17 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
     """All grid cells, results in grid order.  Cells that share an instance
     and every solver setting but the seed (the epsilon points of one nu and
-    method) form a group and run as one lockstep batch; the groups run
-    concurrently."""
+    method) form a group.  The pool runs run slices, in grid order: a slice
+    is one lockstep batch over runs [a, b) of every cell of its group, and
+    a cell's curves join its slices' in run order before its row is made.
+
+    A group is cut into the most slices, at most thread_count(), such that
+    every slice holds at least _GRADIENT_BLOCK runs over its cells and the
+    slices pad no more BLAS rows than the whole group: so 100-run table
+    cells run as two halves, while a rate group of three 20-run cells, whose
+    steps cost interpreter time rather than BLAS work, stays whole.  Figure
+    groups are never cut: a cell's spread is taken around the mean of all
+    its runs, which must share one batch."""
     prepared = _prepare_cells(spec, step_from_raw)
     cells = spec.cells
     outcomes = [None] * len(cells)
@@ -414,16 +464,29 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
         cell = _Cell(idx, plan, base_row, inst, y, cfg, c0_expr, m_value)
         groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
 
-    def work(group: list) -> None:
-        for cell, outcome in zip(group, _run_group(spec, group, figure_grid)):
-            outcomes[cell.index] = outcome
-
+    threads = thread_count()
+    work = []
     for group in groups.values():
-        # built here, once per instance: groups on other threads share it
+        # built here, once per instance: slices on other threads share it
         group[0].inst.row_gram
-    workers = max(1, min(thread_count(), len(groups)))
+        for runs in ([range(spec.runs)] if figure_grid
+                     else _run_slices(len(group), spec.runs, threads)):
+            work.append((group, runs))
+
+    def run(unit: tuple) -> list:
+        return _run_slice(spec, *unit, figure_grid)
+
+    workers = max(1, min(threads, len(work)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, groups.values()))
+        results = list(pool.map(run, work))
+    slices = {}  # cell index -> its (runs, curves) pairs, in run order
+    for (group, runs), result in zip(work, results):
+        for cell, part in zip(group, result):
+            slices.setdefault(cell.index, []).append((runs, part))
+    for group in groups.values():
+        for cell in group:
+            outcomes[cell.index] = _cell_outcome(
+                spec, cell, _join_slices(slices[cell.index]), figure_grid)
     return outcomes
 
 

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 RELATIVE_CUTOFF = 1e-12
+BOUND_RTOL = 1e-12  # relative tolerance of kernel_bound_check's bounds
 
 
 class GramOperator:
@@ -210,7 +211,8 @@ def kernel_bound_check(b, c0: float, M: int, K: int, s: float = 1.0,
         lhs_inv = 0.0
     rhs_inv = float((M * c0 * K) ** t)
 
-    passed = lhs_power <= rhs_power * (1 + 1e-12) and lhs_inv <= rhs_inv * (1 + 1e-12)
+    passed = (lhs_power <= rhs_power * (1 + BOUND_RTOL)
+              and lhs_inv <= rhs_inv * (1 + BOUND_RTOL))
     return KernelBoundReport(lhs_power, rhs_power, lhs_inv, rhs_inv, passed)
 
 

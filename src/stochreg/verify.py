@@ -28,7 +28,8 @@ from .analysis import (closed_form_mean, condition_report,
 from .problems import (add_noise, generate, make_instance, noise_functional,
                        precondition, smooth_solution)
 from .solvers import SolverConfig, EpochAccounting, solve, step_stability_bound
-from .spectral import Propagator, kernel_bound_check, step_constant
+from .spectral import (BOUND_RTOL, Propagator, kernel_bound_check,
+                       step_constant)
 
 
 Outcome = tuple[bool, float, str]  # (passed, margin, detail)
@@ -81,7 +82,7 @@ def check_propagator_range() -> Outcome:
 def check_kernel_bounds() -> Outcome:
     rng = np.random.default_rng(11)
     failures = 0
-    worst = np.inf
+    worst = margin = np.inf
     cases = [np.full(4, 0.5)]
     cases += [np.sort(rng.uniform(1e-6, 1.0, size=rng.integers(2, 9)))
               for _ in range(200)]
@@ -93,7 +94,12 @@ def check_kernel_bounds() -> Outcome:
             failures += not rep.passed
             worst = min(worst, rep.rhs_power - rep.lhs_power,
                         rep.rhs_inv - rep.lhs_inv)
-    return (failures == 0, worst,
+            # the room under the tolerance the bounds are checked with:
+            # >= 0 exactly when the case passed
+            margin = min(margin,
+                         rep.rhs_power * (1 + BOUND_RTOL) - rep.lhs_power,
+                         rep.rhs_inv * (1 + BOUND_RTOL) - rep.lhs_inv)
+    return (failures == 0, margin,
             f"{failures} failures over {4 * len(cases)} sweep cases; "
             f"smallest bound slack {worst:.3e}")
 
@@ -182,7 +188,7 @@ def check_fixed_point() -> Outcome:
                            seed=17)
         traj = solve(inst, inst.y_dag, cfg)
         worst = max(worst, float(np.max(traj.error_sq)))
-    return (worst == 0.0, -worst,
+    return (worst == 0.0, 0.0 - worst,
             f"largest recorded squared error {worst:.3e} when started "
             "at the exact solution with exact data")
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochreg import experiment, solvers
+from stochreg import analysis, experiment, solvers
 from stochreg.analysis import (ErrorCurves, error_curves, mc_moments,
                                stopping_stats)
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
@@ -528,3 +528,111 @@ def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
         assert c_unit == step_constant(alone.a)
     run_grid(spec)
     assert len(calls) == 2
+
+
+# --- run slices -----------------------------------------------------------------
+
+@pytest.mark.parametrize("cells,runs,threads,sizes", [
+    (1, 100, 1, [100]),
+    (1, 100, 2, [50, 50]),
+    (1, 100, 3, [50, 50]),  # thirds hold 33-34 runs, each padded to 64 rows
+    (1, 100, 4, [50, 50]),  # quarters hold fewer than 32 runs
+    (1, 64, 2, [32, 32]),
+    (1, 63, 2, [63]),
+    (3, 20, 2, [20]),       # 30 runs per half
+    (2, 100, 2, [100]),     # halves pad to 8 blocks, the whole to 7
+    (3, 100, 2, [50, 50]),
+])
+def test_run_slices_rule(cells, runs, threads, sizes):
+    slices = experiment._run_slices(cells, runs, threads)
+    assert [len(r) for r in slices] == sizes
+    assert [r[0] for r in slices] + [runs] == [0] + [r[-1] + 1 for r in slices]
+
+
+def _batch_sizes(monkeypatch):
+    """The run count of every run_batch call the grid makes, as a list."""
+    sizes = []
+    batch = analysis.run_batch
+
+    def recording(inst, y, cfg, subkeys, recorder):
+        sizes.append(len(subkeys))
+        return batch(inst, y, cfg, subkeys, recorder)
+
+    monkeypatch.setattr(analysis, "run_batch", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("name,overrides,figures,sizes", [
+    ("table", dict(runs=100, nu=[0.0]), False,
+     {"1": [100], "2": [50, 50], "3": [50, 50]}),
+    ("rate", dict(runs=20, nu=[1.0], epsilon=[5e-2, 1e-2, 1e-3]), False,
+     {"1": [60], "2": [60], "3": [60]}),
+    ("figure", dict(runs=100, nu=[1.0]), True,
+     {"1": [100], "2": [100], "3": [100]}),
+])
+def test_run_slices_of_the_grid_shapes_keep_bytes_bitwise(
+        tmp_path, monkeypatch, name, overrides, figures, sizes):
+    # one method, so each grid is one group: the table's 1 x 100 runs are
+    # cut in halves on two or more threads, the rate's 3 x 20 runs and the
+    # figure cell stay whole
+    spec = small_spec(max_epochs=2.0,
+                      methods=[{"method": "sgd", "c0": "1/2*c"}], **overrides)
+    seen, blobs = _batch_sizes(monkeypatch), {}
+    for threads in sizes:
+        monkeypatch.setenv("STOCHREG_THREADS", threads)
+        out = tmp_path / threads
+        run_experiment(spec, out / "t.csv",
+                       figure_dir=out / "fig" if figures else None)
+        assert sorted(seen) == sizes[threads]
+        seen.clear()
+        blobs[threads] = sorted((p.relative_to(out), p.read_bytes())
+                                for p in out.rglob("*") if p.is_file())
+    assert blobs["1"] == blobs["2"] == blobs["3"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lose_first_slice", [False, True])
+def test_sliced_divergence_matches_the_whole_cell_bitwise(
+        tmp_path, monkeypatch, lose_first_slice):
+    # a step above the stability bound: runs 50 and 58 of 64 trip the
+    # divergence guard, both in the second of two 32-run slices; forcing
+    # every run of the first slice to trip it too leaves the cell to the
+    # second slice alone
+    monkeypatch.setattr(experiment, "SolverConfig",
+                        functools.partial(SolverConfig, allow_large_step=True))
+    if lose_first_slice:
+        batch = analysis.run_batch
+
+        def losing(inst, y, cfg, subkeys, recorder):
+            lost = np.array([r < 32 for _, r in subkeys])
+            return batch(inst, y, cfg, subkeys, recorder) | lost
+
+        monkeypatch.setattr(analysis, "run_batch", losing)
+    spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
+                      methods=[{"method": "sgd", "c0": "2.8*c"}])
+    slices, joined = [], []
+    curves_of, outcome_of = experiment.error_curves, experiment._cell_outcome
+
+    def recording_curves(inst, y, cfg, runs, **kwargs):
+        slices.append(runs)
+        return curves_of(inst, y, cfg, runs, **kwargs)
+
+    def recording_outcome(spec_, cell, curves, figure_grid):
+        joined.append(curves)
+        return outcome_of(spec_, cell, curves, figure_grid)
+
+    monkeypatch.setattr(experiment, "error_curves", recording_curves)
+    monkeypatch.setattr(experiment, "_cell_outcome", recording_outcome)
+    blobs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STOCHREG_THREADS", threads)
+        run_experiment(spec, tmp_path / f"t{threads}.csv")
+        blobs[threads] = (tmp_path / f"t{threads}.csv").read_bytes()
+    assert slices == [range(64), range(32), range(32, 64)]
+    whole, sliced = joined
+    excluded = (tuple(range(32)) if lose_first_slice else ()) + (50, 58)
+    assert whole.excluded_runs == sliced.excluded_runs == excluded
+    np.testing.assert_array_equal(sliced.error_sq, whole.error_sq)
+    assert blobs["1"] == blobs["2"]
+    _, parsed = read_csv(tmp_path / "t2.csv")
+    assert parsed[0][-1] == f"{len(excluded)} runs diverged"

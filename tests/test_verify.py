@@ -4,7 +4,12 @@ Each report entry takes its name and softness from the tables in
 `stochreg.verify`, whether the check returned or crashed.
 """
 
+import math
+
+import pytest
+
 from stochreg import verify
+from stochreg.spectral import KernelBoundReport
 
 REPORT_NAMES = [
     "propagator-range", "spectral-kernel-bounds", "step-sum-identity",
@@ -74,3 +79,37 @@ def test_a_crashed_soft_check_never_fails_the_suite(monkeypatch):
                  if e["name"] == "smoothness-saturation")
     assert entry["passed"] is False and entry["soft"] is True
     assert entry["detail"] == "RuntimeError: diverged"
+
+
+def test_fixed_point_margin_prints_as_a_positive_zero():
+    passed, margin, _ = verify.check_fixed_point()
+    assert passed is True
+    assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+    assert f"{margin:+.3e}" == "+0.000e+00"
+
+
+def test_kernel_bounds_margin_is_not_negative_when_passing():
+    passed, margin, detail = verify.check_kernel_bounds()
+    assert passed is True and margin >= 0.0
+    assert detail.startswith("0 failures over 804 sweep cases; "
+                             "smallest bound slack ")
+
+
+@pytest.mark.parametrize("excess,passed", [
+    (0.0, True), (5e-13, True), (2e-12, False), (1e-6, False)])
+def test_kernel_bounds_margin_sign_follows_the_failures(monkeypatch, excess,
+                                                        passed):
+    # every case reports lhs = rhs (1 + excess) on the power bound, with the
+    # pass rule of kernel_bound_check: room up to a relative 1e-12
+    def report(*_args, **_kwargs):
+        lhs = 1.0 + excess
+        return KernelBoundReport(lhs, 1.0, 0.5, 1.0,
+                                 lhs <= 1.0 + verify.BOUND_RTOL)
+
+    monkeypatch.setattr(verify, "kernel_bound_check", report)
+    ok, margin, detail = verify.check_kernel_bounds()
+    assert ok is passed
+    assert (margin >= 0.0) is passed
+    failures = 0 if passed else 804
+    assert detail == (f"{failures} failures over 804 sweep cases; "
+                      f"smallest bound slack {1.0 - (1.0 + excess):.3e}")
