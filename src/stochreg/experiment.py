@@ -467,8 +467,9 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
     threads = thread_count()
     work = []
     for group in groups.values():
-        # built here, once per instance: slices on other threads share it
+        # built here, once per instance: slices on other threads share them
         group[0].inst.row_gram
+        group[0].inst.row_gram_diagonal
         for runs in ([range(spec.runs)] if figure_grid
                      else _run_slices(len(group), spec.runs, threads)):
             work.append((group, runs))

@@ -38,6 +38,17 @@ _GRADIENT_BLOCK rows, one stacked matmul each, by one rule for all methods:
     start:      Xb = x0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
+On rows orthogonal to rounding, K is diagonal up to entries that cannot be
+told apart from zero, and the kernel takes the diagonal form: it reads the
+diagonal kd of K (``ProblemInstance.row_gram_diagonal``) in place of K,
+and only the two statements that read K change:
+    row dot:    d = kd[idx] * W[idx], kd[idx] gathered once per advance call
+    fold:       D += s (W * kd), elementwise in place of W @ K
+The selection comes from the instance, not from an option: the diagonal
+form is taken when row_orthogonality_gap <= max(n, m) eps, the rounding
+bound of the dot products K is built from.  Preconditioned rows take it,
+raw rows do not.  Where K's off-diagonal entries are exact zeros the two
+forms give the same bits; elsewhere they differ at roundoff.
 A landweber step starts at W = 0, so its row dot is exactly zero whatever
 the index (``run_batch`` passes row 0 and draws none), W -= D leaves
 W = -c0 (A Xb - y_r), and the fold is the step Xb -= c0 A^T (A Xb - y_r).
@@ -279,6 +290,7 @@ class Lockstep:
         n, m = inst.a.shape
         y = _cell_data(y, n, runs)
         self.a, self.k = inst.a, inst.row_gram
+        self.kd = inst.row_gram_diagonal
         self.method, self.c0 = method, c0
         self.every, self._scale = {"sgd": (n, 1.0), "svrg": (M, c0 / n),
                                    "landweber": (1, c0)}[method]
@@ -304,10 +316,14 @@ class Lockstep:
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
 
     def _fold(self) -> None:
-        """base += W @ A and dual += scale (W @ K); W = 0."""
+        """base += W @ A and dual += scale (W @ K), or scale (W * kd) in the
+        diagonal form; W = 0."""
         np.matmul(self._w_blocks, self.a, out=self._by_a)
         self.base += self._by_a_rows
-        np.matmul(self._w_blocks, self.k, out=self._by_k)
+        if self.kd is None:
+            np.matmul(self._w_blocks, self.k, out=self._by_k)
+        else:
+            np.multiply(self._w, self.kd, out=self._by_k_rows)
         self._by_k_rows *= self._scale
         self._dual += self._by_k_rows
         self._w.fill(0.0)
@@ -315,13 +331,19 @@ class Lockstep:
     def advance(self, idx: np.ndarray) -> None:
         """One step per row of idx, a (steps, runs) array of row indices in
         [0, n); idx[s, r] is the row run r draws at step t + s."""
-        k, w, w_flat, c0 = self.k, self._w, self._w_flat, self.c0
+        k, kd, w, w_flat, c0 = self.k, self.kd, self._w, self._w_flat, self.c0
         dual, dual_flat = self._dual, self._dual.reshape(-1)
         rows, d, every, t = self._rows, self._d, self.every, self.t
         sgd = self.method == "sgd"
-        for i, at in zip(idx, idx + self._offsets):
-            k.take(i, 0, rows, "clip")
-            np.einsum("rn,rn->r", rows, w, out=d)
+        # the diagonal form's K[i, i] of every step and run, in one gather;
+        # the dense form zips idx in its place and does not read it
+        kd_idx = idx if kd is None else kd.take(idx)
+        for i, at, kd_i in zip(idx, idx + self._offsets, kd_idx):
+            if kd is None:
+                k.take(i, 0, rows, "clip")
+                np.einsum("rn,rn->r", rows, w, out=d)
+            else:
+                np.multiply(kd_i, w_flat[at], out=d)
             if sgd:
                 d += dual_flat[at]
             d *= c0

@@ -570,10 +570,13 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
     written in the kernel's row-space arithmetic: the iterate is the anchor
     plus w A, the dual coordinates w step through rows of K = A A^T with
     the kernel's einsum row dot, and every product is taken on the path's
-    row zero-padded to one block of _GRADIENT_BLOCK rows."""
+    row zero-padded to one block of _GRADIENT_BLOCK rows.  On rows
+    orthogonal to rounding the kernel's diagonal form replaces K by its
+    diagonal kd: the row dot is kd[i] w[i] and the fold's w K is w * kd."""
     kit = analysis._EpochKit(inst, y, c0, M)
     digits = IndexStream(seed, inst.n).block(0, K * M)
     a, k_mat, n, m = inst.a, inst.row_gram, inst.n, inst.m
+    kd = inst.row_gram_diagonal
     eye = np.eye(m)
     rel = analysis._rel
 
@@ -593,13 +596,17 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
         epoch_digits = digits[k * M:(k + 1) * M]
         for i in range(M):
             row = epoch_digits[i]
-            d = np.einsum("rn,rn->r", k_mat[row][None], w[None])[0]
+            if kd is None:
+                d = np.einsum("rn,rn->r", k_mat[row][None], w[None])[0]
+            else:
+                d = kd[row] * w[row]
             w = w.copy()
             w[row] -= d * c0
             w = w - shift
             if i == M - 1:
                 anchor = anchor + padded(w, a)
-                shift = shift + padded(w, k_mat) * (c0 / n)
+                w_k = padded(w, k_mat) if kd is None else w * kd
+                shift = shift + w_k * (c0 / n)
                 w = np.zeros(n)
             x = anchor + padded(w, a) if i < M - 1 else anchor
             if i == 0:

@@ -231,36 +231,41 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     assert blobs["1"] == blobs["3"]
 
 
-def test_method_groups_share_one_row_gram(tmp_path, monkeypatch):
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
+def test_method_groups_share_one_row_gram(tmp_path, monkeypatch, rotate):
     # the sgd, svrg and landweber groups of one instance run on two
-    # threads; K = A A^T is built once, before the pool starts, and every
-    # kernel reads it
+    # threads; K = A A^T and the selection of its diagonal are built once,
+    # before the pool starts, and every kernel reads them: the diagonal
+    # form on preconditioned rows, K itself on raw rows
     monkeypatch.setenv("STOCHREG_THREADS", "2")
-    built, seen = [], []
-    build = ProblemInstance.row_gram.func
+    built, seen = {"row_gram": [], "row_gram_diagonal": []}, []
+    for name, calls in built.items():
+        build = getattr(ProblemInstance, name).func
 
-    def recording_build(inst):
-        built.append(threading.current_thread() is threading.main_thread())
-        return build(inst)
+        def recording_build(inst, build=build, calls=calls):
+            calls.append(threading.current_thread() is threading.main_thread())
+            return build(inst)
 
-    row_gram = functools.cached_property(recording_build)
-    row_gram.__set_name__(ProblemInstance, "row_gram")
-    monkeypatch.setattr(ProblemInstance, "row_gram", row_gram)
+        prop = functools.cached_property(recording_build)
+        prop.__set_name__(ProblemInstance, name)
+        monkeypatch.setattr(ProblemInstance, name, prop)
     init = solvers.Lockstep.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        seen.append(self.k)
+        seen.append((self.k, self.kd))
 
     monkeypatch.setattr(solvers.Lockstep, "__init__", recording_init)
-    spec = small_spec(nu=[0.0], methods=[{"method": "sgd", "c0": "1/2*c"},
-                                         {"method": "svrg", "c0": "1/2*c",
-                                          "M": "4"},
-                                         {"method": "landweber"}])
+    spec = small_spec(nu=[0.0], precondition=rotate,
+                      methods=[{"method": "sgd", "c0": "1/2*c"},
+                               {"method": "svrg", "c0": "1/2*c", "M": "4"},
+                               {"method": "landweber"}])
     rows = run_experiment(spec, tmp_path / "t.csv")
     assert all(row[-1] == "" for row in rows)
-    assert built == [True]
-    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+    assert built == {"row_gram": [True], "row_gram_diagonal": [True]}
+    assert len(seen) == 3
+    assert all(k is seen[0][0] and kd is seen[0][1] for k, kd in seen)
+    assert (seen[0][1] is not None) == rotate
 
 
 def test_figure_outputs_share_iteration_grid(tmp_path):

@@ -11,8 +11,9 @@ from stochreg.problems import (NoisyData, add_noise, gen_gravity, gen_phillips,
                                gen_shaw, generate, is_preconditioned,
                                load_instance, load_noisy, make_instance,
                                precondition, rescale_to_unit_norm,
-                               save_instance, save_noisy, smooth_solution,
-                               source_element, SourceConditionError)
+                               row_orthogonality_gap, save_instance,
+                               save_noisy, smooth_solution, source_element,
+                               SourceConditionError)
 
 
 # --- generators --------------------------------------------------------------
@@ -259,6 +260,42 @@ def test_precondition_bits_match_inline_sign_fix(shape):
 
 def test_raw_problem_rows_not_orthogonal():
     assert not is_preconditioned(gen_shaw(16))
+
+
+def test_row_gram_diagonal_is_selected_on_preconditioned_rows_only():
+    raw = gen_shaw(16)
+    assert raw.row_gram_diagonal is None
+    rot = precondition(raw)[0]
+    assert_array_equal(rot.row_gram_diagonal, np.diag(rot.row_gram))
+    assert not rot.row_gram_diagonal.flags.writeable
+
+
+def test_row_gram_diagonal_selection_stops_at_the_rounding_bound():
+    # one off-diagonal dot a_0 . a_1 = delta of an otherwise identity 4 x 4
+    # matrix: the gap is delta, and the bound is max(n, m) eps = 2^-50
+    bound = 4 * np.finfo(np.float64).eps
+    for delta, diagonal in ((bound, True),
+                            (np.nextafter(bound, 1.0), False)):
+        a = np.eye(4)
+        a[0, 1] = delta
+        inst = make_instance("coupled", a, np.ones(4))
+        assert row_orthogonality_gap(inst) == delta
+        assert (inst.row_gram_diagonal is not None) == diagonal
+
+
+@pytest.mark.parametrize("n", [5, 150, 300])
+def test_row_orthogonality_gap_block_scan_is_the_whole_matrix_form(n):
+    # K is scanned in blocks of 64 KiB of rows: one block at n = 5, three
+    # at 150 and twelve at 300; the scaled last row and column hold the
+    # largest off-diagonal entries
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 7))
+    a[-1] *= 3.0
+    inst = make_instance("rand", a, rng.normal(size=7))
+    k = inst.row_gram
+    off = k - np.diag(np.diag(k))
+    assert row_orthogonality_gap(inst) == float(
+        np.abs(off).max() / np.abs(np.diag(k)).max())
 
 
 def test_rescale_to_unit_norm():

@@ -1,5 +1,6 @@
 """Iteration correctness: replay oracles, accounting, determinism, guards."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg.fileio import read_csv
-from stochreg.problems import add_noise, gen_shaw, make_instance
+from stochreg.problems import add_noise, gen_shaw, make_instance, precondition
 from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.spectral import step_constant
 from stochreg.analysis import enumerate_exact_moments
@@ -155,8 +156,11 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
     W stepped through rows of K = A A^T and folded into the base by padded
     products after every step that ends with t % every == 0, every = n for
     sgd, M for svrg and 1 for landweber, which takes the svrg statements.
-    Returns the iterate matrix after each step count in stops."""
+    On rows orthogonal to rounding K is its diagonal kd: the row dot is
+    kd[i] W[r, i] and the fold's W @ K is W * kd.  Returns the iterate
+    matrix after each step count in stops."""
     a, k, x0, n = inst.a, inst.row_gram, inst.x0, inst.n
+    kd = inst.row_gram_diagonal
     runs = idx.shape[1]
     every_run = np.arange(runs)
     scale, every = {"sgd": (1.0, n), "svrg": (c0 / n, M),
@@ -171,7 +175,8 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
 
     states = {0: iterate(0)}
     for t, i in enumerate(idx[:max(stops)], start=1):
-        d = np.einsum("rn,rn->r", k[i], w)
+        d = (np.einsum("rn,rn->r", k[i], w) if kd is None
+             else kd[i] * w[every_run, i])
         w = w.copy()
         if method == "sgd":
             w[every_run, i] -= (d + dual[every_run, i]) * c0
@@ -180,7 +185,8 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
             w = w - dual
         if t % every == 0:
             base = base + padded_product(w, a)
-            dual = dual + padded_product(w, k) * scale
+            w_k = padded_product(w, k) if kd is None else w * kd
+            dual = dual + w_k * scale
             w = np.zeros((runs, n))
         if t in stops:
             states[t] = iterate(t)
@@ -256,11 +262,15 @@ def test_index_blocks_reject_bad_arguments():
         index_blocks(3, [(0, 0)], -1, 4)
 
 
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
                                       ("landweber", 1)])
 def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
-                                                            method, M):
-    inst, y = noisy_shaw
+                                                            method, M, rotate):
+    # raw s-shaw rows take the dense form, the preconditioned ones the
+    # diagonal form
+    inst, y = precondition(*noisy_shaw) if rotate else noisy_shaw
+    assert (inst.row_gram_diagonal is not None) == rotate
     c0 = 0.5 * step_stability_bound(inst, method)
     runs, steps = 5, _CHUNK + 700
     idx = stream_indices(3, inst.n, runs, steps)
@@ -361,9 +371,11 @@ def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
     assert_array_equal(y, y_before)
 
 
-def kernel_case(m, runs):
+def kernel_case(m, runs, rotate=False):
     """An instance with m unknowns, a nonzero start for the random ones and
-    one noisy data vector per run."""
+    one noisy data vector per run; with rotate, its preconditioned form,
+    whose kernels take the diagonal form (the random 5 x 2 and 5 x 3 cases
+    are rank deficient)."""
     if m == 200:
         inst = gen_shaw(200)
     else:
@@ -371,17 +383,22 @@ def kernel_case(m, runs):
         inst = make_instance(f"rand5x{m}", rng.normal(size=(5, m)),
                              rng.normal(size=m), x0=rng.normal(size=m))
     noise = np.random.default_rng(m + 1).normal(size=(runs, inst.n))
-    return inst, inst.y_dag + 5e-2 * noise
+    ys = inst.y_dag + 5e-2 * noise
+    if rotate:
+        inst, ys = precondition(inst, ys)
+    assert (inst.row_gram_diagonal is not None) == rotate
+    return inst, ys
 
 
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
                                       ("landweber", 1)])
 @pytest.mark.parametrize("m", [2, 3, 200])
-def test_step_kernel_is_batch_invariant(m, method, M):
+def test_step_kernel_is_batch_invariant(m, method, M, rotate):
     # single runs, subsets and reorders get the bits of the full batch, also
     # when their last block ends in padding; both stops are off the fold
     # grids of sgd and svrg, so the iterate is built by a W @ A product
-    inst, ys = kernel_case(m, 100)
+    inst, ys = kernel_case(m, 100, rotate)
     c0 = 0.5 * step_stability_bound(inst, method)
     stops = (inst.n + 2, 2 * inst.n + 1)
     idx = stream_indices(5, inst.n, 100, stops[-1])
@@ -417,12 +434,17 @@ def test_landweber_steps_agree_with_the_residual_form(m):
         assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
-@pytest.mark.parametrize("method,M", [("svrg", 3), ("landweber", 1)])
-def test_step_kernel_keeps_the_exact_data_fixed_point(method, M):
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
+                                      ("landweber", 1)])
+def test_step_kernel_keeps_the_exact_data_fixed_point(method, M, rotate):
     # 33 runs: the last padded block holds one run
     base = gen_shaw(12)
+    if rotate:
+        base = precondition(base)[0]
     inst = make_instance("start-at-solution", base.a, base.x_dag,
                          x0=base.x_dag)
+    assert (inst.row_gram_diagonal is not None) == rotate
     runs = _GRADIENT_BLOCK + 1
     cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
                        max_epochs=3.0, M=M, seed=5)
@@ -434,10 +456,11 @@ def test_step_kernel_keeps_the_exact_data_fixed_point(method, M):
     assert not rec.error_sq.any() and not rec.residual_sq.any()
 
 
-def test_step_kernel_bits_do_not_depend_on_python_threads():
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
+def test_step_kernel_bits_do_not_depend_on_python_threads(rotate):
     # a landweber and an svrg batch at 100 x 200, alone and then on two
     # threads at once
-    inst, ys = kernel_case(200, 100)
+    inst, ys = kernel_case(200, 100, rotate)
     idx = stream_indices(9, inst.n, 100, 40)
     plans = [("landweber", 1), ("svrg", 3)]
 
@@ -464,6 +487,80 @@ def test_step_kernel_bits_do_not_depend_on_python_threads():
         assert not t.is_alive()
     for k in range(2):
         assert_array_equal(got[k], expected[k])
+
+
+def dense_form(inst):
+    """A copy of inst whose kernels take the dense form: its cached
+    selection row_gram_diagonal is set to None, as on rows that are not
+    orthogonal."""
+    dense = dataclasses.replace(inst)
+    vars(dense)["row_gram_diagonal"] = None
+    return dense
+
+
+def exactly_orthogonal_case(kind, runs):
+    """Rows orthogonal in floating point, so that every off-diagonal entry
+    of K = A A^T is an exact zero: a 6 x 4 diagonal A, whose last two rows
+    are zero (rank deficient), or the 8 x 8 Sylvester Hadamard matrix
+    scaled by 1/2, whose row dots are sums of +-1/4.  A nonzero start and
+    one noisy data vector per run."""
+    if kind == "diagonal":
+        a = np.zeros((6, 4))
+        a[np.arange(4), np.arange(4)] = [1.5, 0.75, 2.0, 0.3]
+    else:
+        a = np.ones((1, 1))
+        for _ in range(3):
+            a = np.block([[a, a], [a, -a]])
+        a *= 0.5
+    rng = np.random.default_rng(a.shape[0])
+    m = a.shape[1]
+    inst = make_instance(kind, a, rng.normal(size=m), x0=rng.normal(size=m))
+    return inst, inst.y_dag + 5e-2 * rng.normal(size=(runs, inst.n))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "hadamard"])
+@pytest.mark.parametrize("runs", [1, 31, 32, 33])
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
+                                      ("landweber", 1)])
+def test_diagonal_form_is_the_dense_form_bitwise_on_exactly_orthogonal_rows(
+        kind, runs, method, M):
+    # with exact zeros off the diagonal, the einsum row dot and the W @ K
+    # product of the dense form add only exact zeros to kd[i] W[r, i] and
+    # W * kd; three epochs of sgd, with stops on and off the fold grids
+    inst, ys = exactly_orthogonal_case(kind, runs)
+    assert not (inst.row_gram - np.diag(inst.row_gram_diagonal)).any()
+    c0 = 0.5 * step_stability_bound(inst, method)
+    steps = 3 * inst.n + 2
+    idx = stream_indices(2, inst.n, runs, steps)
+    diagonal = Lockstep(inst, ys, runs, method, c0, M)
+    dense = Lockstep(dense_form(inst), ys, runs, method, c0, M)
+    assert diagonal.kd is not None and dense.kd is None
+    for stop in (1, inst.n + 1, 2 * inst.n, steps):
+        for kernel in (diagonal, dense):
+            kernel.advance(idx[kernel.t:stop])
+        assert_array_equal(diagonal.iterates(), dense.iterates())
+
+
+@pytest.mark.parametrize("m", [200, 2], ids=["shaw200", "rand5x2"])
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 15),
+                                      ("landweber", 1)])
+def test_diagonal_form_agrees_with_the_dense_form_on_preconditioned_rows(
+        m, method, M):
+    # preconditioned rows are orthogonal only to rounding: the dense form
+    # adds off-diagonal entries of K at roundoff, over two epochs of sgd
+    # (two folds), 27 svrg anchors and 2n + 7 landweber steps
+    inst, ys = kernel_case(m, 3, rotate=True)
+    c0 = 0.5 * step_stability_bound(inst, method)
+    steps = 2 * inst.n + 7
+    idx = stream_indices(8, inst.n, 3, steps)
+    diagonal = Lockstep(inst, ys, 3, method, c0, M)
+    dense = Lockstep(dense_form(inst), ys, 3, method, c0, M)
+    for stop in (inst.n, 2 * inst.n, steps):
+        for kernel in (diagonal, dense):
+            kernel.advance(idx[kernel.t:stop])
+        want = dense.iterates()
+        gap = np.abs(diagonal.iterates() - want).max()
+        assert gap <= 1e-12 * np.abs(want).max()
 
 
 def test_row_projection_step_is_admissible():
