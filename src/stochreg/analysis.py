@@ -7,9 +7,9 @@ ways, which cross-check each other:
 
 * brute force: enumerate every path (budget permitting) and average,
   reusing the solver update arithmetic step for step;
-* closed forms: the mean iterate and the second-moment decompositions into a
-  deterministic head term plus per-epoch fluctuation terms, each evaluated by
-  enumeration over the epoch's own digits only;
+* closed forms: the mean iterate, and the second-moment decompositions into
+  a deterministic head term plus per-epoch fluctuation terms, each term a
+  sum of per-step quadratic forms of the exact moments at its epoch start;
 * moment recursion: exact first/second moments pushed one inner step at a
   time, O(n m^2) per step on any instance and horizon, in agreement with
   enumeration to 1e-12 relative.  The n**M single-epoch maps of
@@ -301,13 +301,26 @@ def _epoch_rows(inst: ProblemInstance, ids: np.ndarray, j: int, M: int
 class VarianceDecomposition:
     """head + sum(epoch_terms) equals the weighted second moment exactly.
 
-    split_main / split_noise report, per outer loop, the two classical
-    sub-families of the plain stochastic method's fluctuation: the per-step
-    terms and the delayed noise echoes.  Splitting them into separate mean
-    squares drops their covariance, which is nonzero in general, so
-    split_main + split_noise may differ from epoch_terms; the gap is the
-    summed covariance.  For the anchored method the split is exact and
-    split_noise is zero.
+    head = ||R1 M0^(KM) u_0 + R2||^2.  Inner step i of epoch j adds c0 N_k
+    v_i + c0 g_k to u, N_k = B - a_k a_k^T for its row k (and applies P_k =
+    I - c0 a_k a_k^T to what earlier steps added): svrg has v_i =
+    stepsum_i B u_j and g = 0; sgd has v_i = M0^i u_j + B^+ zeta and the
+    noise gap g_k = a_k xi_k - zeta, which each later step echoes as c0 N g.
+    epoch_terms[j] sums over i the mean square of that addition, carried to
+    the end with its echoes, under pre = R1 M0^((K-1-j)M).  Each is a
+    quadratic form of the epoch-start moments: with V_i = E v_i v_i^T,
+    G = E g g^T, and X, W, Z pulled backward over the later steps from
+    X = W = pre^T pre, Z = 0 by
+        X <- E P X P = X - c0 (B X + X B) + c0^2 R(X),   W <- M0 W M0,
+        Z <- E N X N + M0 Z M0,   E N X N = R(X) - B X B,
+    R(X) = A^T diag(a_k^T X a_k) A / n, group i's parts are
+        split_main  = c0^2 [tr(E[N X N] V_i) + 2 E_k (N_k E v_i)^T W g_k
+                      + tr(W G)],    the step's own term,
+        split_noise = c0^4 tr(Z G),  its delayed noise echoes,
+        epoch_terms = split_main + split_noise
+                      + 2 c0^4 E_k (N_k E v_i)^T Z g_k.
+    The last summand is the covariance of the two sub-families, nonzero in
+    general for sgd.  For svrg g = 0: the split is exact, split_noise zero.
     """
 
     method: str
@@ -337,101 +350,76 @@ def _require_preconditioned(inst: ProblemInstance) -> None:
             "apply precondition() first")
 
 
+def _variance_terms(method: str, inst: ProblemInstance, y: np.ndarray,
+                    c0: float, M: int, K: int, r1, r2) -> VarianceDecomposition:
+    """Both methods' splits by the formulas of VarianceDecomposition, from
+    the moments of _epoch_moments; no index path is walked."""
+    _require_preconditioned(inst)
+    y = np.asarray(y, dtype=np.float64)
+    r1m = operator_word_matrix(inst.gram, c0, r1)
+    r2v = shift_vector(inst, y, r2)
+    kit = _EpochKit(inst, y, c0, M)
+    a, b, m0, n = inst.a, kit.b, kit.m0, inst.n
+    if method == "svrg":
+        ops = [kit.stepsum[i] @ b for i in range(M)]  # v_i = ops[i] u_j
+        shift = np.zeros(inst.m)
+        gaps = np.zeros_like(kit.zeta_k)
+    else:
+        ops = kit.m0_pows[:M]  # v_i = ops[i] u_j + shift
+        shift = inst.gram.pinv_apply(kit.zeta)
+        gaps = kit.zeta_k - kit.zeta
+    gap_cov = gaps.T @ gaps / n
+
+    def gap_cross(v_mean, mat):  # E_k (N_k v_mean)^T mat g_k
+        nv = b @ v_mean - a * (a @ v_mean)[:, None]
+        return float(np.einsum("km,km->", nv @ mat, gaps)) / n
+
+    head = _head_term(inst, y, c0, M, K, r1m, r2v)
+    exact, main, noise = np.zeros(K), np.zeros(K), np.zeros(K)
+    # the moments after the last epoch are not needed
+    for j, (mu, s) in enumerate(_epoch_moments(inst, y, c0, M, K - 1,
+                                               method)[:K]):
+        pre = r1m @ np.linalg.matrix_power(m0, (K - 1 - j) * M)
+        x = w = pre.T @ pre
+        z = np.zeros_like(x)
+        for i in range(M - 1, -1, -1):  # x, w, z: the forms after step i
+            r = (a.T * np.einsum("km,km->k", a @ x, a)) @ a / n  # R(x)
+            q = r - b @ x @ b  # E_k N_k x N_k
+            om = ops[i] @ mu
+            v_mean = om + shift  # E v_i
+            # tr(q V_i), V_i = E v_i v_i^T, v_i = ops[i] u_j + shift
+            own = np.vdot(ops[i].T @ q @ ops[i], s) \
+                + shift @ q @ (2 * om + shift)
+            group_main = c0**2 * (own + 2 * gap_cross(v_mean, w)
+                                  + np.vdot(w, gap_cov))
+            group_noise = c0**4 * np.vdot(z, gap_cov)
+            main[j] += group_main
+            noise[j] += group_noise
+            exact[j] += group_main + group_noise \
+                + 2 * c0**4 * gap_cross(v_mean, z)
+            x = x - c0 * (b @ x + x @ b) + c0**2 * r
+            w = m0 @ w @ m0
+            z = q + m0 @ z @ m0
+    return VarianceDecomposition(method=method, head=head, epoch_terms=exact,
+                                 split_main=main, split_noise=noise)
+
+
 def svrg_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                         K: int, r1="I", r2="0") -> VarianceDecomposition:
     """Second-moment split for the anchored method: deterministic head plus one
-    fluctuation term per outer loop, each evaluated by enumerating exactly the
-    digits it depends on."""
-    _require_preconditioned(inst)
-    y = np.asarray(y, dtype=np.float64)
-    path_count(inst.n, M, K)
-    gram = inst.gram
-    r1m = operator_word_matrix(gram, c0, r1)
-    r2v = shift_vector(inst, y, r2)
-    kit = _EpochKit(inst, y, c0, M)
-    x_ref = inst.x_dag + gram.pinv_apply(kit.zeta)
-
-    head = _head_term(inst, y, c0, M, K, r1m, r2v)
-    terms = np.zeros(K)
-    for j in range(K):
-        pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
-        total = inst.n ** ((j + 1) * M)
-        acc = []
-        for ids in _block_ranges(total):
-            u = _iterate_paths(inst, y, c0, M, j * M, "svrg", ids)[j * M] - x_ref
-            rows = _epoch_rows(inst, ids, j, M)
-            block = np.zeros(ids.size)
-            for i in range(1, M):
-                w = u @ (kit.stepsum[i] @ kit.b).T  # (I - M0^i) u, polynomial form
-                v = _apply_h(kit, w, rows, i) @ pre.T
-                block += np.einsum("rm,rm->r", v, v)
-            acc.append(block.sum())
-        terms[j] = c0**2 * np.add.reduce(np.array(acc)) / total
-    return VarianceDecomposition(method="svrg", head=head, epoch_terms=terms,
-                                 split_main=terms.copy(),
-                                 split_noise=np.zeros(K))
+    fluctuation term per outer loop, the sum over inner steps i of
+    c0^2 tr(E_k[N_k X N_k] V_i), V_i = E v_i v_i^T, v_i = stepsum_i B u_j."""
+    return _variance_terms("svrg", inst, y, c0, M, K, r1, r2)
 
 
 def sgd_variance_terms(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                        K: int, r1="I", r2="0") -> VarianceDecomposition:
-    """Second-moment split for the plain stochastic method.
-
-    The fluctuation of one outer loop is grouped by the inner step whose drawn
-    index introduces it: the group for step i holds the step's own term plus
-    every later echo of its noise through the partial products.  Groups are
-    mutually uncorrelated, so head + sum over groups reproduces the enumerated
-    second moment to machine precision; the split_* fields report the two
-    sub-families separately (their covariance is not zero in general).
-    """
-    _require_preconditioned(inst)
-    y = np.asarray(y, dtype=np.float64)
-    path_count(inst.n, M, K)
-    gram = inst.gram
-    r1m = operator_word_matrix(gram, c0, r1)
-    r2v = shift_vector(inst, y, r2)
-    kit = _EpochKit(inst, y, c0, M)
-    bz = gram.pinv_apply(kit.zeta)
-    x_ref = inst.x_dag + bz
-
-    head = _head_term(inst, y, c0, M, K, r1m, r2v)
-    exact = np.zeros(K)
-    main = np.zeros(K)
-    noise = np.zeros(K)
-    for j in range(K):
-        pre = r1m @ np.linalg.matrix_power(kit.m0, (K - 1 - j) * M)
-        total = inst.n ** ((j + 1) * M)
-        acc_e, acc_m, acc_n = [], [], []
-        for ids in _block_ranges(total):
-            u = _iterate_paths(inst, y, c0, M, j * M, "sgd", ids)[j * M] - x_ref
-            rows = _epoch_rows(inst, ids, j, M)
-            block_e = np.zeros(ids.size)
-            block_m = np.zeros(ids.size)
-            block_n = np.zeros(ids.size)
-            for i in range(M):
-                # own term: H_{jM+i} (M0^i u + B^+ zeta) + M0^(M-i-1) noise gap
-                w = _apply_h(kit, u @ kit.m0_pows[i].T + bz, rows, i)
-                gap = kit.zeta_k[_digit(ids, inst.n, j * M + i)] - kit.zeta
-                own = c0 * (w + gap @ kit.m0_pows[M - i - 1].T)
-                v = own @ pre.T
-                block_m += np.einsum("rm,rm->r", v, v)
-                # echoes: H_{jM+i+t+1} M0^t applied to the same noise gap
-                group = own
-                for t in range(M - i - 1):
-                    echo = c0**2 * _apply_h(kit, gap @ kit.m0_pows[t].T, rows,
-                                            i + t + 1)
-                    v = echo @ pre.T
-                    block_n += np.einsum("rm,rm->r", v, v)
-                    group = group + echo
-                v = group @ pre.T
-                block_e += np.einsum("rm,rm->r", v, v)
-            acc_e.append(block_e.sum())
-            acc_m.append(block_m.sum())
-            acc_n.append(block_n.sum())
-        exact[j] = np.add.reduce(np.array(acc_e)) / total
-        main[j] = np.add.reduce(np.array(acc_m)) / total
-        noise[j] = np.add.reduce(np.array(acc_n)) / total
-    return VarianceDecomposition(method="sgd", head=head, epoch_terms=exact,
-                                 split_main=main, split_noise=noise)
+    """Second-moment split for the plain stochastic method: the fluctuation of
+    one outer loop is grouped by the inner step whose drawn index introduces
+    it, the step's own term plus every later echo of its noise gap.  Groups
+    are mutually uncorrelated, so head + sum over groups is the second moment
+    to machine precision; split_* report the two sub-families apart."""
+    return _variance_terms("sgd", inst, y, c0, M, K, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +482,15 @@ def epoch_transitions(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
 
 def exact_final_moments(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
                         K: int, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean and second-moment matrix of u_K = x_{KM} - x_dag - B^+ zeta.
+    """Exact mean and second-moment matrix of u_K = x_{KM} - x_dag - B^+ zeta,
+    the last entry of _epoch_moments."""
+    return _epoch_moments(inst, y, c0, M, K, method)[-1]
+
+
+def _epoch_moments(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
+                   K: int, method: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact mean and second-moment matrix of u_j = x_{jM} - x_dag - B^+ zeta
+    at every epoch start, j = 0..K.
 
     The state z is (u, 1) for sgd and (u, anchor, 1) for svrg.  A step with
     row j maps its first m entries, u, by u <- u - c0 (a_j f_j^T + G) z: sgd
@@ -524,7 +520,9 @@ def exact_final_moments(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     drift = f_mean + g  # mean_j (a_j f_j^T + G)
     z = np.concatenate([inst.x0 - x_ref, np.zeros(size - m - 1), [1.0]])
     zz = np.outer(z, z)
+    moments = []
     for _ in range(K):
+        moments.append((zz[:m, -1], zz[:m, :m]))
         zz = fold @ zz @ fold.T
         for _ in range(M):
             w = np.einsum("js,js->j", f @ zz, f)
@@ -535,7 +533,8 @@ def exact_final_moments(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
             nxt[:m, :m] += c0**2 * ((a.T * w) @ a / n + dz @ g.T
                                     + g @ zz @ f_mean.T)
             zz = nxt
-    return zz[:m, -1], zz[:m, :m]
+    moments.append((zz[:m, -1], zz[:m, :m]))
+    return moments
 
 
 def exact_weighted_second_moment(inst: ProblemInstance, y: np.ndarray, c0: float,

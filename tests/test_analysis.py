@@ -189,6 +189,23 @@ def test_propagated_moments_match_enumeration(method):
     assert_allclose(weighted, brute, rtol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["sgd", "svrg"])
+@pytest.mark.parametrize("build", [
+    lambda seed: raw_random(3, 3, seed),
+    lambda seed: random_preconditioned(4, 2, seed)],
+    ids=["raw", "preconditioned"])
+def test_epoch_moments_match_final_moments_bitwise(method, build):
+    inst, y = build(23)
+    c0 = 0.8 * step_constant(inst.a)
+    M, K = 3, 4
+    moments = analysis._epoch_moments(inst, y, c0, M, K, method)
+    assert len(moments) == K + 1
+    for j, (mu, s) in enumerate(moments):
+        mu_j, s_j = exact_final_moments(inst, y, c0, M, j, method)
+        assert_array_equal(mu, mu_j)
+        assert_array_equal(s, s_j)
+
+
 def loop_epoch_transitions(inst, y, c0, M, method):
     """Reference: the per-epoch maps built one digit combination at a time."""
     n, m = inst.n, inst.m
@@ -404,8 +421,11 @@ def test_recursion_check_runs_the_solver_kernel(monkeypatch):
 
 # References: the inline loops the decomposition terms, the orthogonality
 # check and the recursion check ran before they shared _apply_h, the stacked
-# path operators and solvers.Lockstep.  The new code must match them bit for
-# bit.  Cases: the verify suite's, plus ones with M = 3 and K = 2.
+# path operators and solvers.Lockstep.  The orthogonality and recursion
+# checks must match them bit for bit.  The decomposition terms now come from
+# the epoch-start moments and walk no path, so the path loops referee them
+# to 1e-12 of the total.  Cases: the verify suite's, plus ones with M = 3 and
+# K = 2, M = 1 and K = 3, and n = m = M = K = 3.
 
 def loop_svrg_variance_terms(inst, y, c0, M, K, r1, r2):
     n = inst.n
@@ -499,27 +519,51 @@ def loop_sgd_variance_terms(inst, y, c0, M, K, r1, r2):
 
 
 DECOMPOSITION_CASES = [(3, 2, 2, 2, 60), (2, 2, 3, 1, 61), (2, 2, 3, 2, 62),
-                       (3, 2, 3, 2, 63)]
+                       (3, 2, 3, 2, 63), (3, 2, 1, 3, 66), (3, 3, 3, 3, 64)]
 
 
 @pytest.mark.parametrize("n,m,M,K,seed", DECOMPOSITION_CASES)
-def test_variance_terms_match_inline_loops_bitwise(n, m, M, K, seed):
+def test_variance_terms_match_path_loops(n, m, M, K, seed):
     inst, y = verify._noisy_preconditioned(n, m, seed=seed)
     c0 = 0.7 * step_constant(inst.a)
     for r1 in ("I", "B", "M0^2"):
         for r2 in ("0", "Binv_zeta"):
             dec = svrg_variance_terms(inst, y, c0, M, K, r1=r1, r2=r2)
             head, terms = loop_svrg_variance_terms(inst, y, c0, M, K, r1, r2)
+            tol = 1e-12 * (1 + abs(dec.total))
             assert dec.head == head
-            assert_array_equal(dec.epoch_terms, terms)
-            assert_array_equal(dec.split_main, terms)
+            assert np.abs(dec.epoch_terms - terms).max() <= tol
+            assert_array_equal(dec.split_main, dec.epoch_terms)
+            assert_array_equal(dec.split_noise, np.zeros(K))
             dec = sgd_variance_terms(inst, y, c0, M, K, r1=r1, r2=r2)
             head, exact, main, noise = loop_sgd_variance_terms(
                 inst, y, c0, M, K, r1, r2)
+            tol = 1e-12 * (1 + abs(dec.total))
             assert dec.head == head
-            assert_array_equal(dec.epoch_terms, exact)
-            assert_array_equal(dec.split_main, main)
-            assert_array_equal(dec.split_noise, noise)
+            assert np.abs(dec.epoch_terms - exact).max() <= tol
+            assert np.abs(dec.split_main - main).max() <= tol
+            assert np.abs(dec.split_noise - noise).max() <= tol
+
+
+@pytest.mark.parametrize("n,m,seed,M,K", [(30, 4, 5, 4, 3), (60, 8, 6, 6, 4)])
+def test_decomposition_runs_past_the_enumeration_budget(monkeypatch, n, m,
+                                                        seed, M, K):
+    # 30^12 and 60^24 index paths: the terms must come from the moments
+    inst, y = verify._noisy_preconditioned(n, m, seed=seed)
+    c0 = 0.7 * step_constant(inst.a)
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a decomposition term walked index paths")
+
+    monkeypatch.setattr(analysis, "_iterate_paths", no_paths)
+    for method, fn in (("svrg", svrg_variance_terms),
+                       ("sgd", sgd_variance_terms)):
+        for r1 in ("I", "B", "M0^2"):
+            for r2 in ("0", "Binv_zeta"):
+                dec = fn(inst, y, c0, M, K, r1=r1, r2=r2)
+                ref = exact_weighted_second_moment(inst, y, c0, M, K, method,
+                                                   r1, r2)
+                assert abs(dec.total - ref) <= 1e-12 * (1 + abs(ref))
 
 
 def loop_orthogonality_check(inst, y, c0, M, K, method):
