@@ -18,7 +18,8 @@ ways, which cross-check each other:
 The per-path identity checks use the same arithmetic: recursion_check
 advances one seeded path with solvers.Lockstep, the solvers' own step kernel,
 and compares it with the path operators of _EpochKit that also build the
-epoch maps.
+epoch maps.  The kit holds (m, m) operators and vectors; a path stack forms
+a_k a_k^T only for the rows it draws.
 
 Conventions used throughout: K counts completed outer loops, so the final
 iterate is x_{KM} and per-epoch sums run over j = 0..K-1; inner step t of the
@@ -214,7 +215,8 @@ def closed_form_mean(gram: GramOperator, e0: np.ndarray, zeta: np.ndarray,
     if mu.min() < -1e-12:
         raise ValueError("step too large: propagator spectrum leaves [0, 1]")
     head = gram.filter_apply(mu**power, e0)
-    keep = lam > gram.cutoff
+    # at power 0 the tail (I - M0^0) B^+ zeta is 0; 0 * log1p(-1) would be NaN
+    keep = (lam > gram.cutoff) & (power > 0)
     w = np.zeros_like(lam)
     with np.errstate(divide="ignore"):
         grow = -np.expm1(power * np.log1p(-np.clip(c0 * lam[keep], None, 1.0)))
@@ -228,11 +230,11 @@ def closed_form_mean(gram: GramOperator, e0: np.ndarray, zeta: np.ndarray,
 # per-epoch operator kit (explicit matrices; valid on any instance)
 
 class _EpochKit:
-    """Precomputed per-digit matrices for one instance and step size."""
+    """Epoch operators of one instance and step: B, M0^i, the step sums and
+    zeta, zeta_k; a_k a_k^T is formed only for the rows a path stack draws."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, c0: float, M: int):
         self.inst, self.c0, self.M = inst, float(c0), int(M)
-        a = inst.a
         self.b = inst.gram.matrix
         self.m0 = np.eye(inst.m) - c0 * self.b
         self.m0_pows = [np.linalg.matrix_power(self.m0, i) for i in range(M + 1)]
@@ -244,31 +246,29 @@ class _EpochKit:
             self.stepsum.append(acc.copy())
         xi = np.asarray(y, dtype=np.float64) - inst.y_dag
         self.zeta = noise_functional(inst, y)
-        self.zeta_k = a * xi[:, None]  # row k: a_k * xi_k
-        self.outer = a[:, :, None] * a[:, None, :]  # row k: a_k a_k^T
-
-    def p_mat(self, k) -> np.ndarray:
-        return np.eye(self.inst.m) - self.c0 * self.outer[k]
-
-    def n_mat(self, k) -> np.ndarray:
-        return self.b - self.outer[k]
+        self.zeta_k = inst.a * xi[:, None]  # row k: a_k * xi_k
 
     # The path operators below take a (count, M) stack of epoch digits and
     # return (count, m, m) stacks, one matrix per row of digits.
 
+    def _outer(self, digits, i):  # each path's a_k a_k^T at epoch step i
+        rows = self.inst.a[digits[:, i]]
+        return rows[:, :, None] * rows[:, None, :]
+
     def suffix_products(self, digits: np.ndarray) -> list[np.ndarray]:
         """suf[i] = P_{d[M-1]} ... P_{d[i]} (suf[M] = I)."""
         M, m = self.M, self.inst.m
+        eye = np.eye(m)
         suf = [None] * (M + 1)
-        suf[M] = np.broadcast_to(np.eye(m), (digits.shape[0], m, m))
+        suf[M] = np.broadcast_to(eye, (digits.shape[0], m, m))
         for i in range(M - 1, -1, -1):
-            suf[i] = suf[i + 1] @ self.p_mat(digits[:, i])
+            suf[i] = suf[i + 1] @ (eye - self.c0 * self._outer(digits, i))
         return suf
 
     def h_mat(self, digits: np.ndarray, suf: list[np.ndarray], i: int
               ) -> np.ndarray:
         """H_i = (P_{d[M-1]} ... P_{d[i+1]}) N_{d[i]}."""
-        return suf[i + 1] @ self.n_mat(digits[:, i])
+        return suf[i + 1] @ (self.b - self._outer(digits, i))
 
     def l_mat(self, digits: np.ndarray, suf: list[np.ndarray]) -> np.ndarray:
         """L = c0 sum_{i=1}^{M-1} H_i (I - M0^i) B^+ via the polynomial form."""
@@ -278,13 +278,13 @@ class _EpochKit:
         return out
 
 
-def _apply_h(kit: _EpochKit, w: np.ndarray, rows: list[np.ndarray], i: int
-             ) -> np.ndarray:
+def _apply_h(b: np.ndarray, c0: float, w: np.ndarray,
+             rows: list[np.ndarray], i: int) -> np.ndarray:
     """H_i w per path: N at epoch step i, then P at steps i+1..M-1, where
     rows[l] holds each path's row drawn at epoch step l."""
-    w = w @ kit.b.T - rows[i] * np.einsum("rm,rm->r", rows[i], w)[:, None]
+    w = w @ b.T - rows[i] * np.einsum("rm,rm->r", rows[i], w)[:, None]
     for rl in rows[i + 1:]:
-        w = w - kit.c0 * rl * np.einsum("rm,rm->r", rl, w)[:, None]
+        w = w - c0 * rl * np.einsum("rm,rm->r", rl, w)[:, None]
     return w
 
 
@@ -645,7 +645,7 @@ def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
     all distinct index pairs; they should vanish identically."""
     y = np.asarray(y, dtype=np.float64)
     total = path_count(inst.n, M, K)
-    kit = _EpochKit(inst, y, c0, M)
+    b = inst.gram.matrix
     terms = K * M  # H_{jM+i} e_jM in the order j, then i
 
     cross_sums = {}
@@ -657,7 +657,7 @@ def orthogonality_check(inst: ProblemInstance, y: np.ndarray, c0: float, M: int,
         for j in range(K):
             e = states[j * M] - inst.x_dag
             rows = _epoch_rows(inst, ids, j, M)
-            hvecs += [_apply_h(kit, e, rows, i) for i in range(M)]
+            hvecs += [_apply_h(b, float(c0), e, rows, i) for i in range(M)]
         for p in range(terms):
             diag_sums[p] = diag_sums.get(p, 0.0) + float(
                 np.einsum("rm,rm->", hvecs[p], hvecs[p]))

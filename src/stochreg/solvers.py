@@ -368,12 +368,12 @@ class Lockstep:
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
-    """Advance all runs in lockstep, recording at recorder.cp.  Run r draws
-    its rows from the index stream subkeys[r], a (seed, subkey) pair
-    (landweber draws none), and reads the data of its cell, a row of y; cfg gives the method, step and
-    inner loop, and its seed is not read.  Returns a boolean mask of runs
-    that tripped the divergence guard (they keep iterating; their records
-    past the trip point are not meaningful)."""
+    """Advance all runs in lockstep, recording at recorder.cp.  Run r draws its
+    rows from the index stream subkeys[r], a (seed, subkey) pair (landweber
+    draws none), and reads the data of its cell, a row of y; cfg gives the
+    method, step and inner loop, and its seed is not read.  Returns a boolean
+    mask of runs that tripped the divergence guard (they keep iterating; their
+    records past the trip point are not meaningful)."""
     runs = len(subkeys)
     y = _cell_data(y, inst.n, runs)
     _validate_step(inst, cfg)

@@ -8,6 +8,8 @@ protect the closed forms against silent regressions.
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +102,41 @@ def test_closed_form_mean_matches_enumeration(method, n, m, M, K):
                             x_dag=inst.x_dag)
     err = np.linalg.norm(enum.mean - mean)
     assert err <= 1e-11 * (1 + np.linalg.norm(inst.x_dag))
+
+
+def test_closed_form_mean_at_zero_steps_is_the_start():
+    # c0 lambda_max = 1, landweber's default step: the tail filter would
+    # read 0 * log1p(-1) = NaN at zero steps
+    gram = GramOperator(np.diag([2.0, 1.0]))
+    e0, zeta, x_dag = np.array([1.0, 2.0]), np.array([0.3, -0.1]), np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M, K in [(0, 3), (2, 0)]:
+            assert_array_equal(closed_form_mean(gram, e0, zeta, 0.5, M, K), e0)
+            assert_array_equal(closed_form_mean(gram, e0, zeta, 0.5, M, K,
+                                                x_dag=x_dag), x_dag + e0)
+        assert_array_equal(closed_form_mean(gram, e0, zeta, 0.5, 1, 1),
+                           [0.15, 0.95])
+        for M, K in [(2, 1), (1, 2)]:
+            assert_array_equal(closed_form_mean(gram, e0, zeta, 0.5, M, K),
+                               [0.15, 0.425])
+
+
+def test_landweber_matches_closed_form_mean_at_every_checkpoint():
+    # a landweber run is deterministic, so its error is that of the mean:
+    # one step of c0 is one epoch of step c0 n with M = 1
+    rng = np.random.default_rng(3)
+    inst = make_instance("rand50x20", rng.normal(size=(50, 20)),
+                         rng.normal(size=20))
+    y = add_noise(inst, 0.05, 4).y
+    c0 = step_stability_bound(inst, "landweber")
+    cfg = SolverConfig(method="landweber", c0=c0, max_epochs=200)
+    curves = error_curves(inst, y, cfg, runs=1)
+    assert curves.iterations[0] == 0 and curves.iterations.size == 201
+    e0, zeta = inst.x0 - inst.x_dag, noise_functional(inst, y)
+    ref = [np.sum(closed_form_mean(inst.gram, e0, zeta, c0 * inst.n, 1,
+                                   int(k))**2) for k in curves.iterations]
+    assert_allclose(curves.error_sq[0], ref, rtol=1e-13, atol=0)
 
 
 def test_path_budget_enforced():
@@ -566,6 +603,24 @@ def test_decomposition_runs_past_the_enumeration_budget(monkeypatch, n, m,
                 assert abs(dec.total - ref) <= 1e-12 * (1 + abs(ref))
 
 
+def test_decomposition_memory_is_not_a_stack_of_row_outers():
+    # an (n, m, m) stack of a_k a_k^T would be 61 MiB here
+    inst, y = verify._noisy_preconditioned(200, 200, seed=5)
+    c0 = step_constant(inst.a) / 2
+    for fn in (svrg_variance_terms, sgd_variance_terms):
+        tracemalloc.start()
+        try:
+            fn(inst, y, c0, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (fn.__name__, peak)
+    kit = analysis._EpochKit(inst, y, c0, 2)
+    for name, value in vars(kit).items():
+        for arr in value if isinstance(value, list) else [value]:
+            assert np.size(arr) < inst.n * inst.m**2, name
+
+
 def loop_orthogonality_check(inst, y, c0, M, K, method):
     n = inst.n
     total = n ** (K * M)
@@ -660,10 +715,10 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
         e_end = x - inst.x_dag
         suf = [None] * (M + 1)
         suf[M] = eye
+        outer = [np.outer(a[d], a[d]) for d in epoch_digits]
         for i in range(M - 1, -1, -1):
-            suf[i] = suf[i + 1] @ (eye - c0 * kit.outer[epoch_digits[i]])
-        h = [suf[i + 1] @ (kit.b - kit.outer[epoch_digits[i]])
-             for i in range(M)]
+            suf[i] = suf[i + 1] @ (eye - c0 * outer[i])
+        h = [suf[i + 1] @ (kit.b - outer[i]) for i in range(M)]
         l_mat = np.zeros((m, m))
         for i in range(1, M):
             l_mat += c0 * (h[i] @ kit.stepsum[i])
