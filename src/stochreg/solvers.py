@@ -38,6 +38,7 @@ _GRADIENT_BLOCK rows, one stacked matmul each, by one rule for all methods:
     start:      Xb = x0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
+    error:      einsum(X - x_dag, X - x_dag), per run
 On rows orthogonal to rounding, K is diagonal up to entries that cannot be
 told apart from zero, and the kernel takes the diagonal form: it reads the
 diagonal kd of K (``ProblemInstance.row_gram_diagonal``) in place of K,
@@ -48,7 +49,27 @@ The selection comes from the instance, not from an option: the diagonal
 form is taken when row_orthogonality_gap <= max(n, m) eps, the rounding
 bound of the dot products K is built from.  Preconditioned rows take it,
 raw rows do not.  Where K's off-diagonal entries are exact zeros the two
-forms give the same bits; elsewhere they differ at roundoff.
+forms give the same bits for W and D; elsewhere they differ at roundoff.
+The diagonal form keeps no primal base.  It keeps the folded coordinates C,
+a (runs, n) matrix, so X = x0 + (C + W) @ A, and it reads the error off
+the coordinates with no product by A:
+    fold:       C += W;  D += s (W * kd);  W = 0
+    iterate:    X = (C + W) @ A + x0, on C + W zero-padded as W is, built
+                only when a caller asks for X (residuals, sums, the oracles)
+    error:      v = (C + W) + q;  |X - x_dag|^2 = |z|^2 + einsum(v, kd v + 2 g)
+with q, z and g built once per kernel from e0 = x0 - x_dag, so that
+e0 = q @ A + z:
+    q[i] = (a_i . e0) / kd[i] on kept rows, else 0;  z = e0 - q @ A
+    g[i] = a_i . z on dropped rows, else 0
+A row is kept when kd[i] > sqrt(max(n, m) eps) max kd.  The selection bounds
+each off-diagonal |K[i, j]| by max(n, m) eps max kd, so kept rows are
+orthogonal to within a cosine of sqrt(max(n, m) eps), and z is orthogonal
+to them to that accuracy.  The other rows hold little more than rounding of
+the rotation: two of them can point almost the same way, so a projection on
+them is meaningless, and their part of e0 stays in z.  The cross term 2 v g
+carries their overlap with z, which the error needs: the error expands
+|v @ A + z|^2 = v K v + 2 v (A z) + |z|^2 with K read as diagonal and A z
+as zero on the kept rows.  With x0 = x_dag, q, z and g are exact zeros.
 A landweber step starts at W = 0, so its row dot is exactly zero whatever
 the index (``run_batch`` passes row 0 and draws none), W -= D leaves
 W = -c0 (A Xb - y_r), and the fold is the step Xb -= c0 A^T (A Xb - y_r).
@@ -76,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance
+from .problems import _EPS, ProblemInstance
 from .rng import check_seed, index_blocks
 from .spectral import stability_step_bound
 
@@ -240,10 +261,12 @@ class _Recorder:
         self.sum_x = np.zeros((cells, c, inst.m)) if center_on_mean else None
         self.centered_sq = np.empty((runs, c)) if center_on_mean else None
 
-    def record(self, j: int, x: np.ndarray) -> np.ndarray:
-        diff = x - self.inst.x_dag
-        err = np.einsum("rm,rm->r", diff, diff)
+    def record(self, j: int, kernel: Lockstep) -> np.ndarray:
+        err = kernel.error_sq()
         self.error_sq[:, j] = err
+        if self.residual_sq is None and self.sum_x is None:
+            return err
+        x = kernel.iterates()
         if self.residual_sq is not None:
             resid = residuals(self.inst.a, self.y, x)
             self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
@@ -279,9 +302,10 @@ class Lockstep:
     """Advances the iterates of `runs` runs from inst.x0 by any of the three
     methods, one drawn row per run per step, in the row-space form of the
     module docstring.  ``t`` counts the steps taken, and W folds into the
-    base after every step that ends with t % every == 0: every = n for sgd,
-    once per epoch; every = M for svrg, so the base is its anchor; and
-    every = 1 for landweber, an anchor at every step."""
+    base, or into C in the diagonal form, after every step that ends with
+    t % every == 0: every = n for sgd, once per epoch; every = M for svrg,
+    so the base is its anchor; and every = 1 for landweber, an anchor at
+    every step."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int,
                  method: str, c0: float, M: int = 1):
@@ -291,11 +315,11 @@ class Lockstep:
         y = _cell_data(y, n, runs)
         self.a, self.k = inst.a, inst.row_gram
         self.kd = inst.row_gram_diagonal
+        self.x0, self.x_dag = inst.x0, inst.x_dag
         self.method, self.c0 = method, c0
         self.every, self._scale = {"sgd": (n, 1.0), "svrg": (M, c0 / n),
                                    "landweber": (1, c0)}[method]
         self.t = 0
-        self.base = np.tile(inst.x0, (runs, 1))
         # scale (A x0 - y_r): each cell's residual, over its block of runs
         self._dual = np.zeros((runs, n))
         cell_dual = self._dual.reshape(y.shape[0], -1, n)
@@ -307,22 +331,34 @@ class Lockstep:
         self._w_flat = self._w.reshape(-1)
         # run r's entry i of a (runs, n) matrix sits at flat r*n + i
         self._offsets = np.arange(runs) * n
-        # one output buffer for the W @ A and W @ K products
+        # one output buffer for the W @ A and W @ K products, or the diagonal
+        # form's (C + W) @ A and W * kd
         size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
         out = np.zeros(size * max(n, m))
         self._by_a = out[:size * m].reshape(-1, _GRADIENT_BLOCK, m)
         self._by_k = out[:size * n].reshape(-1, _GRADIENT_BLOCK, n)
         self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
+        self._built_at = -1  # the step count of the iterates in _by_a
+        if self.kd is None:
+            self.base = np.tile(inst.x0, (runs, 1))
+        else:
+            self._c = np.zeros((runs, n))
+            # C + W for the iterate and v = C + W + q for the error, padded
+            # as W is, and kd v + 2 g
+            self._v_blocks, self._v = _padded(runs, n)
+            self._kd_v = np.empty((runs, n))
+            self._q, self._z_sq, self._g2 = _error_coordinates(inst)
 
     def _fold(self) -> None:
-        """base += W @ A and dual += scale (W @ K), or scale (W * kd) in the
-        diagonal form; W = 0."""
-        np.matmul(self._w_blocks, self.a, out=self._by_a)
-        self.base += self._by_a_rows
+        """base += W @ A and dual += scale (W @ K), or C += W and dual +=
+        scale (W * kd) in the diagonal form; W = 0."""
         if self.kd is None:
+            np.matmul(self._w_blocks, self.a, out=self._by_a)
+            self.base += self._by_a_rows
             np.matmul(self._w_blocks, self.k, out=self._by_k)
         else:
+            self._c += self._w
             np.multiply(self._w, self.kd, out=self._by_k_rows)
         self._by_k_rows *= self._scale
         self._dual += self._by_k_rows
@@ -356,14 +392,51 @@ class Lockstep:
         self.t = t
 
     def iterates(self) -> np.ndarray:
-        """The (runs, m) iterates after t steps: the base on the fold grid,
-        else base + W @ A in the product buffer.  Not to be written; valid
-        until the next advance or iterates call."""
-        if self.t % self.every == 0:
+        """The (runs, m) iterates after t steps: in the dense form the base
+        on the fold grid, else base + W @ A in the product buffer; in the
+        diagonal form (C + W) @ A + x0 in that buffer.  Not to be written;
+        valid until the next advance call."""
+        if self.kd is None and self.t % self.every == 0:
             return self.base
-        np.matmul(self._w_blocks, self.a, out=self._by_a)
-        self._by_a_rows += self.base
+        if self._built_at != self.t:
+            if self.kd is None:
+                np.matmul(self._w_blocks, self.a, out=self._by_a)
+                self._by_a_rows += self.base
+            else:
+                np.add(self._c, self._w, out=self._v)
+                np.matmul(self._v_blocks, self.a, out=self._by_a)
+                self._by_a_rows += self.x0
+            self._built_at = self.t
         return self._by_a_rows
+
+    def error_sq(self) -> np.ndarray:
+        """Each run's squared error |X - x_dag|^2 after t steps: in the
+        dense form from the iterates, in the diagonal form from the
+        coordinates, with no product by A."""
+        if self.kd is None:
+            diff = self.iterates() - self.x_dag
+            return np.einsum("rm,rm->r", diff, diff)
+        v, kd_v = self._v, self._kd_v
+        np.add(self._c, self._w, out=v)
+        v += self._q
+        np.multiply(v, self.kd, out=kd_v)
+        kd_v += self._g2
+        return np.einsum("rn,rn->r", v, kd_v) + self._z_sq
+
+
+def _error_coordinates(inst: ProblemInstance) -> tuple:
+    """q, |z|^2 and 2 g of the diagonal form's error (module docstring),
+    from e0 = x0 - x_dag."""
+    a, kd = inst.a, inst.row_gram_diagonal
+    e0 = inst.x0 - inst.x_dag
+    kept = kd > math.sqrt(max(a.shape) * _EPS) * kd.max()
+    q = np.zeros(inst.n)
+    np.divide(np.einsum("nm,m->n", a, e0), kd, out=q, where=kept)
+    z = e0 - np.einsum("n,nm->m", q, a)
+    g2 = np.einsum("nm,m->n", a, z)
+    g2[kept] = 0.0
+    g2 *= 2.0
+    return q, float(np.einsum("m,m->", z, z)), g2
 
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
@@ -387,7 +460,7 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     cp = recorder.cp
     next_cp = 0
     if cp[0] == 0:
-        recorder.record(0, kernel.iterates())
+        recorder.record(0, kernel)
         next_cp = 1
 
     while kernel.t < total:
@@ -400,7 +473,7 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
             stop = min(start + width, int(cp[next_cp]))
             kernel.advance(idx[kernel.t - start:stop - start])
             if kernel.t == cp[next_cp]:
-                err = recorder.record(next_cp, kernel.iterates())
+                err = recorder.record(next_cp, kernel)
                 next_cp += 1
                 diverged |= ~np.isfinite(err) | (err > limit)
     return diverged

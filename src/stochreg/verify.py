@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from .analysis import (closed_form_mean, condition_report,
                        orthogonality_check, recursion_check, residual_bound,
                        sgd_variance_terms, stopping_stats, svrg_variance_terms,
                        theorem_bound, variance_compare, rate_fit)
+from .experiment import _join_slices, thread_count
 from .problems import (add_noise, generate, make_instance, noise_functional,
                        precondition, smooth_solution)
 from .solvers import SolverConfig, EpochAccounting, solve, step_stability_bound
@@ -488,7 +490,17 @@ def check_phillips_benchmark() -> Outcome:
     data = add_noise(inst, 5e-2, seed=180)
     c0 = 5.0 * step_constant(inst.a) / 100.0
     cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181)
-    curves = error_curves(inst, data.y, cfg, runs=100)
+    # two 50-run slices on up to two threads, joined in run order: a run has
+    # the same bits in a slice as in one 100-run batch
+    slices = [range(0, 50), range(50, 100)]
+    inst.row_gram_diagonal  # K and its selection, built once for both
+    with ThreadPoolExecutor(max_workers=min(thread_count(), 2)) as pool:
+        parts = list(pool.map(
+            lambda runs: error_curves(inst, data.y[None], cfg, runs)[0],
+            slices))
+    curves = _join_slices(list(zip(slices, parts)))
+    if isinstance(curves, Exception):
+        raise curves
     kstar, e_mean, _ = stopping_stats(curves)
     e_ok = 5.42e-1 / 2 <= e_mean <= 5.42e-1 * 2
     k_ok = 96.25 / 2 <= kstar <= 96.25 * 2

@@ -449,7 +449,7 @@ def test_recursion_check_runs_the_solver_kernel(monkeypatch):
 
     def drifting(self, idx):
         advance(self, idx)
-        self.base *= 1 + 1e-6
+        self._dual *= 1 + 1e-6
 
     monkeypatch.setattr(Lockstep, "advance", drifting)
     rep = recursion_check(inst, y, c0, M=3, K=2, seed=0)
@@ -671,7 +671,8 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
     the kernel's einsum row dot, and every product is taken on the path's
     row zero-padded to one block of _GRADIENT_BLOCK rows.  On rows
     orthogonal to rounding the kernel's diagonal form replaces K by its
-    diagonal kd: the row dot is kd[i] w[i] and the fold's w K is w * kd."""
+    diagonal kd: the row dot is kd[i] w[i] and the fold's w K is w * kd,
+    and w folds into coordinates c, so the iterate is (c + w) A + x0."""
     kit = analysis._EpochKit(inst, y, c0, M)
     digits = IndexStream(seed, inst.n).block(0, K * M)
     a, k_mat, n, m = inst.a, inst.row_gram, inst.n, inst.m
@@ -688,7 +689,7 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
         + (np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y)
     shift = resid * (c0 / n)
     anchor = x = inst.x0.copy()
-    w = np.zeros(n)
+    w, coords = np.zeros(n), np.zeros(n)
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):
         e_start = x - inst.x_dag
@@ -703,11 +704,18 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
             w[row] -= d * c0
             w = w - shift
             if i == M - 1:
-                anchor = anchor + padded(w, a)
-                w_k = padded(w, k_mat) if kd is None else w * kd
+                if kd is None:
+                    anchor = anchor + padded(w, a)
+                    w_k = padded(w, k_mat)
+                else:
+                    coords = coords + w
+                    w_k = w * kd
                 shift = shift + w_k * (c0 / n)
                 w = np.zeros(n)
-            x = anchor + padded(w, a) if i < M - 1 else anchor
+            if kd is not None:
+                x = padded(coords + w, a) + inst.x0
+            else:
+                x = anchor + padded(w, a) if i < M - 1 else anchor
             if i == 0:
                 predicted = kit.m0 @ e_start + c0 * kit.zeta
                 got = x - inst.x_dag

@@ -574,12 +574,20 @@ def _batch_sizes(monkeypatch):
      {"1": [60], "2": [60], "3": [60]}),
     ("figure", dict(runs=100, nu=[1.0]), True,
      {"1": [100], "2": [100], "3": [100]}),
+    ("table-diagonal", dict(runs=100, nu=[0.0], precondition=True), False,
+     {"1": [100], "2": [50, 50], "3": [50, 50]}),
+    ("rate-diagonal",
+     dict(runs=20, nu=[1.0], epsilon=[5e-2, 1e-2, 1e-3], precondition=True),
+     False, {"1": [60], "2": [60], "3": [60]}),
+    ("figure-diagonal", dict(runs=100, nu=[1.0], precondition=True), True,
+     {"1": [100], "2": [100], "3": [100]}),
 ])
 def test_run_slices_of_the_grid_shapes_keep_bytes_bitwise(
         tmp_path, monkeypatch, name, overrides, figures, sizes):
     # one method, so each grid is one group: the table's 1 x 100 runs are
     # cut in halves on two or more threads, the rate's 3 x 20 runs and the
-    # figure cell stay whole
+    # figure cell stay whole; preconditioned rows take the diagonal form,
+    # whose errors come from the row coordinates
     spec = small_spec(max_epochs=2.0,
                       methods=[{"method": "sgd", "c0": "1/2*c"}], **overrides)
     seen, blobs = _batch_sizes(monkeypatch), {}
