@@ -12,7 +12,7 @@ import sys
 
 from . import fileio, verify
 from .experiment import (load_spec, parse_c0_expr, parse_m_expr,
-                         run_experiment, run_precondition_study)
+                         run_experiment, run_precondition_study, thread_count)
 from .problems import (GENERATORS, add_noise, generate, load_instance,
                        load_noisy, precondition, rescale_to_unit_norm,
                        save_instance, save_noisy, smooth_solution, NoisyData)
@@ -189,6 +189,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        thread_count()  # a malformed STOCHREG_THREADS fails before any check
+    except ValueError as exc:
+        raise InputError(str(exc))
     report = verify.run_suite(args.level)
     print(verify.format_report(report))
     if args.out:

@@ -18,46 +18,43 @@ here written y_r.  A 1-d y is one cell.
 Update arithmetic (fixed, relied on by replay tests).  An sgd or svrg step
 moves run r's iterate along its drawn row a_i, and the anchor gradient
 A^T (A xa - y_r)/n lies in the row space too.  So the step kernel keeps each
-iterate as X = Xb + W @ A, with W a (runs, n) matrix of dual coordinates,
-and works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers
-one row of K per run, takes one row dot and changes one coordinate of W per
-run (svrg and landweber add one shift of W), one numpy call per statement:
+iterate as X = x0 + (C + W) @ A, with C and W (runs, n) matrices of row
+coordinates: W holds the steps since the last fold, C the folded ones.  It
+works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers one
+row of K per run, takes one row dot and changes one coordinate of W per run
+(svrg and landweber add one shift of W), one numpy call per statement:
     gather:     K.take(idx, 0, rows, "clip")
     sgd:        d = einsum(rows, W);  d += D[idx];  d *= c0;  W[idx] -= d
     svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= D
     landweber:  the svrg statements
-Here D = s (A Xb - y_r) is the dual of the base, with s = 1 for sgd,
-s = c0/n for svrg and s = c0 for landweber, whose base is their anchor;
-D[idx] and W[idx] mean each run's entry at its own drawn index.  W is
-folded back into the base through products on W zero-padded to blocks of
-_GRADIENT_BLOCK rows, one stacked matmul each, by one rule for all methods:
-    fold:       Xb += W @ A;  D += s (W @ K);  W = 0, after every step that
+Here D = s (A Xc - y_r) is the dual of the folded iterate Xc = x0 + C @ A,
+with s = 1 for sgd, s = c0/n for svrg and s = c0 for landweber, whose
+folded iterate is their anchor; D[idx] and W[idx] mean each run's entry at
+its own drawn index.  W folds into C by one rule for all methods, and every
+product is taken on its left factor zero-padded to blocks of
+_GRADIENT_BLOCK rows, one stacked matmul each:
+    fold:       C += W;  D += s (W @ K);  W = 0, after every step that
                 ends with t % every == 0, every = n for sgd (one epoch), M
                 for svrg (one anchor) and 1 for landweber
-    iterate:    X = Xb on the fold grid, X = (W @ A) + Xb at every other t
-    start:      Xb = x0 and D = s residuals(A, y_r, x0), taken once per cell
+    iterate:    X = (C + W) @ A + x0, built only when a caller asks for X
+    start:      C = 0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
     error:      einsum(X - x_dag, X - x_dag), per run
 On rows orthogonal to rounding, K is diagonal up to entries that cannot be
 told apart from zero, and the kernel takes the diagonal form: it reads the
 diagonal kd of K (``ProblemInstance.row_gram_diagonal``) in place of K,
-and only the two statements that read K change:
+and only the two statements that read K change, besides the error:
     row dot:    d = kd[idx] * W[idx], kd[idx] gathered once per advance call
     fold:       D += s (W * kd), elementwise in place of W @ K
+    error:      v = (C + W) + q;  |X - x_dag|^2 = |z|^2 + einsum(v, kd v + 2 g)
 The selection comes from the instance, not from an option: the diagonal
 form is taken when row_orthogonality_gap <= max(n, m) eps, the rounding
 bound of the dot products K is built from.  Preconditioned rows take it,
 raw rows do not.  Where K's off-diagonal entries are exact zeros the two
-forms give the same bits for W and D; elsewhere they differ at roundoff.
-The diagonal form keeps no primal base.  It keeps the folded coordinates C,
-a (runs, n) matrix, so X = x0 + (C + W) @ A, and it reads the error off
-the coordinates with no product by A:
-    fold:       C += W;  D += s (W * kd);  W = 0
-    iterate:    X = (C + W) @ A + x0, on C + W zero-padded as W is, built
-                only when a caller asks for X (residuals, sums, the oracles)
-    error:      v = (C + W) + q;  |X - x_dag|^2 = |z|^2 + einsum(v, kd v + 2 g)
-with q, z and g built once per kernel from e0 = x0 - x_dag, so that
+forms give the same bits for W, D, C and X; elsewhere they differ at
+roundoff.  The error is read off the coordinates with no product by A,
+through q, z and g built once per kernel from e0 = x0 - x_dag, so that
 e0 = q @ A + z:
     q[i] = (a_i . e0) / kd[i] on kept rows, else 0;  z = e0 - q @ A
     g[i] = a_i . z on dropped rows, else 0
@@ -72,7 +69,8 @@ carries their overlap with z, which the error needs: the error expands
 as zero on the kept rows.  With x0 = x_dag, q, z and g are exact zeros.
 A landweber step starts at W = 0, so its row dot is exactly zero whatever
 the index (``run_batch`` passes row 0 and draws none), W -= D leaves
-W = -c0 (A Xb - y_r), and the fold is the step Xb -= c0 A^T (A Xb - y_r).
+W = -c0 (A Xc - y_r), and the fold is the step Xc -= c0 A^T (A Xc - y_r),
+taken on C.
 The fold grid depends on the step count alone, so a run's bits depend
 neither on where its advance calls stop nor on the checkpoint grid or
 _CHUNK.  The gather uses mode "clip" because the default "raise" buffers
@@ -80,10 +78,10 @@ the copy: 100 rows of 1000 took about 100 us against 27 us on a 2-vCPU Xeon
 VM.  Indices are already reduced modulo n, so clipping never changes one.
 
 Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
-is exactly zero, so W stays zero and every fold adds zero.  Each BLAS block
-has the same shape whatever the batch, so a run's bits depend neither on
-the other runs nor on its place in the batch; they can depend on the BLAS
-build and its thread count.
+is exactly zero, so W and C stay zero and X = 0 @ A + x0 = x0.  Each BLAS
+block has the same shape whatever the batch, so a run's bits depend neither
+on the other runs nor on its place in the batch; they can depend on the
+BLAS build and its thread count.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
@@ -300,12 +298,11 @@ def _padded(runs: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 class Lockstep:
     """Advances the iterates of `runs` runs from inst.x0 by any of the three
-    methods, one drawn row per run per step, in the row-space form of the
-    module docstring.  ``t`` counts the steps taken, and W folds into the
-    base, or into C in the diagonal form, after every step that ends with
-    t % every == 0: every = n for sgd, once per epoch; every = M for svrg,
-    so the base is its anchor; and every = 1 for landweber, an anchor at
-    every step."""
+    methods, one drawn row per run per step, in the row coordinates of the
+    module docstring.  ``t`` counts the steps taken, and W folds into C
+    after every step that ends with t % every == 0: every = n for sgd, once
+    per epoch; every = M for svrg, so the folded iterate is its anchor; and
+    every = 1 for landweber, an anchor at every step."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int,
                  method: str, c0: float, M: int = 1):
@@ -331,8 +328,8 @@ class Lockstep:
         self._w_flat = self._w.reshape(-1)
         # run r's entry i of a (runs, n) matrix sits at flat r*n + i
         self._offsets = np.arange(runs) * n
-        # one output buffer for the W @ A and W @ K products, or the diagonal
-        # form's (C + W) @ A and W * kd
+        # one output buffer for the iterates' (C + W) @ A and the fold's
+        # W @ K, or W * kd in the diagonal form
         size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
         out = np.zeros(size * max(n, m))
         self._by_a = out[:size * m].reshape(-1, _GRADIENT_BLOCK, m)
@@ -340,25 +337,21 @@ class Lockstep:
         self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
         self._built_at = -1  # the step count of the iterates in _by_a
-        if self.kd is None:
-            self.base = np.tile(inst.x0, (runs, 1))
-        else:
-            self._c = np.zeros((runs, n))
-            # C + W for the iterate and v = C + W + q for the error, padded
-            # as W is, and kd v + 2 g
-            self._v_blocks, self._v = _padded(runs, n)
-            self._kd_v = np.empty((runs, n))
+        self._c = np.zeros((runs, n))
+        # C + W for the iterate, and in the diagonal form v = C + W + q for
+        # the error, padded as W is
+        self._v_blocks, self._v = _padded(runs, n)
+        if self.kd is not None:
+            self._kd_v = np.empty((runs, n))  # kd v + 2 g
             self._q, self._z_sq, self._g2 = _error_coordinates(inst)
 
     def _fold(self) -> None:
-        """base += W @ A and dual += scale (W @ K), or C += W and dual +=
-        scale (W * kd) in the diagonal form; W = 0."""
+        """C += W and dual += scale (W @ K), or scale (W * kd) in the
+        diagonal form; W = 0."""
+        self._c += self._w
         if self.kd is None:
-            np.matmul(self._w_blocks, self.a, out=self._by_a)
-            self.base += self._by_a_rows
             np.matmul(self._w_blocks, self.k, out=self._by_k)
         else:
-            self._c += self._w
             np.multiply(self._w, self.kd, out=self._by_k_rows)
         self._by_k_rows *= self._scale
         self._dual += self._by_k_rows
@@ -392,20 +385,13 @@ class Lockstep:
         self.t = t
 
     def iterates(self) -> np.ndarray:
-        """The (runs, m) iterates after t steps: in the dense form the base
-        on the fold grid, else base + W @ A in the product buffer; in the
-        diagonal form (C + W) @ A + x0 in that buffer.  Not to be written;
-        valid until the next advance call."""
-        if self.kd is None and self.t % self.every == 0:
-            return self.base
+        """The (runs, m) iterates (C + W) @ A + x0 after t steps, built in
+        the product buffer at the first call after a step.  Not to be
+        written; valid until the next advance call."""
         if self._built_at != self.t:
-            if self.kd is None:
-                np.matmul(self._w_blocks, self.a, out=self._by_a)
-                self._by_a_rows += self.base
-            else:
-                np.add(self._c, self._w, out=self._v)
-                np.matmul(self._v_blocks, self.a, out=self._by_a)
-                self._by_a_rows += self.x0
+            np.add(self._c, self._w, out=self._v)
+            np.matmul(self._v_blocks, self.a, out=self._by_a)
+            self._by_a_rows += self.x0
             self._built_at = self.t
         return self._by_a_rows
 

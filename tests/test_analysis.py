@@ -666,13 +666,13 @@ def test_orthogonality_check_matches_inline_loop_bitwise(method, n, m, M, K,
 def loop_recursion_check(inst, y, c0, M, K, seed):
     """The single-path loop with its own svrg step and per-combination
     path operators, as it ran before it used the solvers' kernel, the step
-    written in the kernel's row-space arithmetic: the iterate is the anchor
-    plus w A, the dual coordinates w step through rows of K = A A^T with
-    the kernel's einsum row dot, and every product is taken on the path's
-    row zero-padded to one block of _GRADIENT_BLOCK rows.  On rows
-    orthogonal to rounding the kernel's diagonal form replaces K by its
-    diagonal kd: the row dot is kd[i] w[i] and the fold's w K is w * kd,
-    and w folds into coordinates c, so the iterate is (c + w) A + x0."""
+    written in the kernel's row-space arithmetic: the iterate is
+    (c + w) A + x0, the dual coordinates w step through rows of K = A A^T
+    with the kernel's einsum row dot and fold into the coordinates c at
+    each anchor, and every product is taken on the path's row zero-padded
+    to one block of _GRADIENT_BLOCK rows.  On rows orthogonal to rounding
+    the kernel's diagonal form replaces K by its diagonal kd: the row dot
+    is kd[i] w[i] and the fold's w K is w * kd."""
     kit = analysis._EpochKit(inst, y, c0, M)
     digits = IndexStream(seed, inst.n).block(0, K * M)
     a, k_mat, n, m = inst.a, inst.row_gram, inst.n, inst.m
@@ -688,7 +688,7 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
     resid = padded(inst.x0 - inst.x0, a.T) \
         + (np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y)
     shift = resid * (c0 / n)
-    anchor = x = inst.x0.copy()
+    x = inst.x0.copy()
     w, coords = np.zeros(n), np.zeros(n)
     dev_epoch = dev_tel = dev_anchor = 0.0
     for k in range(K):
@@ -704,18 +704,11 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
             w[row] -= d * c0
             w = w - shift
             if i == M - 1:
-                if kd is None:
-                    anchor = anchor + padded(w, a)
-                    w_k = padded(w, k_mat)
-                else:
-                    coords = coords + w
-                    w_k = w * kd
+                coords = coords + w
+                w_k = padded(w, k_mat) if kd is None else w * kd
                 shift = shift + w_k * (c0 / n)
                 w = np.zeros(n)
-            if kd is not None:
-                x = padded(coords + w, a) + inst.x0
-            else:
-                x = anchor + padded(w, a) if i < M - 1 else anchor
+            x = padded(coords + w, a) + inst.x0
             if i == 0:
                 predicted = kit.m0 @ e_start + c0 * kit.zeta
                 got = x - inst.x_dag

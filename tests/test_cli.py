@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from stochreg import fileio
+from stochreg import fileio, verify
 from stochreg.cli import main
 from stochreg.problems import is_preconditioned, load_instance, load_noisy
 
@@ -198,6 +198,20 @@ def test_verify_fast_writes_report(tmp_path, capsys):
     assert report["level"] == "fast"
     assert all(entry["passed"] or entry["soft"] for entry in report["checks"])
     assert "result=PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_verify_rejects_a_malformed_thread_count(level, tmp_path, capsys,
+                                                 monkeypatch):
+    # the setting is read before any check runs, so no check runs at all
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda *args: ran.append(args))
+    monkeypatch.setenv("STOCHREG_THREADS", "abc")
+    report_path = tmp_path / "report.json"
+    rc = main(["verify", "--level", level, "--out", str(report_path)])
+    assert rc == 4
+    assert "STOCHREG_THREADS='abc' is not an integer" in capsys.readouterr().err
+    assert not ran and not report_path.exists()
 
 
 def _spec_doc(**overrides):

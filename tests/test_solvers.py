@@ -154,40 +154,36 @@ def padded_product(rows, mat):
 
 def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
     """The row-space update written out of place: idx[t] holds each run's
-    row at step t.  The iterate is a base plus W @ A, with dual coordinates
-    W stepped through rows of K = A A^T and folded into the base by padded
-    products after every step that ends with t % every == 0, every = n for
-    sgd, M for svrg and 1 for landweber, which takes the svrg statements.
-    On rows orthogonal to rounding K is its diagonal kd: the row dot is
-    kd[i] W[r, i] and the fold's W @ K is W * kd, and W folds into the
-    coordinates C in place of a base, so the iterate is (C + W) @ A + x0
-    and the error comes from C + W with the kernel's q, |z|^2 and 2 g.
-    Returns the (iterate matrix, squared errors) after each step count in
-    stops."""
+    row at step t.  The iterate is (C + W) @ A + x0, a padded product, with
+    dual coordinates W stepped through rows of K = A A^T and folded into
+    the coordinates C after every step that ends with t % every == 0,
+    every = n for sgd, M for svrg and 1 for landweber, which takes the svrg
+    statements.  On rows orthogonal to rounding K is its diagonal kd: the
+    row dot is kd[i] W[r, i], the fold's W @ K is W * kd, and the error
+    comes from C + W with the kernel's q, |z|^2 and 2 g.  Returns the
+    (iterate matrix, squared errors) after each step count in stops."""
     a, k, x0, n = inst.a, inst.row_gram, inst.x0, inst.n
     kd = inst.row_gram_diagonal
     runs = idx.shape[1]
     every_run = np.arange(runs)
     scale, every = {"sgd": (1.0, n), "svrg": (c0 / n, M),
                     "landweber": (c0, 1)}[method]
-    base = np.tile(x0, (runs, 1))
     coords = np.zeros((runs, n))
     dual = (np.zeros((runs, n))
             + (np.einsum("rm,nm->rn", x0[None], a) - y)) * scale
     w = np.zeros((runs, n))
 
-    def state(t):
+    def state():
+        v = coords + w
+        x = padded_product(v, a) + x0
         if kd is not None:
-            v = coords + w
             q, z_sq, g2 = _error_coordinates(inst)
             v_q = v + q
-            err = np.einsum("rn,rn->r", v_q, v_q * kd + g2) + z_sq
-            return padded_product(v, a) + x0, err
-        x = base if t % every == 0 else padded_product(w, a) + base
+            return x, np.einsum("rn,rn->r", v_q, v_q * kd + g2) + z_sq
         diff = x - inst.x_dag
         return x, np.einsum("rm,rm->r", diff, diff)
 
-    states = {0: state(0)}
+    states = {0: state()}
     for t, i in enumerate(idx[:max(stops)], start=1):
         d = (np.einsum("rn,rn->r", k[i], w) if kd is None
              else kd[i] * w[every_run, i])
@@ -198,16 +194,12 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
             w[every_run, i] -= d * c0
             w = w - dual
         if t % every == 0:
-            if kd is None:
-                base = base + padded_product(w, a)
-                w_k = padded_product(w, k)
-            else:
-                coords = coords + w
-                w_k = w * kd
+            coords = coords + w
+            w_k = padded_product(w, k) if kd is None else w * kd
             dual = dual + w_k * scale
             w = np.zeros((runs, n))
         if t in stops:
-            states[t] = state(t)
+            states[t] = state()
     return states
 
 
@@ -548,11 +540,11 @@ def test_diagonal_form_is_the_dense_form_bitwise_on_exactly_orthogonal_rows(
         kind, runs, method, M):
     # with exact zeros off the diagonal, the einsum row dot and the W @ K
     # product of the dense form add only exact zeros to kd[i] W[r, i] and
-    # W * kd, so W and the dual keep their bits; three epochs of sgd, with
-    # stops on and off the fold grids.  The iterate (C + W) @ A + x0 sums
-    # the folded W before the product, the dense base after it, so the two
-    # agree to roundoff: the iterates and the error norms |X - x_dag| to
-    # 1e-14 of the largest entry of X (measured: 6.6e-16 and 1.1e-15)
+    # W * kd, so W, the dual, C and the iterates (C + W) @ A + x0 keep their
+    # bits; three epochs of sgd, with stops on and off the fold grids.  The
+    # diagonal form reads the error off the coordinates, the dense form off
+    # X, so the error norms |X - x_dag| agree to 1e-14 of the largest entry
+    # of X (measured: 1.1e-15)
     inst, ys = exactly_orthogonal_case(kind, runs)
     assert not (inst.row_gram - np.diag(inst.row_gram_diagonal)).any()
     c0 = 0.5 * step_stability_bound(inst, method)
@@ -566,11 +558,11 @@ def test_diagonal_form_is_the_dense_form_bitwise_on_exactly_orthogonal_rows(
             kernel.advance(idx[kernel.t:stop])
         assert_array_equal(diagonal._w, dense._w)
         assert_array_equal(diagonal._dual, dense._dual)
+        assert_array_equal(diagonal._c, dense._c)
         want = dense.iterates()
-        tol = 1e-14 * np.abs(want).max()
-        assert np.abs(diagonal.iterates() - want).max() <= tol
+        assert_array_equal(diagonal.iterates(), want)
         norms = np.sqrt([diagonal.error_sq(), dense.error_sq()])
-        assert np.abs(norms[0] - norms[1]).max() <= tol
+        assert np.abs(norms[0] - norms[1]).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m", [200, 2], ids=["shaw200", "rand5x2"])
