@@ -24,6 +24,9 @@ _EPS = np.finfo(np.float64).eps
 # 128 KiB mmap threshold, which a larger freed block raises, moving the
 # grid's later buffers onto the heap (1 MiB more peak RSS on the table grid)
 _GAP_BLOCK_BYTES = 1 << 16
+# rows per block of a generated test matrix: at n = 1000 the temporaries of
+# one s-shaw block stay under 1.5 MiB beside the 7.6 MiB matrix
+_ROW_BLOCK = 32
 
 
 class SourceConditionError(ValueError):
@@ -114,15 +117,28 @@ def make_instance(name, a, x_dag, x0=None, nu=0.0) -> ProblemInstance:
                            x0=np.asarray(x0, dtype=np.float64), nu=nu)
 
 
+def _fill_rows(grid: np.ndarray, rows) -> np.ndarray:
+    """The square matrix whose rows are rows(s), s a column of grid values,
+    filled _ROW_BLOCK rows at a time so that the elementwise temporaries of
+    rows are block-sized and none is made at full size beside the matrix.
+    Each entry comes from the same elementwise expression whatever the
+    block, so the matrix is the full-array expression bit for bit."""
+    a = np.empty((grid.size, grid.size))
+    for lo in range(0, grid.size, _ROW_BLOCK):
+        a[lo:lo + _ROW_BLOCK] = rows(grid[lo:lo + _ROW_BLOCK, None])
+    return a
+
+
 def gen_shaw(n: int) -> ProblemInstance:
     """One-dimensional image reconstruction kernel on [-pi/2, pi/2]."""
     if n < 2:
         raise ValueError("need n >= 2")
     h = np.pi / n
     grid = -np.pi / 2 + (np.arange(1, n + 1) - 0.5) * h
-    s, t = grid[:, None], grid[None, :]
-    u_over_pi = np.sin(s) + np.sin(t)  # u = pi * (sin s + sin t)
-    a = h * (np.cos(s) + np.cos(t)) ** 2 * np.sinc(u_over_pi) ** 2
+    t = grid[None, :]
+    # sinc(sin s + sin t) = sin(u) / u with u = pi * (sin s + sin t)
+    a = _fill_rows(grid, lambda s: h * (np.cos(s) + np.cos(t)) ** 2
+                   * np.sinc(np.sin(s) + np.sin(t)) ** 2)
     x = 2.0 * np.exp(-6.0 * (grid - 0.8) ** 2) + np.exp(-2.0 * (grid + 0.5) ** 2)
     return make_instance(f"s-shaw-{n}", a, x)
 
@@ -134,8 +150,8 @@ def gen_gravity(n: int, d: float = 0.25) -> ProblemInstance:
     if not d > 0:
         raise ValueError("depth must be positive")
     grid = (np.arange(1, n + 1) - 0.5) / n
-    diff = grid[:, None] - grid[None, :]
-    a = (1.0 / n) * d / (d * d + diff**2) ** 1.5
+    a = _fill_rows(grid, lambda s: (1.0 / n) * d
+                   / (d * d + (s - grid[None, :])**2) ** 1.5)
     x = np.sin(np.pi * grid) + 0.5 * np.sin(2.0 * np.pi * grid)
     return make_instance(f"s-gravity-{n}", a, x)
 
@@ -152,9 +168,13 @@ def gen_phillips(n: int) -> ProblemInstance:
     j = np.arange(n)
     w = 12.0 / n
     grid = (12.0 * j - 6.0 * n) / n  # -6 + j*w with t = 0 landing exactly on 0.0
-    offsets = j[:, None] - j[None, :]
-    vals = 1.0 + np.cos(np.pi * ((12.0 * offsets) / n) / 3.0)
-    a = w * np.where(4 * np.abs(offsets) < n, vals, 0.0)
+
+    def rows(i):
+        offsets = i - j[None, :]
+        vals = 1.0 + np.cos(np.pi * ((12.0 * offsets) / n) / 3.0)
+        return w * np.where(4 * np.abs(offsets) < n, vals, 0.0)
+
+    a = _fill_rows(j, rows)
     x = np.where(np.abs(4 * j - 2 * n) < n, 1.0 + np.cos(np.pi * grid / 3.0), 0.0)
     return make_instance(f"s-phillips-{n}", a, x)
 

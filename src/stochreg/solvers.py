@@ -202,9 +202,16 @@ def checkpoint_iterations(acct: EpochAccounting, cfg: SolverConfig, total: int
 
 
 def step_stability_bound(inst: ProblemInstance, method: str) -> float:
+    """Largest admissible c0.  Landweber's full-gradient step reads the
+    spectrum: 1 / (n ||B||), which builds inst.gram.  An sgd or svrg row
+    step reads only the row norms, 1 / max_i ||a_i||^2, which governs
+    1/||B|| since ||B|| <= mean_i ||a_i||^2; inst.gram is not touched."""
     if method == "landweber":
-        return 1.0 / (inst.n * inst.gram.norm)
-    return stability_step_bound(inst.a, inst.gram)
+        norm = inst.gram.norm
+        if norm <= 0:
+            raise ValueError("all rows are zero; no admissible step exists")
+        return 1.0 / (inst.n * norm)
+    return stability_step_bound(inst.a)
 
 
 def step_is_admissible(inst: ProblemInstance, cfg: SolverConfig) -> bool:

@@ -115,12 +115,12 @@ def stability_step_bound(a, gram: GramOperator | None = None) -> float:
     """Largest c0 under which every propagator eigenvalue 1 - c0*lambda
     stays in [0, 1] (c0 <= 1/||B||) and no row step overshoots its row's
     projection (c0 <= 1/max_i ||a_i||^2).  For B = build_gram(a) the row
-    term governs, since ||B|| <= mean_i ||a_i||^2."""
+    term governs, since ||B|| <= tr B = mean_i ||a_i||^2: so without a gram
+    only the row norms are read and no B is built.  A gram passed in is
+    read for its norm and the larger cap wins."""
     mat = np.asarray(a, dtype=np.float64)
-    if gram is None:
-        gram = build_gram(mat)
     norms = np.einsum("ij,ij->i", mat, mat)
-    cap = max(norms.max(), gram.norm)
+    cap = norms.max() if gram is None else max(norms.max(), gram.norm)
     if cap <= 0:
         raise ValueError("all rows are zero; no admissible step exists")
     return float(1.0 / cap)

@@ -11,7 +11,8 @@ import pytest
 
 from stochreg import fileio, verify
 from stochreg.cli import main
-from stochreg.problems import is_preconditioned, load_instance, load_noisy
+from stochreg.problems import (is_preconditioned, load_instance, load_noisy,
+                               make_instance, save_instance)
 
 
 def _generate(tmp_path, name, *extra):
@@ -169,6 +170,21 @@ def test_solve_rejects_unstable_step(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "stability bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,step", [
+    ("landweber", []),  # the automatic step, 1 / (n ||B||)
+    ("landweber", ["--c0", "1/2*c"]),
+    ("sgd", ["--c0", "1/2*c"]),
+    ("svrg", ["--c0", "1/2*c"]),
+])
+def test_solve_zero_matrix_exits_four(tmp_path, capsys, method, step):
+    path = tmp_path / "zero.instance.json"
+    save_instance(make_instance("zero", np.zeros((3, 2)), np.zeros(2)), path)
+    rc = main(["solve", str(path), "--method", method, *step,
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "all rows are zero" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

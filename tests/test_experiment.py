@@ -268,6 +268,42 @@ def test_method_groups_share_one_row_gram(tmp_path, monkeypatch, rotate):
     assert (seen[0][1] is not None) == rotate
 
 
+def _grid_instances(monkeypatch) -> list:
+    """The instances the next grid runs on, recorded as they are prepared."""
+    seen = []
+    prepare = experiment._prepare_cells
+
+    def recording(*args, **kwargs):
+        prepared = prepare(*args, **kwargs)
+        seen.extend(inst for inst, _, _ in prepared.values())
+        return prepared
+
+    monkeypatch.setattr(experiment, "_prepare_cells", recording)
+    return seen
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["raw", "preconditioned"])
+def test_stochastic_grids_build_no_gram(tmp_path, monkeypatch, rotate):
+    # an sgd or svrg step is checked against the row bound alone, so no
+    # instance of the grid builds B = A^T A / n or its eigendecomposition
+    seen = _grid_instances(monkeypatch)
+    spec = small_spec(nu=[0.0, 1.0], precondition=rotate,
+                      methods=[{"method": "sgd", "c0": "1/2*c"},
+                               {"method": "svrg", "c0": "1/2*c", "M": "4"}])
+    rows = run_experiment(spec, tmp_path / "t.csv")
+    assert len(rows) == 4 and all(row[-1] == "" for row in rows)
+    assert len(seen) == 2
+    assert all("gram" not in inst.__dict__ for inst in seen)
+
+
+def test_landweber_auto_step_builds_the_gram(tmp_path, monkeypatch):
+    seen = _grid_instances(monkeypatch)
+    spec = small_spec(nu=[0.0], methods=[{"method": "landweber"}])
+    rows = run_experiment(spec, tmp_path / "t.csv")
+    assert len(rows) == 1 and rows[0][-1] == ""
+    assert len(seen) == 1 and "gram" in seen[0].__dict__
+
+
 def test_figure_outputs_share_iteration_grid(tmp_path):
     spec = small_spec(
         nu=[1.0], runs=4, max_epochs=6.0,

@@ -2,9 +2,13 @@
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg.fileio import read_csv
@@ -768,3 +772,65 @@ def test_trajectory_roundtrip(tmp_path, noisy_shaw):
     got = np.array([row[1] for row in rows])
     assert_array_equal(got, traj.error_sq)
     assert meta.exists()
+
+
+# --- step bounds ----------------------------------------------------------------
+
+def gram_max_bound(a):
+    """The row bound taken together with the Gram norm, max(row norm^2,
+    ||B||): the referee of the row bound alone."""
+    inst = make_instance("ref", a, np.zeros(a.shape[1]))
+    norms = np.einsum("ij,ij->i", inst.a, inst.a)
+    return float(1.0 / max(norms.max(), inst.gram.norm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(1, 5)),
+              elements=st.floats(-10, 10)))
+def test_row_bound_is_the_gram_max_bitwise_when_the_rows_are_unequal(a):
+    # ||B|| <= mean_i ||a_i||^2 < max_i ||a_i||^2 once the row norms differ
+    norms = np.einsum("ij,ij->i", a, a)
+    assume(norms.max() > norms.mean() * (1 + 1e-8))
+    inst = make_instance("drawn", a, np.zeros(a.shape[1]))
+    for method in ("sgd", "svrg"):
+        assert step_stability_bound(inst, method) == gram_max_bound(a)
+    assert "gram" not in inst.__dict__
+
+
+def test_row_bound_keeps_the_admissibility_decision_on_equal_rank_one_rows():
+    # five equal rows: ||B|| equals the row norm, and eigh's rounding of it
+    # may exceed the einsum's; the 1e-9 slack absorbs the difference
+    a = np.tile([0.3, 0.7], (5, 1))
+    inst = make_instance("rank-one", a, np.zeros(2))
+    bound = gram_max_bound(a)
+    for method in ("sgd", "svrg"):
+        for scale in (1 - 1e-12, 1 + 1e-12, 1 - 1e-8, 1 + 1e-8):
+            cfg = SolverConfig(method=method, c0=bound * scale, max_epochs=1.0)
+            assert step_is_admissible(inst, cfg) == (
+                cfg.c0 <= bound * (1 + 1e-9)), (method, scale)
+    assert "gram" not in inst.__dict__
+
+
+def test_landweber_bound_reads_the_gram_norm(noisy_shaw):
+    inst, _ = noisy_shaw
+    assert step_stability_bound(inst, "landweber") == 1.0 / (inst.n * inst.gram.norm)
+
+
+@pytest.mark.parametrize("method", ["landweber", "sgd", "svrg"])
+def test_zero_matrix_has_no_admissible_step(method):
+    inst = make_instance("zero", np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="all rows are zero"):
+        step_stability_bound(inst, method)
+
+
+def test_row_bound_memory_is_not_a_gram():
+    # B and its eigendecomposition would be about 30 MiB here
+    inst = generate("s-phillips", 1000)
+    tracemalloc.start()
+    try:
+        step_stability_bound(inst, "svrg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    assert "gram" not in inst.__dict__
