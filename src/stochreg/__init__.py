@@ -23,8 +23,7 @@ from .problems import (NoisyData, ProblemInstance, SourceConditionError,
 from .solvers import (DivergenceError, EpochAccounting, SolverConfig,
                       Trajectory, oracle_stop, solve, write_trajectory)
 from .spectral import (GramOperator, Propagator, build_gram,
-                       kernel_bound_check, stability_step_bound,
-                       step_constant, svd)
+                       kernel_bound_check, step_constant, svd)
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -45,8 +44,8 @@ __all__ = [
     "rescale_to_unit_norm", "residual_bound", "run_experiment",
     "run_precondition_study", "run_suite", "save_instance", "save_noisy",
     "sgd_variance_terms", "smooth_solution", "solve",
-    "source_element", "spec_from_dict", "stability_step_bound",
-    "step_constant", "stopping_stats", "svd",
+    "source_element", "spec_from_dict", "step_constant", "stopping_stats",
+    "svd",
     "svrg_variance_terms", "theorem_bound", "variance_compare",
     "write_trajectory",
 ]

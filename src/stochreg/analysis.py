@@ -90,16 +90,12 @@ def operator_word_weights(gram: GramOperator, c0: float, spec: str) -> np.ndarra
     return weights
 
 
-def operator_word_matrix(gram: GramOperator, c0: float, spec) -> np.ndarray:
-    if isinstance(spec, np.ndarray):
-        return spec
+def operator_word_matrix(gram: GramOperator, c0: float, spec: str) -> np.ndarray:
     return gram.filter_matrix(operator_word_weights(gram, c0, spec))
 
 
-def shift_vector(inst: ProblemInstance, y: np.ndarray, spec) -> np.ndarray:
-    """R2 in {'0', 'Binv_zeta'} (or an explicit vector)."""
-    if isinstance(spec, np.ndarray):
-        return spec
+def shift_vector(inst: ProblemInstance, y: np.ndarray, spec: str) -> np.ndarray:
+    """R2 in {'0', 'Binv_zeta'}."""
     if spec == "0":
         return np.zeros(inst.m)
     if spec == "Binv_zeta":
@@ -681,7 +677,6 @@ class MomentReport:
     method: str
     epochs: np.ndarray
     iterations: np.ndarray
-    mean_iterate: np.ndarray
     bias_sq: np.ndarray
     variance: np.ndarray
     mse: np.ndarray
@@ -764,7 +759,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         stderr = error_sq.std(axis=0, ddof=1) / math.sqrt(count)
         reports.append(MomentReport(
             method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
-            mean_iterate=mean_x, bias_sq=bias_sq, variance=variance, mse=mse,
+            bias_sq=bias_sq, variance=variance, mse=mse,
             mse_stderr=stderr, error_sq=error_sq, run_count=count,
             excluded_runs=excluded))
     return _per_cell(y, reports)
@@ -838,13 +833,13 @@ def stopping_stats(curves: ErrorCurves | MomentReport
 # ---------------------------------------------------------------------------
 # constants, conditions, and convergence bounds
 
+C_STAR = 2.0  # the constant c* > 1 of the rate condition and the bounds
+
 @dataclass(frozen=True)
 class ConditionReport:
     n: int
     M: int
     c0: float
-    norm_b: float
-    c_star: float
     contraction_factor: float      # (1 - c0 ||B||)^(-M)
     inner_drift_sum: float         # sum_{i<M} (1 - (1 - c0||B||)^i)^2
     contraction_factor_sq: float   # (1 - c0 ||B||)^(-2(M-1))
@@ -856,40 +851,33 @@ class ConditionReport:
     compare_lhs_size: float
     compare_rhs_size: float
     compare_ok: bool
-    step_times_norm: float         # c0 ||B|| M, the rate-side small parameter
-    step_times_norm_compare: float  # c0 ||B|| (M-1), the comparison-side one
 
 
-def condition_report(inst: ProblemInstance, c0: float, M: int,
-                     c_star: float = 2.0) -> ConditionReport:
-    if c_star <= 1:
-        raise ValueError("c_star must exceed 1")
-    norm_b = inst.gram.norm
+def condition_report(inst: ProblemInstance, c0: float, M: int) -> ConditionReport:
     n = inst.n
-    x = c0 * norm_b
+    x = c0 * inst.gram.norm
     if not 0 < x < 1:
         raise ValueError("need 0 < c0 ||B|| < 1 for the condition constants")
     c_b = (1.0 - x) ** (-M)
     c_bm = float(sum((1.0 - (1.0 - x) ** i) ** 2 for i in range(1, M)))
     c_bp = (1.0 - x) ** (-2 * (M - 1))
     rate_lhs = (4.0 + 2.0 * (M * x) ** 2) * n * M ** (-2.0) * c_b * c_bm
-    rate_rhs = 1.0 - 1.0 / c_star
+    rate_rhs = 1.0 - 1.0 / C_STAR
     cmp_l1 = (M - 1) ** 2 * x**2
     cmp_r1 = 1.0 / (2.0 * c_bp)
     cmp_l2 = float((M + 1) ** 2)
     cmp_r2 = (n - 1) / (2.0 * c_bp)
     return ConditionReport(
-        n=n, M=M, c0=c0, norm_b=norm_b, c_star=c_star,
+        n=n, M=M, c0=c0,
         contraction_factor=c_b, inner_drift_sum=c_bm, contraction_factor_sq=c_bp,
         rate_lhs=rate_lhs, rate_rhs=rate_rhs, rate_ok=rate_lhs <= rate_rhs,
         compare_lhs_step=cmp_l1, compare_rhs_step=cmp_r1,
         compare_lhs_size=cmp_l2, compare_rhs_size=cmp_r2,
-        compare_ok=(cmp_l1 <= cmp_r1) and (cmp_l2 <= cmp_r2),
-        step_times_norm=x * M, step_times_norm_compare=x * (M - 1))
+        compare_ok=(cmp_l1 <= cmp_r1) and (cmp_l2 <= cmp_r2))
 
 
 def theorem_bound(norm_b: float, n: int, c0: float, M: int, K: int, nu: float,
-                  norm_w: float, delta_bar: float, c_star: float = 2.0) -> float:
+                  norm_w: float, delta_bar: float) -> float:
     """Upper bound on E||x_KM - x_dag||^2 after K outer loops under the rate
     condition, for a source representation of order nu and noise delta_bar."""
     if K < 1:
@@ -900,22 +888,22 @@ def theorem_bound(norm_b: float, n: int, c0: float, M: int, K: int, nu: float,
     c_b = (1.0 - x) ** (-M)
     c_dd = (3.0 + 2.0 * (M * x) ** 2) * n * M * c_b * c0**2 * norm_b
     c_nu = nu**nu * (M * c0) ** (-nu)
-    approx = (2.0 + 2.0 ** (2 * nu) * norm_b * c_dd * c_star) \
+    approx = (2.0 + 2.0 ** (2 * nu) * norm_b * c_dd * C_STAR) \
         * c_nu**2 * float(K) ** (-2 * nu) * norm_w**2
-    noise = (2.0 * M * c0 + c_dd * c_star) * K * delta_bar**2
+    noise = (2.0 * M * c0 + c_dd * C_STAR) * K * delta_bar**2
     return float(approx + noise)
 
 
 def residual_bound(n: int, c0: float, M: int, K: int, nu: float, norm_w: float,
-                   delta_bar: float, c_star: float = 2.0) -> float:
+                   delta_bar: float) -> float:
     """Upper bound on E||A x_KM - y||^2 for the anchored method."""
     if K < 1:
         raise ValueError("need K >= 1")
     s = nu + 0.5
     c_s = s**s * (M * c0) ** (-s)
-    approx = 2.0 ** (2 * nu + 2) * c_s**2 * n * c_star \
+    approx = 2.0 ** (2 * nu + 2) * c_s**2 * n * C_STAR \
         * float(K) ** (-(2 * nu + 1)) * norm_w**2
-    noise = 2.0 * n * c_star * delta_bar**2
+    noise = 2.0 * n * C_STAR * delta_bar**2
     return float(approx + noise)
 
 

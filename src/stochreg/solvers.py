@@ -97,7 +97,7 @@ import numpy as np
 
 from .problems import _EPS, ProblemInstance
 from .rng import check_seed, index_blocks
-from .spectral import stability_step_bound
+from .spectral import step_constant
 
 _CHUNK = 4096  # iterations per index-stream draw
 _GRADIENT_BLOCK = 32  # rows per block of every padded BLAS product
@@ -204,14 +204,15 @@ def checkpoint_iterations(acct: EpochAccounting, cfg: SolverConfig, total: int
 def step_stability_bound(inst: ProblemInstance, method: str) -> float:
     """Largest admissible c0.  Landweber's full-gradient step reads the
     spectrum: 1 / (n ||B||), which builds inst.gram.  An sgd or svrg row
-    step reads only the row norms, 1 / max_i ||a_i||^2, which governs
+    step is bounded by the step unit c = 1 / max_i ||a_i||^2
+    (``spectral.step_constant``), which reads only the row norms and governs
     1/||B|| since ||B|| <= mean_i ||a_i||^2; inst.gram is not touched."""
     if method == "landweber":
         norm = inst.gram.norm
         if norm <= 0:
             raise ValueError("all rows are zero; no admissible step exists")
         return 1.0 / (inst.n * norm)
-    return stability_step_bound(inst.a)
+    return step_constant(inst.a)
 
 
 def step_is_admissible(inst: ProblemInstance, cfg: SolverConfig) -> bool:

@@ -5,6 +5,8 @@ powers of the propagator I - c0*B, and truncated inverse powers are spectral
 filters over one cached eigendecomposition.  Inverse powers use the
 pseudo-inverse convention with a relative cutoff tau = RELATIVE_CUTOFF * lambda_max,
 and 0**0 is taken as 1 throughout so zeroth powers act as the identity.
+The step unit c = 1 / max_i ||a_i||^2 (``step_constant``) reads the row
+norms alone; it is also the stability bound of the row-step methods.
 """
 
 from __future__ import annotations
@@ -102,28 +104,16 @@ def build_gram(a) -> GramOperator:
 
 
 def step_constant(a) -> float:
-    """c = 1 / max_i ||a_i||^2, the experimental step-size unit."""
+    """c = 1 / max_i ||a_i||^2, the experimental step-size unit, and the
+    largest stable step of a row step: no row step overshoots its row's
+    projection, and every propagator eigenvalue 1 - c*lambda of
+    B = build_gram(a) stays in [0, 1], since ||B|| <= tr B = mean_i ||a_i||^2."""
     mat = np.asarray(a, dtype=np.float64)
     norms = np.einsum("ij,ij->i", mat, mat)
     top = norms.max()
     if top <= 0:
         raise ValueError("all rows are zero; no admissible step exists")
     return float(1.0 / top)
-
-
-def stability_step_bound(a, gram: GramOperator | None = None) -> float:
-    """Largest c0 under which every propagator eigenvalue 1 - c0*lambda
-    stays in [0, 1] (c0 <= 1/||B||) and no row step overshoots its row's
-    projection (c0 <= 1/max_i ||a_i||^2).  For B = build_gram(a) the row
-    term governs, since ||B|| <= tr B = mean_i ||a_i||^2: so without a gram
-    only the row norms are read and no B is built.  A gram passed in is
-    read for its norm and the larger cap wins."""
-    mat = np.asarray(a, dtype=np.float64)
-    norms = np.einsum("ij,ij->i", mat, mat)
-    cap = norms.max() if gram is None else max(norms.max(), gram.norm)
-    if cap <= 0:
-        raise ValueError("all rows are zero; no admissible step exists")
-    return float(1.0 / cap)
 
 
 class Propagator:

@@ -26,7 +26,7 @@ from .analysis import (closed_form_mean, condition_report,
                        orthogonality_check, recursion_check, residual_bound,
                        sgd_variance_terms, stopping_stats, svrg_variance_terms,
                        theorem_bound, variance_compare, rate_fit)
-from .experiment import _join_slices, thread_count
+from .experiment import _join_slices, _run_slices, thread_count
 from .problems import (add_noise, generate, make_instance, noise_functional,
                        precondition, smooth_solution)
 from .solvers import SolverConfig, EpochAccounting, solve, step_stability_bound
@@ -40,16 +40,16 @@ Outcome = tuple[bool, float, str]  # (passed, margin, detail)
 # ---------------------------------------------------------------------------
 # small deterministic problem builders
 
-def _random_instance(n: int, m: int, seed: int, scale: float = 1.0):
+def _random_instance(n: int, m: int, seed: int):
     rng = np.random.default_rng(seed)
-    a = scale * rng.normal(size=(n, m))
+    a = rng.normal(size=(n, m))
     x = rng.normal(size=m)
     return make_instance(f"check-{n}x{m}", a, x)
 
 
-def _noisy_preconditioned(n: int, m: int, seed: int, epsilon: float = 0.05):
+def _noisy_preconditioned(n: int, m: int, seed: int):
     inst = _random_instance(n, m, seed)
-    data = add_noise(inst, epsilon, seed + 1)
+    data = add_noise(inst, 0.05, seed + 1)
     return precondition(inst, data.y)
 
 
@@ -363,16 +363,16 @@ FAST_CHECKS = [
 # ---------------------------------------------------------------------------
 # full-level checks
 
-def _bound_test_instance(seed: int = 140):
+def _bound_test_instance():
     """Preconditioned instance with a known source representation and a step
     satisfying the rate-side condition."""
-    raw = _random_instance(24, 4, seed)
+    raw = _random_instance(24, 4, 140)
     rotated, _ = precondition(raw)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(141)
     w = rng.normal(size=rotated.m)
     x_dag = rotated.gram.apply_power(1.0, w)
     inst = make_instance("bound-check", rotated.a, x_dag)
-    data = add_noise(inst, 1e-2, seed + 2)
+    data = add_noise(inst, 1e-2, 142)
     return inst, data, float(np.linalg.norm(w))
 
 
@@ -490,11 +490,11 @@ def check_phillips_benchmark() -> Outcome:
     data = add_noise(inst, 5e-2, seed=180)
     c0 = 5.0 * step_constant(inst.a) / 100.0
     cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181)
-    # two 50-run slices on up to two threads, joined in run order: a run has
+    # the grid's run slices, one thread each, joined in run order: a run has
     # the same bits in a slice as in one 100-run batch
-    slices = [range(0, 50), range(50, 100)]
-    inst.row_gram_diagonal  # K and its selection, built once for both
-    with ThreadPoolExecutor(max_workers=min(thread_count(), 2)) as pool:
+    slices = _run_slices(1, 100, thread_count())
+    inst.row_gram_diagonal  # K and its selection, built once for all slices
+    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
         parts = list(pool.map(
             lambda runs: error_curves(inst, data.y[None], cfg, runs)[0],
             slices))

@@ -831,8 +831,7 @@ def two_pass_mc_moments(inst, y, cfg, runs):
     rec2 = SummingRecorder(inst, cp, count, centers=mean_x)
     run_batch(inst, y, cfg, subkeys, rec2)
     diff = mean_x - inst.x_dag
-    return {"mean_iterate": mean_x,
-            "bias_sq": np.einsum("cm,cm->c", diff, diff),
+    return {"bias_sq": np.einsum("cm,cm->c", diff, diff),
             "variance": rec2.centered_sq.mean(axis=0),
             "mse": rec.error_sq.mean(axis=0),
             "mse_stderr": rec.error_sq.std(axis=0, ddof=1) / math.sqrt(count),
@@ -1020,8 +1019,6 @@ def test_condition_report_reference_values():
 def test_condition_report_validation():
     inst = make_instance("id2", np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
-        condition_report(inst, c0=1.0, M=2, c_star=1.0)
-    with pytest.raises(ValueError):
         condition_report(inst, c0=4.0, M=2)  # c0 ||B|| = 2
 
 
@@ -1082,8 +1079,6 @@ def test_operator_word_weights_on_diagonal_gram():
 def test_operator_word_matrix_identity():
     gram = GramOperator(np.diag([0.5, 0.25]))
     assert_allclose(operator_word_matrix(gram, 0.5, "I"), np.eye(2), atol=1e-15)
-    explicit = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert operator_word_matrix(gram, 0.5, explicit) is explicit
 
 
 def test_shift_vector_variants():

@@ -9,8 +9,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg import problems
-from stochreg.problems import (NoisyData, add_noise, gen_gravity, gen_phillips,
-                               gen_shaw, generate, is_preconditioned,
+from stochreg.problems import (NoisyData, ProblemInstance, add_noise,
+                               gen_gravity, gen_phillips, gen_shaw, generate,
+                               is_preconditioned,
                                load_instance, load_noisy, make_instance,
                                precondition, rescale_to_unit_norm,
                                row_orthogonality_gap, save_instance,
@@ -48,22 +49,10 @@ def test_gravity_symmetric_toeplitz():
 
 def test_gravity_entry_oracle():
     n, d = 5, 0.25
-    inst = gen_gravity(n, d)
+    inst = gen_gravity(n)
     grid = [(i + 0.5) / n for i in range(n)]
     expected = (1 / n) * d / (d * d + (grid[1] - grid[3]) ** 2) ** 1.5
     assert inst.a[1, 3] == pytest.approx(expected, rel=1e-12)
-
-
-def test_gravity_depth_controls_conditioning():
-    # a deeper source smooths the kernel, so conditioning degrades with d
-    s_shallow = np.linalg.svd(gen_gravity(32, 0.05).a, compute_uv=False)
-    s_default = np.linalg.svd(gen_gravity(32, 0.25).a, compute_uv=False)
-    assert s_shallow[0] / s_shallow[-1] < s_default[0] / s_default[-1]
-
-
-def test_gravity_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        gen_gravity(8, d=0.0)
 
 
 def test_phillips_band_is_exactly_zero():
@@ -358,8 +347,29 @@ def test_instance_validation():
     a = np.eye(2)
     with pytest.raises(ValueError, match="shapes"):
         make_instance("bad", a, np.ones(3))
-    with pytest.raises(ValueError, match="finite"):
-        make_instance("bad", np.array([[np.inf, 0], [0, 1]]), np.ones(2))
+    fields = {"a": np.eye(2), "x_dag": np.ones(2), "y_dag": np.ones(2),
+              "x0": np.zeros(2)}
+    for name in fields:
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = dict(fields)
+            broken[name] = broken[name].copy()
+            broken[name][-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ProblemInstance("bad", **broken)
+    # size-0 fields are accepted
+    assert make_instance("empty", np.zeros((2, 0)), np.zeros(0)).m == 0
+
+
+def test_instance_check_makes_no_full_size_temporary():
+    # np.isfinite(a) would be a bool array the size of a (0.95 MiB here)
+    inst = generate("s-phillips", 1000)
+    tracemalloc.start()
+    try:
+        make_instance(inst.name, inst.a, inst.x_dag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10, peak
 
 
 def test_instance_fields_frozen():

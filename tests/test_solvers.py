@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -787,13 +787,20 @@ def gram_max_bound(a):
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(1, 5)),
               elements=st.floats(-10, 10)))
-def test_row_bound_is_the_gram_max_bitwise_when_the_rows_are_unequal(a):
-    # ||B|| <= mean_i ||a_i||^2 < max_i ||a_i||^2 once the row norms differ
-    norms = np.einsum("ij,ij->i", a, a)
-    assume(norms.max() > norms.mean() * (1 + 1e-8))
+def test_row_bound_is_the_step_unit_bitwise(a):
     inst = make_instance("drawn", a, np.zeros(a.shape[1]))
+    norms = np.einsum("ij,ij->i", a, a)
+    if not norms.max() > 0:
+        for method in ("sgd", "svrg"):
+            with pytest.raises(ValueError, match="all rows are zero"):
+                step_stability_bound(inst, method)
+        return
     for method in ("sgd", "svrg"):
-        assert step_stability_bound(inst, method) == gram_max_bound(a)
+        assert step_stability_bound(inst, method) == step_constant(inst.a)
+    # ||B|| <= mean_i ||a_i||^2 < max_i ||a_i||^2 once the row norms differ
+    if norms.max() > norms.mean() * (1 + 1e-8):
+        for method in ("sgd", "svrg"):
+            assert step_stability_bound(inst, method) == gram_max_bound(a)
     assert "gram" not in inst.__dict__
 
 

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg.spectral import (GramOperator, Propagator, build_gram,
-                               kernel_bound_check, stability_step_bound,
-                               step_constant, svd)
+                               kernel_bound_check, step_constant, svd)
 from stochreg.problems import gen_shaw
 
 
@@ -87,8 +86,7 @@ def test_propagator_power_matches_repeated_multiplication(k):
     rng = np.random.default_rng(3)
     h = rng.normal(size=(3, 3))
     gram = GramOperator(h @ h.T / 10.0)
-    c0 = stability_step_bound(np.eye(3), gram)  # row term is 1; gram term governs
-    prop = Propagator(gram, min(c0, 0.9 / gram.norm))
+    prop = Propagator(gram, 0.9 / gram.norm)
     v = rng.normal(size=3)
     expected = v.copy()
     for _ in range(k):
@@ -113,7 +111,7 @@ def test_stability_bound_keeps_spectrum_in_unit_interval(a):
     if np.abs(a).max() < 1e-3:
         return
     gram = build_gram(a)
-    prop = Propagator(gram, stability_step_bound(a, gram))
+    prop = Propagator(gram, step_constant(a))
     assert prop.stable
     assert prop.eigenvalues.max() <= 1.0 + 1e-12
 
