@@ -10,23 +10,29 @@ STOCHREG_THREADS setting.
 Cells that share an instance and every solver setting but the seed (the
 epsilon points of one nu and method plan) form a group and run as lockstep
 batches, each cell with its own data and seed; a lone cell is a group of one.
-The thread pool runs run slices: one batch over runs [a, b) of every cell of
-a group, and STOCHREG_THREADS caps the slices that run at once. A group is
-cut into the most slices, at most STOCHREG_THREADS, such that each slice
-holds at least one BLAS block (32 runs over its cells) and the slices pad no
-more BLAS rows than the whole group. So the paper's 100-run table cells run
-as two halves; a rate group of three 20-run cells stays whole, since its
-short steps cost interpreter time that more threads only contend for; and a
-figure group stays whole, since each cell's spread is taken around the mean
-of all its runs in one batch. A run gives the same numbers alone or in any
-batch, so neither grouping nor slicing changes an output byte.
+The unit of work is a run slice: one batch over runs [a, b) of every cell of
+a group. Slices run in forked worker processes, which inherit the prepared
+instances and data and the slices they run; only a slice's curves or its
+exception come back. The workers number min(STOCHREG_THREADS,
+slices, cores // BLAS threads): the cores are the process's CPU affinity,
+and the BLAS threads come from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+else count every core, so with neither set the slices run in-process, as
+they do with one worker, one slice, or off Linux. A group is cut into the
+most slices, at most that worker budget, such that the slices pad no more
+BLAS rows than the whole group. So the paper's 100-run table cells run as
+two halves on two workers, a rate group of three 20-run cells as two 30-run
+halves, and a figure group stays whole, since each cell's spread is taken
+around the mean of all its runs in one batch. A run gives the same numbers
+alone or in any batch, so neither grouping nor slicing changes an output
+byte.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -61,6 +67,30 @@ def thread_count() -> int:
             raise ValueError(f"STOCHREG_THREADS={env!r} is not an integer")
         return max(1, workers)
     return min(4, os.cpu_count() or 1)
+
+
+def _blas_threads(cores: int) -> int:
+    """BLAS threads per process, read in OpenBLAS's own order: a positive
+    OPENBLAS_NUM_THREADS, else a positive OMP_NUM_THREADS, else one per
+    core."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return threads
+    return cores
+
+
+def worker_budget() -> int:
+    """Worker processes a grid may use: thread_count(), capped by the cores
+    that BLAS threads leave free, cores // BLAS threads; 1 off Linux."""
+    threads = thread_count()
+    if not sys.platform.startswith("linux"):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(threads, cores // _blas_threads(cores)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +385,15 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
         return _error_outcome(cell.base_row, cell.plan, spec, exc)
 
 
-def _run_slices(cells: int, runs: int, threads: int) -> list:
+def _run_slices(cells: int, runs: int, workers: int) -> list:
     """The run slices of a group of `cells` cells with `runs` runs each: the
-    most near-equal run ranges, at most `threads`, such that every slice
-    holds at least _GRADIENT_BLOCK runs over its cells and the slices pad no
-    more BLAS rows than the whole group does."""
+    most near-equal run ranges, at most `workers`, such that the slices pad
+    no more BLAS rows than the whole group does."""
     whole = -(-cells * runs // _GRADIENT_BLOCK)
-    for count in range(min(threads, runs), 1, -1):
+    for count in range(min(workers, runs), 1, -1):
         bounds = [runs * k // count for k in range(count + 1)]
         sizes = [cells * (b - a) for a, b in zip(bounds, bounds[1:])]
-        if (min(sizes) >= _GRADIENT_BLOCK
-                and sum(-(-z // _GRADIENT_BLOCK) for z in sizes) <= whole):
+        if sum(-(-z // _GRADIENT_BLOCK) for z in sizes) <= whole:
             return [range(a, b) for a, b in zip(bounds, bounds[1:])]
     return [range(runs)]
 
@@ -386,10 +414,76 @@ def _run_slice(spec: ExperimentSpec, group: list, runs: range,
         return [exc] * len(group)
 
 
+def _serve(run, indices: range, sender) -> None:
+    """A worker's loop: run(k) for each k of indices, in order, each result
+    sent as (True, result), or the exception run raised as (False, exc),
+    which ends the loop."""
+    with sender:
+        for index in indices:
+            try:
+                result = run(index)
+            except Exception as exc:  # raised again in the calling process
+                sender.send((False, exc))
+                return
+            sender.send((True, result))
+
+
+def _map_slices(run, count: int, workers: int):
+    """run(0), ..., run(count - 1), yielded in order: on min(workers, count)
+    forked worker processes, which take the indices round-robin, or
+    in-process if that is one.  A worker inherits run, and every array it
+    reads, through fork: it is sent nothing and sends back only run's
+    results, or the exception run raised, which is raised here.  The
+    results are received and unpickled on the calling thread, so they are
+    allocated where the caller's own arrays are; a receiving thread would
+    take a malloc arena of its own.  Every worker is joined when the
+    generator ends or is closed."""
+    workers = min(workers, count)
+    if workers <= 1:
+        yield from map(run, range(count))
+        return
+    # imported here, so that a program that never forks does not load it
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    receivers, procs = [], []
+    try:
+        for first in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            proc = context.Process(target=_serve, args=(
+                run, range(first, count, workers), sender))
+            with sender:  # closed here, so a worker that dies leaves EOF
+                proc.start()
+            procs.append(proc)
+        for index in range(count):
+            proc = procs[index % workers]
+            try:
+                ok, result = receivers[index % workers].recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"the worker process of slice {index} died with exit "
+                    f"code {proc.exitcode}") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for proc in procs:
+            # ends a worker still running when a slice failed or the caller
+            # stopped early; one that sent all its slices is done anyway
+            proc.terminate()
+            proc.join()
+        for receiver in receivers:
+            receiver.close()
+
+
 def _join_slices(slices: list):
     """One cell's error curves from the (runs, curves) of its run slices, in
-    run order.  A slice whose runs all diverged adds them to the excluded
-    runs; the cell fails only if every slice failed, with the first error."""
+    run order; a lone slice's curves are the cell's, uncopied.  A slice whose
+    runs all diverged adds them to the excluded runs; the cell fails only if
+    every slice failed, with the first error."""
+    if len(slices) == 1:
+        return slices[0][1]
     done = [part for _, part in slices if not isinstance(part, Exception)]
     if not done:
         return slices[0][1]
@@ -436,17 +530,17 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
     """All grid cells, results in grid order.  Cells that share an instance
     and every solver setting but the seed (the epsilon points of one nu and
-    method) form a group.  The pool runs run slices, in grid order: a slice
-    is one lockstep batch over runs [a, b) of every cell of its group, and
-    a cell's curves join its slices' in run order before its row is made.
+    method) form a group.  The workers run run slices, in grid order: a
+    slice is one lockstep batch over runs [a, b) of every cell of its group.
+    A group's cells are joined, in run order, and made rows as soon as its
+    last slice is in, and their slices are let go.
 
-    A group is cut into the most slices, at most thread_count(), such that
-    every slice holds at least _GRADIENT_BLOCK runs over its cells and the
-    slices pad no more BLAS rows than the whole group: so 100-run table
-    cells run as two halves, while a rate group of three 20-run cells, whose
-    steps cost interpreter time rather than BLAS work, stays whole.  Figure
-    groups are never cut: a cell's spread is taken around the mean of all
-    its runs, which must share one batch."""
+    A group is cut into the most slices, at most worker_budget(), such that
+    the slices pad no more BLAS rows than the whole group: so 100-run table
+    cells run as two halves on two workers, and a rate group of three
+    20-run cells as two 30-run halves; with one worker no group is cut.
+    Figure groups are never cut: a cell's spread is taken around the mean
+    of all its runs, which must share one batch."""
     prepared = _prepare_cells(spec, step_from_raw)
     cells = spec.cells
     outcomes = [None] * len(cells)
@@ -464,30 +558,30 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
         cell = _Cell(idx, plan, base_row, inst, y, cfg, c0_expr, m_value)
         groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
 
-    threads = thread_count()
+    workers = worker_budget()
     work = []
     for group in groups.values():
-        # built here, once per instance: slices on other threads share them
+        # built here, once per instance, for every worker to inherit
         group[0].inst.row_gram
         group[0].inst.row_gram_diagonal
         for runs in ([range(spec.runs)] if figure_grid
-                     else _run_slices(len(group), spec.runs, threads)):
+                     else _run_slices(len(group), spec.runs, workers)):
             work.append((group, runs))
 
-    def run(unit: tuple) -> list:
-        return _run_slice(spec, *unit, figure_grid)
+    def run(index: int) -> list:
+        return _run_slice(spec, *work[index], figure_grid)
 
-    workers = max(1, min(threads, len(work)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, work))
-    slices = {}  # cell index -> its (runs, curves) pairs, in run order
-    for (group, runs), result in zip(work, results):
-        for cell, part in zip(group, result):
-            slices.setdefault(cell.index, []).append((runs, part))
-    for group in groups.values():
-        for cell in group:
-            outcomes[cell.index] = _cell_outcome(
-                spec, cell, _join_slices(slices[cell.index]), figure_grid)
+    parts = {}  # cell index -> its (runs, curves) pairs so far, in run order
+    with closing(_map_slices(run, len(work), workers)) as results:
+        for (group, runs), result in zip(work, results):
+            for cell, part in zip(group, result):
+                parts.setdefault(cell.index, []).append((runs, part))
+            del result, part  # a cell's list holds its parts alone
+            if runs.stop == spec.runs:
+                for cell in group:
+                    outcomes[cell.index] = _cell_outcome(
+                        spec, cell, _join_slices(parts.pop(cell.index)),
+                        figure_grid)
     return outcomes
 
 

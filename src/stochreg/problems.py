@@ -49,6 +49,9 @@ class ProblemInstance:
         x_dag = np.asarray(self.x_dag, dtype=np.float64)
         y_dag = np.asarray(self.y_dag, dtype=np.float64)
         x0 = np.asarray(self.x0, dtype=np.float64)
+        if a.ndim in (1, 2) and not a.shape[0]:
+            raise ValueError("a has no rows: an instance needs at least one "
+                             "equation")
         if a.ndim != 2:
             raise ValueError("a must be a matrix")
         n, m = a.shape

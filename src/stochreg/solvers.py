@@ -36,7 +36,8 @@ _GRADIENT_BLOCK rows, one stacked matmul each:
     fold:       C += W;  D += s (W @ K);  W = 0, after every step that
                 ends with t % every == 0, every = n for sgd (one epoch), M
                 for svrg (one anchor) and 1 for landweber
-    iterate:    X = (C + W) @ A + x0, built only when a caller asks for X
+    iterate:    X = (C + W) @ A + x0, built only when a caller asks for X;
+                on the fold grid W = 0, and the product is C @ A
     start:      C = 0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
@@ -345,9 +346,9 @@ class Lockstep:
         self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
         self._built_at = -1  # the step count of the iterates in _by_a
-        self._c = np.zeros((runs, n))
-        # C + W for the iterate, and in the diagonal form v = C + W + q for
-        # the error, padded as W is
+        # C, and C + W for the iterate off the fold grid (in the diagonal
+        # form also v = C + W + q for the error), padded as W is
+        self._c_blocks, self._c = _padded(runs, n)
         self._v_blocks, self._v = _padded(runs, n)
         if self.kd is not None:
             self._kd_v = np.empty((runs, n))  # kd v + 2 g
@@ -397,8 +398,12 @@ class Lockstep:
         the product buffer at the first call after a step.  Not to be
         written; valid until the next advance call."""
         if self._built_at != self.t:
-            np.add(self._c, self._w, out=self._v)
-            np.matmul(self._v_blocks, self.a, out=self._by_a)
+            if self.t % self.every == 0:  # just folded: W = 0, C + W = C
+                blocks = self._c_blocks
+            else:
+                np.add(self._c, self._w, out=self._v)
+                blocks = self._v_blocks
+            np.matmul(blocks, self.a, out=self._by_a)
             self._by_a_rows += self.x0
             self._built_at = self.t
         return self._by_a_rows

@@ -1,4 +1,5 @@
-"""A checkpoint recorder for the tests' multi-pass references.
+"""A checkpoint recorder for the tests' multi-pass references, and a call
+log that forked grid workers can append to.
 
 ``solvers.run_batch`` calls ``recorder.record(j, kernel)`` at each
 checkpoint ``recorder.cp[j]``.  Besides the per-run squared errors, which it
@@ -8,6 +9,8 @@ given ``centers``, records each run's squared distance to ``centers[j]``.
 It makes the same numpy calls as the recorder modes the references were
 first built with, so the references keep their bits.
 """
+
+import multiprocessing
 
 import numpy as np
 
@@ -28,3 +31,22 @@ class SummingRecorder:
             d = x - self.centers[j]
             self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
         return err
+
+
+class CallLog:
+    """A list that the test process and the grid's forked worker processes
+    append to: each item goes through a fork-context pipe, and drain()
+    returns the items in the order they arrived and empties the log.  A pipe
+    holds about 64 KiB, so a test drains the log after each grid."""
+
+    def __init__(self):
+        self._queue = multiprocessing.get_context("fork").SimpleQueue()
+
+    def append(self, item) -> None:
+        self._queue.put(item)
+
+    def drain(self) -> list:
+        items = []
+        while not self._queue.empty():
+            items.append(self._queue.get())
+        return items

@@ -11,8 +11,9 @@ import pytest
 
 from stochreg import fileio, verify
 from stochreg.cli import main
-from stochreg.problems import (is_preconditioned, load_instance, load_noisy,
-                               make_instance, save_instance)
+from stochreg.problems import (instance_to_dict, is_preconditioned,
+                               load_instance, load_noisy, make_instance,
+                               save_instance)
 
 
 def _generate(tmp_path, name, *extra):
@@ -185,6 +186,16 @@ def test_solve_zero_matrix_exits_four(tmp_path, capsys, method, step):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "all rows are zero" in capsys.readouterr().err
+
+
+def test_solve_instance_without_rows_exits_four(tmp_path, capsys):
+    path = tmp_path / "empty.instance.json"
+    doc = instance_to_dict(make_instance("one", np.ones((1, 2)), np.ones(2)))
+    fileio.dump_json({**doc, "a": [], "y_dag": []}, path)
+    rc = main(["solve", str(path), "--method", "landweber",
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "a has no rows" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

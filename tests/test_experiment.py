@@ -2,6 +2,8 @@
 
 import functools
 import json
+import multiprocessing
+import os
 import threading
 from types import SimpleNamespace
 
@@ -24,7 +26,7 @@ from stochreg.solvers import (EpochAccounting, SolverConfig,
                               checkpoint_iterations, run_batch)
 from stochreg.spectral import step_constant
 
-from recorders import SummingRecorder
+from recorders import CallLog, SummingRecorder
 
 
 # --- grammar -------------------------------------------------------------------
@@ -220,7 +222,45 @@ def test_failing_cell_is_isolated(tmp_path):
     assert all("," not in r[-1] for r in bad)  # CSV stays one cell per column
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+@pytest.fixture
+def forked(monkeypatch):
+    """Grids run on forked worker processes, as on a host of four cores at
+    one BLAS thread each, whatever this host has."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+@pytest.mark.parametrize("env,cores,threads,workers", [
+    ({}, 4, "4", 1),  # every core is a BLAS thread: in-process
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, "4", 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, "2", 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, "4", 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 4, "4", 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, "4", 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, "4", 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, "4", 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, "2", 2),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, "4", 2),
+])
+def test_worker_budget_leaves_the_blas_threads_their_cores(
+        monkeypatch, env, cores, threads, workers):
+    # the BLAS threads come from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+    # as OpenBLAS reads them, else one per core
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setenv("STOCHREG_THREADS", threads)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    assert experiment.worker_budget() == workers
+    monkeypatch.setattr(experiment.sys, "platform", "darwin")
+    assert experiment.worker_budget() == 1
+
+
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, forked):
+    # four groups of one slice: in-process on one worker, on three workers
+    # in the other run
     spec = small_spec()
     blobs = {}
     for workers in ("1", "3"):
@@ -231,19 +271,112 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     assert blobs["1"] == blobs["3"]
 
 
-@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
-def test_method_groups_share_one_row_gram(tmp_path, monkeypatch, rotate):
-    # the sgd, svrg and landweber groups of one instance run on two
-    # threads; K = A A^T and the selection of its diagonal are built once,
-    # before the pool starts, and every kernel reads them: the diagonal
-    # form on preconditioned rows, K itself on raw rows
+def test_map_slices_yields_in_order_and_raises_what_a_worker_raised():
+    parent = os.getpid()
+
+    def run(index):
+        if index == 3:
+            raise ValueError("slice 3 failed")
+        return index * index, os.getpid() != parent
+
+    squares = [(k * k, True) for k in range(3)]
+    assert list(experiment._map_slices(run, 3, 2)) == squares
+    assert list(experiment._map_slices(run, 3, 1)) == [
+        (k * k, False) for k in range(3)]
+    with pytest.raises(ValueError, match="slice 3 failed"):
+        list(experiment._map_slices(run, 6, 2))
+    results = experiment._map_slices(run, 6, 3)
+    assert next(results) == (0, True)
+    results.close()  # stopped early: the workers still running are ended
+    assert multiprocessing.active_children() == []
+
+
+def test_a_two_worker_grid_leaves_no_worker_behind(tmp_path, monkeypatch,
+                                                    forked):
+    # the calling thread receives the slices' results: no thread is started
     monkeypatch.setenv("STOCHREG_THREADS", "2")
-    built, seen = {"row_gram": [], "row_gram_diagonal": []}, []
+    parent, pids, batch = os.getpid(), CallLog(), analysis.run_batch
+    threads, outcome_of = [], experiment._cell_outcome
+
+    def recording(*args):
+        pids.append(os.getpid())
+        return batch(*args)
+
+    def counting_threads(*args):
+        threads.append(threading.active_count())
+        return outcome_of(*args)
+
+    monkeypatch.setattr(analysis, "run_batch", recording)
+    monkeypatch.setattr(experiment, "_cell_outcome", counting_threads)
+    before = threading.active_count()
+    rows = run_experiment(small_spec(), tmp_path / "t.csv")
+    assert all(row[-1] == "" for row in rows)
+    assert threads == [before] * len(rows)
+    # four groups of one slice, dealt round-robin to the two workers
+    ran_in = set(pids.drain())
+    assert parent not in ran_in and len(ran_in) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch, forked):
+    monkeypatch.setenv("STOCHREG_THREADS", "2")
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    monkeypatch.setattr(analysis, "run_batch", dying)
+    with pytest.raises(ChildProcessError, match="died with exit code 1"):
+        run_grid(small_spec())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_slice_cell_joins_with_no_copy(tmp_path, monkeypatch):
+    # one group of two cells in one slice: each cell's curves are its part
+    # of the slice's, with no copy of the error curves
+    monkeypatch.setenv("STOCHREG_THREADS", "1")
+    made, joined = [], []
+    curves_of, outcome_of = experiment.error_curves, experiment._cell_outcome
+
+    def recording_curves(*args, **kwargs):
+        made.append(curves_of(*args, **kwargs))
+        return made[-1]
+
+    def recording_outcome(spec_, cell, curves, figure_grid):
+        joined.append(curves)
+        return outcome_of(spec_, cell, curves, figure_grid)
+
+    monkeypatch.setattr(experiment, "error_curves", recording_curves)
+    monkeypatch.setattr(experiment, "_cell_outcome", recording_outcome)
+    spec = small_spec(nu=[0.0], epsilon=[5e-2, 1e-2],
+                      methods=[{"method": "sgd", "c0": "1/2*c"}])
+    rows = run_experiment(spec, tmp_path / "t.csv")
+    assert all(row[-1] == "" for row in rows)
+    (parts,) = made
+    assert len(parts) == len(joined) == 2
+    for part, curves in zip(parts, joined):
+        assert curves is part
+        assert np.shares_memory(curves.error_sq, part.error_sq)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
+def test_method_groups_share_one_row_gram(tmp_path, monkeypatch, forked,
+                                          rotate):
+    # the sgd, svrg and landweber groups of one instance run on two worker
+    # processes; K = A A^T and the selection of its diagonal are built once,
+    # in the test process before the workers fork, and every kernel reads
+    # them: the diagonal form on preconditioned rows, K itself on raw rows.
+    # A worker inherits the address space, so it sees them at their ids.
+    monkeypatch.setenv("STOCHREG_THREADS", "2")
+    parent = os.getpid()
+    built = {"row_gram": CallLog(), "row_gram_diagonal": CallLog()}
+    seen = CallLog()
     for name, calls in built.items():
         build = getattr(ProblemInstance, name).func
 
         def recording_build(inst, build=build, calls=calls):
-            calls.append(threading.current_thread() is threading.main_thread())
+            calls.append(os.getpid() == parent)
             return build(inst)
 
         prop = functools.cached_property(recording_build)
@@ -253,19 +386,26 @@ def test_method_groups_share_one_row_gram(tmp_path, monkeypatch, rotate):
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        seen.append((self.k, self.kd))
+        seen.append((os.getpid() != parent, id(self.k),
+                     None if self.kd is None else id(self.kd)))
 
     monkeypatch.setattr(solvers.Lockstep, "__init__", recording_init)
+    instances = _grid_instances(monkeypatch)
     spec = small_spec(nu=[0.0], precondition=rotate,
                       methods=[{"method": "sgd", "c0": "1/2*c"},
                                {"method": "svrg", "c0": "1/2*c", "M": "4"},
                                {"method": "landweber"}])
     rows = run_experiment(spec, tmp_path / "t.csv")
     assert all(row[-1] == "" for row in rows)
-    assert built == {"row_gram": [True], "row_gram_diagonal": [True]}
+    assert {name: calls.drain() for name, calls in built.items()} == {
+        "row_gram": [True], "row_gram_diagonal": [True]}
+    seen = seen.drain()
     assert len(seen) == 3
-    assert all(k is seen[0][0] and kd is seen[0][1] for k, kd in seen)
-    assert (seen[0][1] is not None) == rotate
+    (inst,) = instances
+    kd = inst.row_gram_diagonal
+    assert all(entry == (True, id(inst.row_gram),
+                         None if kd is None else id(kd)) for entry in seen)
+    assert (seen[0][2] is not None) == rotate
 
 
 def _grid_instances(monkeypatch) -> list:
@@ -577,10 +717,12 @@ def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
     (1, 100, 1, [100]),
     (1, 100, 2, [50, 50]),
     (1, 100, 3, [50, 50]),  # thirds hold 33-34 runs, each padded to 64 rows
-    (1, 100, 4, [50, 50]),  # quarters hold fewer than 32 runs
+    (1, 100, 4, [25, 25, 25, 25]),
     (1, 64, 2, [32, 32]),
-    (1, 63, 2, [63]),
-    (3, 20, 2, [20]),       # 30 runs per half
+    (1, 63, 2, [31, 32]),
+    (1, 4, 2, [4]),         # halves pad to 2 blocks, the whole to 1
+    (3, 20, 2, [10, 10]),   # 30 runs per half
+    (3, 20, 3, [10, 10]),   # thirds pad to 3 blocks, the whole to 2
     (2, 100, 2, [100]),     # halves pad to 8 blocks, the whole to 7
     (3, 100, 2, [50, 50]),
 ])
@@ -590,9 +732,10 @@ def test_run_slices_rule(cells, runs, threads, sizes):
     assert [r[0] for r in slices] + [runs] == [0] + [r[-1] + 1 for r in slices]
 
 
-def _batch_sizes(monkeypatch):
-    """The run count of every run_batch call the grid makes, as a list."""
-    sizes = []
+def _batch_sizes(monkeypatch) -> CallLog:
+    """The run count of every run_batch call the grid makes, in the test
+    process or in a worker."""
+    sizes = CallLog()
     batch = analysis.run_batch
 
     def recording(inst, y, cfg, subkeys, recorder):
@@ -607,23 +750,23 @@ def _batch_sizes(monkeypatch):
     ("table", dict(runs=100, nu=[0.0]), False,
      {"1": [100], "2": [50, 50], "3": [50, 50]}),
     ("rate", dict(runs=20, nu=[1.0], epsilon=[5e-2, 1e-2, 1e-3]), False,
-     {"1": [60], "2": [60], "3": [60]}),
+     {"1": [60], "2": [30, 30], "3": [30, 30]}),
     ("figure", dict(runs=100, nu=[1.0]), True,
      {"1": [100], "2": [100], "3": [100]}),
     ("table-diagonal", dict(runs=100, nu=[0.0], precondition=True), False,
      {"1": [100], "2": [50, 50], "3": [50, 50]}),
     ("rate-diagonal",
      dict(runs=20, nu=[1.0], epsilon=[5e-2, 1e-2, 1e-3], precondition=True),
-     False, {"1": [60], "2": [60], "3": [60]}),
+     False, {"1": [60], "2": [30, 30], "3": [30, 30]}),
     ("figure-diagonal", dict(runs=100, nu=[1.0], precondition=True), True,
      {"1": [100], "2": [100], "3": [100]}),
 ])
 def test_run_slices_of_the_grid_shapes_keep_bytes_bitwise(
-        tmp_path, monkeypatch, name, overrides, figures, sizes):
-    # one method, so each grid is one group: the table's 1 x 100 runs are
-    # cut in halves on two or more threads, the rate's 3 x 20 runs and the
-    # figure cell stay whole; preconditioned rows take the diagonal form,
-    # whose errors come from the row coordinates
+        tmp_path, monkeypatch, forked, name, overrides, figures, sizes):
+    # one method, so each grid is one group: the table's 1 x 100 runs and
+    # the rate's 3 x 20 runs are cut in halves on two or more workers, and
+    # the figure cell stays whole; preconditioned rows take the diagonal
+    # form, whose errors come from the row coordinates
     spec = small_spec(max_epochs=2.0,
                       methods=[{"method": "sgd", "c0": "1/2*c"}], **overrides)
     seen, blobs = _batch_sizes(monkeypatch), {}
@@ -632,8 +775,7 @@ def test_run_slices_of_the_grid_shapes_keep_bytes_bitwise(
         out = tmp_path / threads
         run_experiment(spec, out / "t.csv",
                        figure_dir=out / "fig" if figures else None)
-        assert sorted(seen) == sizes[threads]
-        seen.clear()
+        assert sorted(seen.drain()) == sizes[threads]
         blobs[threads] = sorted((p.relative_to(out), p.read_bytes())
                                 for p in out.rglob("*") if p.is_file())
     assert blobs["1"] == blobs["2"] == blobs["3"]
@@ -642,7 +784,7 @@ def test_run_slices_of_the_grid_shapes_keep_bytes_bitwise(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lose_first_slice", [False, True])
 def test_sliced_divergence_matches_the_whole_cell_bitwise(
-        tmp_path, monkeypatch, lose_first_slice):
+        tmp_path, monkeypatch, forked, lose_first_slice):
     # a step above the stability bound: runs 50 and 58 of 64 trip the
     # divergence guard, both in the second of two 32-run slices; forcing
     # every run of the first slice to trip it too leaves the cell to the
@@ -659,11 +801,11 @@ def test_sliced_divergence_matches_the_whole_cell_bitwise(
         monkeypatch.setattr(analysis, "run_batch", losing)
     spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
                       methods=[{"method": "sgd", "c0": "2.8*c"}])
-    slices, joined = [], []
+    log, slices, joined = CallLog(), {}, []
     curves_of, outcome_of = experiment.error_curves, experiment._cell_outcome
 
     def recording_curves(inst, y, cfg, runs, **kwargs):
-        slices.append(runs)
+        log.append(runs)
         return curves_of(inst, y, cfg, runs, **kwargs)
 
     def recording_outcome(spec_, cell, curves, figure_grid):
@@ -677,7 +819,8 @@ def test_sliced_divergence_matches_the_whole_cell_bitwise(
         monkeypatch.setenv("STOCHREG_THREADS", threads)
         run_experiment(spec, tmp_path / f"t{threads}.csv")
         blobs[threads] = (tmp_path / f"t{threads}.csv").read_bytes()
-    assert slices == [range(64), range(32), range(32, 64)]
+        slices[threads] = sorted(log.drain(), key=lambda runs: runs.start)
+    assert slices == {"1": [range(64)], "2": [range(32), range(32, 64)]}
     whole, sliced = joined
     excluded = (tuple(range(32)) if lose_first_slice else ()) + (50, 58)
     assert whole.excluded_runs == sliced.excluded_runs == excluded

@@ -360,6 +360,18 @@ def test_instance_validation():
     assert make_instance("empty", np.zeros((2, 0)), np.zeros(0)).m == 0
 
 
+@pytest.mark.parametrize("a", [np.zeros((0, 2)), np.zeros(0)],
+                         ids=["0x2", "empty-list"])
+def test_instance_without_rows_is_rejected_by_name(a):
+    # an instance needs one equation; numpy's reduction over the empty data
+    # must not be the error a caller sees
+    with pytest.raises(ValueError, match="a has no rows"):
+        ProblemInstance("empty", a=a, x_dag=np.zeros(2), y_dag=np.zeros(0),
+                        x0=np.zeros(2))
+    with pytest.raises(ValueError, match="a has no rows"):
+        make_instance("empty", np.zeros((0, 2)), np.zeros(2))
+
+
 def test_instance_check_makes_no_full_size_temporary():
     # np.isfinite(a) would be a bool array the size of a (0.95 MiB here)
     inst = generate("s-phillips", 1000)

@@ -301,6 +301,32 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
         assert_array_equal(kernel.iterates(), x)
 
 
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
+                                      ("landweber", 1)])
+def test_iterates_are_the_coordinate_sum_product_at_every_step(noisy_shaw,
+                                                               method, M):
+    # on the fold grid (every n = 12 steps for sgd, M = 3 for svrg, every
+    # step for landweber) the iterate is read off C alone, elsewhere off
+    # C + W; either way it is the padded product (C + W) @ A + x0, bit for
+    # bit, and so is the dense form's squared error
+    inst, y = noisy_shaw
+    assert inst.row_gram_diagonal is None
+    c0 = 0.5 * step_stability_bound(inst, method)
+    runs, steps = 33, 2 * inst.n + 1
+    idx = stream_indices(4, inst.n, runs, steps)
+    kernel = Lockstep(inst, y, runs, method, c0, M)
+    folds = 0
+    for t in range(steps + 1):
+        kernel.advance(idx[kernel.t:t])
+        folds += t % kernel.every == 0
+        x = padded_product(kernel._c + kernel._w, inst.a) + inst.x0
+        diff = x - inst.x_dag
+        assert_array_equal(kernel.error_sq(),
+                           np.einsum("rm,rm->r", diff, diff))
+        assert_array_equal(kernel.iterates(), x)
+    assert 0 < folds < steps + 1 or method == "landweber"
+
+
 @pytest.mark.parametrize("method,M,epochs", [("sgd", 1, 400.0),
                                              ("svrg", 3, 2000.0),
                                              ("landweber", 1, 5000.0)])
