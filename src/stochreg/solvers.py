@@ -36,8 +36,7 @@ _GRADIENT_BLOCK rows, one stacked matmul each:
     fold:       C += W;  D += s (W @ K);  W = 0, after every step that
                 ends with t % every == 0, every = n for sgd (one epoch), M
                 for svrg (one anchor) and 1 for landweber
-    iterate:    X = (C + W) @ A + x0, built only when a caller asks for X;
-                on the fold grid W = 0, and the product is C @ A
+    iterate:    X = (C + W) @ A + x0, built only when a caller asks for X
     start:      C = 0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
@@ -78,6 +77,22 @@ _CHUNK.  The gather uses mode "clip" because the default "raise" buffers
 the copy: 100 rows of 1000 took about 100 us against 27 us on a 2-vCPU Xeon
 VM.  Indices are already reduced modulo n, so clipping never changes one.
 
+Recording.  ``run_batch`` records its checkpoints in blocks.  One advance
+call runs through up to ``slots`` checkpoints of an index chunk, and at
+each checkpoint step, after that step's fold, it copies C + W into the next
+slot of a padded snapshot block, one np.add per checkpoint.  The recorder
+then reads the block at once (``Lockstep.read``): the error statements and
+the iterate's product run on a (slots, runs, n) block, the product as one
+stacked matmul of the same 32-row blocks, and the einsum reductions per
+(slot, run) row.  Each entry gets the arithmetic it gets alone, so a block
+of one snapshot, which ``error_sq()`` and ``iterates()`` read, gives the
+bits of any other block.  C never holds -0.0, so on the fold grid, where
+W = 0, the snapshot C + W is C bit for bit.  A block holds as many
+snapshots as fit in _SNAPSHOT_BYTES (1 MiB), at least one and at most the
+grid's checkpoint count.  Neither the fold grid nor any entry's arithmetic
+depends on where a block or a chunk ends, so neither _SNAPSHOT_BYTES nor
+_CHUNK changes a bit.
+
 Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
 is exactly zero, so W and C stay zero and X = 0 @ A + x0 = x0.  Each BLAS
 block has the same shape whatever the batch, so a run's bits depend neither
@@ -102,6 +117,7 @@ from .spectral import step_constant
 
 _CHUNK = 4096  # iterations per index-stream draw
 _GRADIENT_BLOCK = 32  # rows per block of every padded BLAS product
+_SNAPSHOT_BYTES = 1 << 20  # C + W snapshots a kernel keeps for one block
 DIVERGENCE_FACTOR = 1e12
 MAX_CHECKPOINTS = 10**6  # about 100 times the longest record of the rate grid
 
@@ -268,21 +284,23 @@ class _Recorder:
         self.sum_x = np.zeros((cells, c, inst.m)) if center_on_mean else None
         self.centered_sq = np.empty((runs, c)) if center_on_mean else None
 
-    def record(self, j: int, kernel: Lockstep) -> np.ndarray:
-        err = kernel.error_sq()
-        self.error_sq[:, j] = err
-        if self.residual_sq is None and self.sum_x is None:
-            return err
-        x = kernel.iterates()
-        if self.residual_sq is not None:
-            resid = residuals(self.inst.a, self.y, x)
-            self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
-        if self.sum_x is not None:
-            for k, rows in enumerate(self.blocks):
-                cell_x = x[rows]
-                self.sum_x[k, j] += cell_x.sum(axis=0)
-                d = cell_x - self.sum_x[k, j] / cell_x.shape[0]
-                self.centered_sq[rows, j] = np.einsum("rm,rm->r", d, d)
+    def record(self, j: int, kernel: Lockstep, count: int) -> np.ndarray:
+        """Records checkpoints j, ..., j + count - 1 off the kernel's first
+        count snapshots (``Lockstep.read``); returns their (count, runs)
+        squared errors."""
+        want_x = self.residual_sq is not None or self.sum_x is not None
+        err, xs = kernel.read(count, want_x)
+        self.error_sq[:, j:j + count] = err.T
+        for j, x in enumerate(xs if want_x else (), j):
+            if self.residual_sq is not None:
+                resid = residuals(self.inst.a, self.y, x)
+                self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
+            if self.sum_x is not None:
+                for k, rows in enumerate(self.blocks):
+                    cell_x = x[rows]
+                    self.sum_x[k, j] += cell_x.sum(axis=0)
+                    d = cell_x - self.sum_x[k, j] / cell_x.shape[0]
+                    self.centered_sq[rows, j] = np.einsum("rm,rm->r", d, d)
         return err
 
 
@@ -314,7 +332,7 @@ class Lockstep:
     every = 1 for landweber, an anchor at every step."""
 
     def __init__(self, inst: ProblemInstance, y: np.ndarray, runs: int,
-                 method: str, c0: float, M: int = 1):
+                 method: str, c0: float, M: int = 1, snapshots: int = 1):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
         n, m = inst.a.shape
@@ -335,23 +353,24 @@ class Lockstep:
         self._d = np.empty(runs)
         self._w_blocks, self._w = _padded(runs, n)
         self._w_flat = self._w.reshape(-1)
+        self._c = np.zeros((runs, n))
         # run r's entry i of a (runs, n) matrix sits at flat r*n + i
         self._offsets = np.arange(runs) * n
-        # one output buffer for the iterates' (C + W) @ A and the fold's
-        # W @ K, or W * kd in the diagonal form
+        # up to `snapshots` slots of C + W within _SNAPSHOT_BYTES, padded as
+        # W, and one output buffer for their iterates (C + W) @ A and the
+        # fold's W @ K, or W * kd in the diagonal form
         size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
-        out = np.zeros(size * max(n, m))
-        self._by_a = out[:size * m].reshape(-1, _GRADIENT_BLOCK, m)
+        self.slots = max(1, min(snapshots, _SNAPSHOT_BYTES // (8 * size * n)))
+        self._snap_blocks = np.zeros((self.slots, *self._w_blocks.shape))
+        self._snaps = self._snap_blocks.reshape(self.slots, size, n)[:, :runs]
+        out = np.zeros(max(self.slots * size * m, size * n))
+        self._by_a = out[:self.slots * size * m].reshape(
+            self.slots, -1, _GRADIENT_BLOCK, m)
         self._by_k = out[:size * n].reshape(-1, _GRADIENT_BLOCK, n)
-        self._by_a_rows = self._by_a.reshape(-1, m)[:runs]
+        self._by_a_rows = self._by_a.reshape(self.slots, size, m)[:, :runs]
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
-        self._built_at = -1  # the step count of the iterates in _by_a
-        # C, and C + W for the iterate off the fold grid (in the diagonal
-        # form also v = C + W + q for the error), padded as W is
-        self._c_blocks, self._c = _padded(runs, n)
-        self._v_blocks, self._v = _padded(runs, n)
         if self.kd is not None:
-            self._kd_v = np.empty((runs, n))  # kd v + 2 g
+            self._kd_v = np.empty((self.slots, runs, n))  # kd v + 2 g
             self._q, self._z_sq, self._g2 = _error_coordinates(inst)
 
     def _fold(self) -> None:
@@ -366,13 +385,21 @@ class Lockstep:
         self._dual += self._by_k_rows
         self._w.fill(0.0)
 
-    def advance(self, idx: np.ndarray) -> None:
+    def advance(self, idx: np.ndarray, marks=()) -> None:
         """One step per row of idx, a (steps, runs) array of row indices in
-        [0, n); idx[s, r] is the row run r draws at step t + s."""
+        [0, n); idx[s, r] is the row run r draws at step t + s.  When t
+        reaches marks[k], ascending step counts in [t, t + steps], at most
+        ``slots`` of them, C + W is copied into snapshot slot k for
+        ``read``."""
         k, kd, w, w_flat, c0 = self.k, self.kd, self._w, self._w_flat, self.c0
         dual, dual_flat = self._dual, self._dual.reshape(-1)
-        rows, d, every, t = self._rows, self._d, self.every, self.t
+        rows, d, every, t, c = self._rows, self._d, self.every, self.t, self._c
         sgd = self.method == "sgd"
+        marks = iter([*marks, -1])  # -1: no snapshot past the last mark
+        snaps, mark = iter(self._snaps), next(marks)
+        if mark == t:
+            np.add(c, w, out=next(snaps))
+            mark = next(marks)
         # the diagonal form's K[i, i] of every step and run, in one gather;
         # the dense form zips idx in its place and does not read it
         kd_idx = idx if kd is None else kd.take(idx)
@@ -391,36 +418,45 @@ class Lockstep:
             t += 1
             if t % every == 0:
                 self._fold()
+            if t == mark:
+                np.add(c, w, out=next(snaps))
+                mark = next(marks)
         self.t = t
 
-    def iterates(self) -> np.ndarray:
-        """The (runs, m) iterates (C + W) @ A + x0 after t steps, built in
-        the product buffer at the first call after a step.  Not to be
-        written; valid until the next advance call."""
-        if self._built_at != self.t:
-            if self.t % self.every == 0:  # just folded: W = 0, C + W = C
-                blocks = self._c_blocks
-            else:
-                np.add(self._c, self._w, out=self._v)
-                blocks = self._v_blocks
-            np.matmul(blocks, self.a, out=self._by_a)
-            self._by_a_rows += self.x0
-            self._built_at = self.t
-        return self._by_a_rows
+    def _iterates(self, count: int) -> np.ndarray:
+        np.matmul(self._snap_blocks[:count], self.a, out=self._by_a[:count])
+        x = self._by_a_rows[:count]
+        x += self.x0
+        return x
 
-    def error_sq(self) -> np.ndarray:
-        """Each run's squared error |X - x_dag|^2 after t steps: in the
-        dense form from the iterates, in the diagonal form from the
-        coordinates, with no product by A."""
+    def read(self, count: int, iterates: bool = False) -> tuple:
+        """The squared errors |X - x_dag|^2 at the first count snapshots, a
+        (count, runs) array, and the (count, runs, m) iterates
+        X = (C + W) @ A + x0 there, or None in the diagonal form unless
+        iterates is set.  The dense form reads the error off X, the
+        diagonal form off the coordinates, with no product by A.  A snapshot
+        is read once; X is valid until the next advance call."""
+        x = self._iterates(count) if self.kd is None or iterates else None
         if self.kd is None:
-            diff = self.iterates() - self.x_dag
-            return np.einsum("rm,rm->r", diff, diff)
-        v, kd_v = self._v, self._kd_v
-        np.add(self._c, self._w, out=v)
+            diff = x - self.x_dag
+            return np.einsum("krm,krm->kr", diff, diff), x
+        v, kd_v = self._snaps[:count], self._kd_v[:count]
         v += self._q
         np.multiply(v, self.kd, out=kd_v)
         kd_v += self._g2
-        return np.einsum("rn,rn->r", v, kd_v) + self._z_sq
+        return np.einsum("krn,krn->kr", v, kd_v) + self._z_sq, x
+
+    def error_sq(self) -> np.ndarray:
+        """Each run's squared error after t steps: ``read`` of one
+        snapshot."""
+        np.add(self._c, self._w, out=self._snaps[0])
+        return self.read(1)[0][0]
+
+    def iterates(self) -> np.ndarray:
+        """The (runs, m) iterates (C + W) @ A + x0 after t steps.  Not to be
+        written; valid until the next advance call."""
+        np.add(self._c, self._w, out=self._snaps[0])
+        return self._iterates(1)[0]
 
 
 def _error_coordinates(inst: ProblemInstance) -> tuple:
@@ -440,41 +476,41 @@ def _error_coordinates(inst: ProblemInstance) -> tuple:
 
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
-    """Advance all runs in lockstep, recording at recorder.cp.  Run r draws its
-    rows from the index stream subkeys[r], a (seed, subkey) pair (landweber
-    draws none), and reads the data of its cell, a row of y; cfg gives the
-    method, step and inner loop, and its seed is not read.  Returns a boolean
-    mask of runs that tripped the divergence guard (they keep iterating; their
+    """Advance all runs in lockstep, recording at recorder.cp in blocks of
+    checkpoints (module docstring, Recording).  Run r draws its rows from
+    the index stream subkeys[r], a (seed, subkey) pair (landweber draws
+    none), and reads the data of its cell, a row of y; cfg gives the method,
+    step and inner loop, and its seed is not read.  Returns a boolean mask of
+    runs that tripped the divergence guard (they keep iterating; their
     records past the trip point are not meaningful)."""
     runs = len(subkeys)
     y = _cell_data(y, inst.n, runs)
     _validate_step(inst, cfg)
 
-    n = inst.n
-    total = int(recorder.cp[-1])
+    n, cp = inst.n, recorder.cp
+    total = int(cp[-1])
     limit = _divergence_limit(inst)
     diverged = np.zeros(runs, dtype=bool)
 
-    kernel = Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M)
-    cp = recorder.cp
-    next_cp = 0
-    if cp[0] == 0:
-        recorder.record(0, kernel)
-        next_cp = 1
-
-    while kernel.t < total:
-        start = kernel.t
-        width = min(_CHUNK, total - start)
-        idx = (np.zeros((width, runs), dtype=np.int64)
-               if cfg.method == "landweber"
-               else index_blocks(n, subkeys, start, width))
-        while kernel.t < start + width:
-            stop = min(start + width, int(cp[next_cp]))
-            kernel.advance(idx[kernel.t - start:stop - start])
-            if kernel.t == cp[next_cp]:
-                err = recorder.record(next_cp, kernel)
-                next_cp += 1
-                diverged |= ~np.isfinite(err) | (err > limit)
+    kernel = Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M, cp.size)
+    done = start = 0  # checkpoints recorded; the first step of idx
+    idx = np.empty((0, runs), dtype=np.int64)
+    while done < cp.size:
+        if kernel.t == start + len(idx):  # draw the next chunk
+            start, width = kernel.t, min(_CHUNK, total - kernel.t)
+            idx = (np.zeros((width, runs), dtype=np.int64)
+                   if cfg.method == "landweber"
+                   else index_blocks(n, subkeys, start, width))
+        # the next block: up to kernel.slots checkpoints in this chunk
+        end = start + len(idx)
+        marks = cp[done:done + kernel.slots]
+        marks = marks[:np.searchsorted(marks, end, "right")]
+        stop = int(marks[-1]) if marks.size == kernel.slots else end
+        kernel.advance(idx[kernel.t - start:stop - start], marks.tolist())
+        if marks.size:
+            err = recorder.record(done, kernel, marks.size)
+            done += marks.size
+            diverged |= (~np.isfinite(err) | (err > limit)).any(axis=0)
     return diverged
 
 

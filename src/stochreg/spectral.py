@@ -113,7 +113,7 @@ def step_constant(a) -> float:
     top = norms.max()
     if top <= 0:
         raise ValueError("all rows are zero; no admissible step exists")
-    return float(1.0 / top)
+    return 1.0 / float(top)  # inf, with no overflow warning, on subnormal rows
 
 
 class Propagator:

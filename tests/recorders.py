@@ -1,13 +1,16 @@
 """A checkpoint recorder for the tests' multi-pass references, and a call
 log that forked grid workers can append to.
 
-``solvers.run_batch`` calls ``recorder.record(j, kernel)`` at each
-checkpoint ``recorder.cp[j]``.  Besides the per-run squared errors, which it
-takes from ``kernel.error_sq()`` as the solvers' recorder does, this
-recorder sums the iterates ``kernel.iterates()`` at each checkpoint and,
-given ``centers``, records each run's squared distance to ``centers[j]``.
-It makes the same numpy calls as the recorder modes the references were
-first built with, so the references keep their bits.
+``solvers.run_batch`` records its checkpoints in blocks.  It advances the
+kernel through up to ``kernel.slots`` checkpoints, which leaves a snapshot
+of each in the kernel, then calls ``recorder.record(j, kernel, count)`` for
+the checkpoints ``recorder.cp[j:j + count]`` and reads the (count, runs)
+squared errors it returns.  This recorder takes the errors and the
+iterates of the block from ``kernel.read(count, iterates=True)``, as the
+solvers' recorder does, sums the iterates at each checkpoint and, given
+``centers``, records each run's squared distance to ``centers[j]``.  It
+makes the same numpy calls per checkpoint as the recorder modes the
+references were first built with, so the references keep their bits.
 """
 
 import multiprocessing
@@ -22,14 +25,14 @@ class SummingRecorder:
         self.sum_x = np.zeros((cp.size, inst.m))
         self.centered_sq = np.empty((runs, cp.size))
 
-    def record(self, j, kernel):
-        err = kernel.error_sq()
-        self.error_sq[:, j] = err
-        x = kernel.iterates()
-        self.sum_x[j] += x.sum(axis=0)
-        if self.centers is not None:
-            d = x - self.centers[j]
-            self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
+    def record(self, j, kernel, count):
+        err, xs = kernel.read(count, iterates=True)
+        self.error_sq[:, j:j + count] = err.T
+        for j, x in enumerate(xs, j):
+            self.sum_x[j] += x.sum(axis=0)
+            if self.centers is not None:
+                d = x - self.centers[j]
+                self.centered_sq[:, j] = np.einsum("rm,rm->r", d, d)
         return err
 
 

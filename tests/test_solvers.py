@@ -16,11 +16,13 @@ from stochreg.problems import (add_noise, gen_shaw, generate, make_instance,
                                precondition, smooth_solution)
 from stochreg.rng import NOISE_SUBKEY, IndexStream, index_blocks
 from stochreg.spectral import step_constant
-from stochreg.analysis import enumerate_exact_moments
+from stochreg import solvers
+from stochreg.analysis import enumerate_exact_moments, error_curves, mc_moments
 from stochreg.solvers import (_CHUNK, _GRADIENT_BLOCK, MAX_CHECKPOINTS,
                               DivergenceError, EpochAccounting, Lockstep, SolverConfig, Trajectory, _Recorder,
-                              _error_coordinates,
-                              checkpoint_iterations, oracle_stop, run_batch,
+                              _divergence_limit, _error_coordinates,
+                              checkpoint_iterations, oracle_stop, residuals,
+                              run_batch,
                               solve, step_is_admissible, step_stability_bound,
                               write_trajectory)
 
@@ -358,11 +360,13 @@ class IterateRecorder:
     def __init__(self, inst, cp):
         self.inst, self.cp, self.x = inst, cp, []
 
-    def record(self, j, kernel):
-        x = kernel.iterates()
-        self.x.append(x.copy())
-        diff = x - self.inst.x_dag
-        return np.einsum("rm,rm->r", diff, diff)
+    def record(self, j, kernel, count):
+        errs = []
+        for x in kernel.read(count, iterates=True)[1]:
+            self.x.append(x.copy())
+            diff = x - self.inst.x_dag
+            errs.append(np.einsum("rm,rm->r", diff, diff))
+        return np.array(errs)
 
 
 def random_case(n, m):
@@ -396,6 +400,183 @@ def test_row_space_kernel_matches_the_primal_update(noisy_shaw, shape, method,
     primal = np.array([states[c] for c in cp])
     gap = np.abs(np.array(rec.x) - primal).max()
     assert gap <= 1e-11 * np.abs(primal - inst.x_dag).max()
+
+
+# --- checkpoint blocks -------------------------------------------------------
+
+class PerCheckpointRecorder(_Recorder):
+    """The solvers' recorder as it was before checkpoints were recorded in
+    blocks: record_one reads one checkpoint through error_sq() and
+    iterates()."""
+
+    def record_one(self, j, kernel):
+        err = kernel.error_sq()
+        self.error_sq[:, j] = err
+        if self.residual_sq is None and self.sum_x is None:
+            return err
+        x = kernel.iterates()
+        if self.residual_sq is not None:
+            resid = residuals(self.inst.a, self.y, x)
+            self.residual_sq[:, j] = np.einsum("rn,rn->r", resid, resid)
+        if self.sum_x is not None:
+            for k, rows in enumerate(self.blocks):
+                cell_x = x[rows]
+                self.sum_x[k, j] += cell_x.sum(axis=0)
+                d = cell_x - self.sum_x[k, j] / cell_x.shape[0]
+                self.centered_sq[rows, j] = np.einsum("rm,rm->r", d, d)
+        return err
+
+
+def per_checkpoint_batch(inst, y, cfg, subkeys, rec):
+    """run_batch's loop before checkpoints were recorded in blocks: one
+    advance call per checkpoint interval, one record call per checkpoint."""
+    runs, cp = len(subkeys), rec.cp
+    total = int(cp[-1])
+    limit = _divergence_limit(inst)
+    diverged = np.zeros(runs, dtype=bool)
+    kernel = Lockstep(inst, y, runs, cfg.method, cfg.c0, cfg.M)
+    next_cp = 0
+    if cp[0] == 0:
+        rec.record_one(0, kernel)
+        next_cp = 1
+    while kernel.t < total:
+        start = kernel.t
+        width = min(_CHUNK, total - start)
+        idx = (np.zeros((width, runs), dtype=np.int64)
+               if cfg.method == "landweber"
+               else index_blocks(inst.n, subkeys, start, width))
+        while kernel.t < start + width:
+            stop = min(start + width, int(cp[next_cp]))
+            kernel.advance(idx[kernel.t - start:stop - start])
+            if kernel.t == cp[next_cp]:
+                err = rec.record_one(next_cp, kernel)
+                next_cp += 1
+                diverged |= ~np.isfinite(err) | (err > limit)
+    return diverged
+
+
+class BlockLog(_Recorder):
+    """The solvers' recorder, keeping the (first checkpoint, count) of each
+    block it records."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def record(self, j, kernel, count):
+        self.log.append((j, count))
+        return super().record(j, kernel, count)
+
+
+RECORDER_MODES = {"errors": {"want_residual": False},
+                  "residual": {"want_residual": True},
+                  "center": {"want_residual": False, "center_on_mean": True}}
+
+
+def block_and_reference(inst, ys, cfg, runs, mode):
+    """The solvers' recorder after run_batch and the per-checkpoint one
+    after the old loop, with their divergence masks."""
+    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+    keys = [(cfg.seed, r) for r in range(runs)]
+    rec = BlockLog(inst, ys, cp, runs, **RECORDER_MODES[mode])
+    ref = PerCheckpointRecorder(inst, ys, cp, runs, **RECORDER_MODES[mode])
+    return (rec, run_batch(inst, ys, cfg, keys, rec),
+            ref, per_checkpoint_batch(inst, ys, cfg, keys, ref))
+
+
+def assert_same_records(rec, ref):
+    for name in ("error_sq", "residual_sq", "sum_x", "centered_sq"):
+        if getattr(ref, name) is None:
+            assert getattr(rec, name) is None, name
+        else:
+            assert_array_equal(getattr(rec, name), getattr(ref, name),
+                               err_msg=name)
+
+
+@pytest.mark.parametrize("budget", ["default", "one", "whole grid"])
+@pytest.mark.parametrize("mode", list(RECORDER_MODES))
+@pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
+@pytest.mark.parametrize("method,M,epochs,every", [
+    ("sgd", 1, 350.5, 0.75), ("svrg", 4, 1400.3, 3.0),
+    ("landweber", 1, 4201.0, 9.0)])
+def test_block_recording_is_the_per_checkpoint_loop_bitwise(
+        monkeypatch, noisy_shaw, method, M, epochs, every, rotate, mode,
+        budget):
+    # two cells of three runs on s-shaw n = 12; a checkpoint every 9 steps
+    # (and every svrg anchor, M = 4) over 4206 sgd or 4201 svrg and
+    # landweber steps: the grid crosses _CHUNK, ends off the stride and
+    # holds more checkpoints than the default block of 341 snapshots
+    inst, y = noisy_shaw
+    ys = np.stack([y, add_noise(inst, 1e-3, seed=22).y])
+    if rotate:
+        inst, ys = precondition(inst, ys)
+    assert (inst.row_gram_diagonal is not None) == rotate
+    if budget != "default":
+        monkeypatch.setattr(solvers, "_SNAPSHOT_BYTES",
+                            1 if budget == "one" else 1 << 60)
+    cfg = SolverConfig(method=method,
+                       c0=0.5 * step_stability_bound(inst, method),
+                       max_epochs=epochs, M=M, seed=8, checkpoint_every=every)
+    rec, diverged, ref, ref_diverged = block_and_reference(inst, ys, cfg, 6,
+                                                           mode)
+    total = int(rec.cp[-1])
+    assert total > _CHUNK and total % 9
+    counts = [count for _, count in rec.log]
+    assert sum(counts) == rec.cp.size
+    if budget == "one":
+        assert set(counts) == {1}
+    elif budget == "whole grid":  # one block per index chunk
+        assert len(counts) == -(-total // _CHUNK)
+    else:
+        slots = solvers._SNAPSHOT_BYTES // (8 * _GRADIENT_BLOCK * inst.n)
+        assert max(counts) == slots == 341
+        assert rec.cp.size > 341
+    assert not diverged.any() and not ref_diverged.any()
+    assert_same_records(rec, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_block_recording_keeps_the_divergence_mask_bitwise():
+    # at 2.9 times the sgd bound on s-shaw n = 10, seven runs of 12 trip
+    # the divergence guard, each at one of checkpoints 56-76 of the block
+    # 0-80
+    inst = gen_shaw(10)
+    y = add_noise(inst, 1e-2, 3).y
+    cfg = SolverConfig(method="sgd",
+                       c0=2.9 * step_stability_bound(inst, "sgd"),
+                       max_epochs=80.0, seed=5, allow_large_step=True)
+    lost = (1, 2, 3, 5, 9, 10, 11)
+    for mode in RECORDER_MODES:
+        rec, diverged, ref, ref_diverged = block_and_reference(inst, y, cfg,
+                                                               12, mode)
+        assert_array_equal(diverged, ref_diverged)
+        assert tuple(np.nonzero(diverged)[0]) == lost
+        assert_same_records(rec, ref)
+    limit = _divergence_limit(inst)
+    tripped = ~np.isfinite(ref.error_sq) | (ref.error_sq > limit)
+    for r in np.nonzero(diverged)[0]:
+        first = int(np.argmax(tripped[r]))
+        assert any(j < first < j + count - 1 for j, count in rec.log)
+
+    kept = [(cfg.seed, r) for r in range(12) if not diverged[r]]
+    cp = rec.cp
+    errors = PerCheckpointRecorder(inst, y, cp, len(kept),
+                                   want_residual=True)
+    moments = PerCheckpointRecorder(inst, y, cp, len(kept),
+                                    want_residual=False, center_on_mean=True)
+    for ref in (errors, moments):
+        assert not per_checkpoint_batch(inst, y, cfg, kept, ref).any()
+    curves = error_curves(inst, y, cfg, 12, include_residual=True)
+    assert curves.excluded_runs == lost
+    assert_array_equal(curves.error_sq, errors.error_sq)
+    assert_array_equal(curves.residual_sq, errors.residual_sq)
+    rep = mc_moments(inst, y, cfg, 12)
+    assert rep.excluded_runs == lost
+    assert_array_equal(rep.error_sq, moments.error_sq)
+    assert_array_equal(rep.variance, moments.centered_sq.mean(axis=0))
+    diff = moments.sum_x[0] / len(kept) - inst.x_dag
+    assert_array_equal(rep.bias_sq, np.einsum("cm,cm->c", diff, diff))
 
 
 def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
