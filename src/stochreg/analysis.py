@@ -39,8 +39,7 @@ import numpy as np
 
 from .problems import ProblemInstance, noise_functional
 from .rng import index_blocks
-from .solvers import EpochAccounting, Lockstep, SolverConfig, _Recorder, \
-    checkpoint_iterations, run_batch
+from .solvers import Lockstep, SolverConfig, _Recorder, run_batch
 from .spectral import GramOperator, Propagator
 
 ENUM_BUDGET = 10**7
@@ -726,12 +725,9 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     if runs < 2:
         raise ValueError("need at least two runs for sample moments")
     ys, keys = _cell_group(y, cfg, seeds, range(runs))
-    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    total = acct.iterations(cfg.max_epochs)
-    cp = checkpoint_iterations(acct, cfg, total)
-
-    group = _Recorder(inst, ys, cp, len(keys), want_residual=False,
+    group = _Recorder(inst, ys, cfg, len(keys), want_residual=False,
                       center_on_mean=True)
+    epochs, cp = group.acct.epochs(group.cp), group.cp
     diverged = run_batch(inst, ys, cfg, keys, group).reshape(-1, runs)
     reports = []
     for c, lost in enumerate(diverged):
@@ -745,7 +741,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
                     "fewer than two runs survived the divergence guard" if kept
                     else NO_SURVIVORS))
                 continue
-            rec, cell = _Recorder(inst, ys[c], cp, len(kept),
+            rec, cell = _Recorder(inst, ys[c], cfg, len(kept),
                                   want_residual=False, center_on_mean=True), 0
             run_batch(inst, ys[c], cfg, kept, rec)
         error_sq = rec.error_sq[rec.blocks[cell]]
@@ -758,7 +754,7 @@ def mc_moments(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         mse = error_sq.mean(axis=0)
         stderr = error_sq.std(axis=0, ddof=1) / math.sqrt(count)
         reports.append(MomentReport(
-            method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
+            method=cfg.method, epochs=epochs, iterations=cp,
             bias_sq=bias_sq, variance=variance, mse=mse,
             mse_stderr=stderr, error_sq=error_sq, run_count=count,
             excluded_runs=excluded))
@@ -797,10 +793,8 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     if len(runs) < 1:
         raise ValueError("need at least one run")
     ys, keys = _cell_group(y, cfg, seeds, runs)
-    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    total = acct.iterations(cfg.max_epochs)
-    cp = checkpoint_iterations(acct, cfg, total)
-    rec = _Recorder(inst, ys, cp, len(keys), want_residual=include_residual)
+    rec = _Recorder(inst, ys, cfg, len(keys), want_residual=include_residual)
+    epochs = rec.acct.epochs(rec.cp)
     diverged = run_batch(inst, ys, cfg, keys, rec).reshape(-1, len(runs))
     curves = []
     for lost, rows in zip(diverged, rec.blocks):
@@ -812,7 +806,7 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         residual_sq = (None if rec.residual_sq is None
                        else rec.residual_sq[rows][kept])
         curves.append(ErrorCurves(
-            method=cfg.method, epochs=acct.epochs(cp), iterations=cp,
+            method=cfg.method, epochs=epochs, iterations=rec.cp,
             error_sq=error_sq, residual_sq=residual_sq,
             excluded_runs=tuple(runs[r] for r in np.nonzero(lost)[0])))
     return _per_cell(y, curves)

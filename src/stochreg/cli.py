@@ -11,13 +11,13 @@ import math
 import sys
 
 from . import fileio, verify
-from .experiment import (load_spec, parse_c0_expr, parse_m_expr,
-                         run_experiment, run_precondition_study, thread_count)
+from .experiment import (MethodPlan, load_spec, run_experiment,
+                         run_precondition_study, thread_count)
 from .problems import (GENERATORS, add_noise, generate, load_instance,
                        load_noisy, precondition, rescale_to_unit_norm,
                        save_instance, save_noisy, smooth_solution, NoisyData)
 from .solvers import (METHODS, DivergenceError, SolverConfig, oracle_stop,
-                      solve, step_stability_bound, write_trajectory)
+                      solve, write_trajectory)
 from .spectral import step_constant
 
 EXIT_OK = 0
@@ -147,13 +147,10 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load problem: {exc}")
     try:
-        m_value = parse_m_expr(args.M, inst.n)
-        if args.c0 is None:
-            if args.method != "landweber":
-                raise ValueError(f"{args.method} needs --c0")
-            c0 = step_stability_bound(inst, "landweber")
-        else:
-            c0 = parse_c0_expr(args.c0, step_constant(inst.a), m_value, inst.n)
+        if args.c0 is None and args.method != "landweber":
+            raise ValueError(f"{args.method} needs --c0")
+        c0, m_value = MethodPlan(args.method, args.c0, args.M).resolve(
+            inst, step_constant(inst.a))
         cfg = SolverConfig(method=args.method, c0=c0,
                            max_epochs=args.max_epochs, M=m_value,
                            seed=args.seed,

@@ -10,21 +10,21 @@ STOCHREG_THREADS setting.
 Cells that share an instance and every solver setting but the seed (the
 epsilon points of one nu and method plan) form a group and run as lockstep
 batches, each cell with its own data and seed; a lone cell is a group of one.
-The unit of work is a run slice: one batch over runs [a, b) of every cell of
-a group. Slices run in forked worker processes, which inherit the prepared
-instances and data and the slices they run; only a slice's curves or its
-exception come back. The workers number min(STOCHREG_THREADS,
-slices, cores // BLAS threads): the cores are the process's CPU affinity,
-and the BLAS threads come from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
-else count every core, so with neither set the slices run in-process, as
-they do with one worker, one slice, or off Linux. A group is cut into the
-most slices, at most that worker budget, such that the slices pad no more
-BLAS rows than the whole group. So the paper's 100-run table cells run as
-two halves on two workers, a rate group of three 20-run cells as two 30-run
-halves, and a figure group stays whole, since each cell's spread is taken
-around the mean of all its runs in one batch. A run gives the same numbers
-alone or in any batch, so neither grouping nor slicing changes an output
-byte.
+``run_groups`` is the one place where groups are cut into run slices, run and
+joined.  A slice is one batch over runs [a, b) of every cell of a group.
+Slices run in forked worker processes, which inherit the prepared instances
+and data and the slices they run; only a slice's curves or its exception come
+back. The workers number min(STOCHREG_THREADS, slices, cores // BLAS
+threads): the cores are the process's CPU affinity, and the BLAS threads come
+from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else count every core, so
+with neither set the slices run in-process, as they do with one worker, one
+slice, or off Linux. A group is cut into the most slices, at most that worker
+budget, such that the slices pad no more BLAS rows than the whole group. So
+the paper's 100-run table cells run as two halves on two workers, a rate
+group of three 20-run cells as two 30-run halves, and a figure group stays
+whole, since each cell's spread is taken around the mean of all its runs in
+one batch. A run gives the same numbers alone or in any batch, so neither
+grouping nor slicing changes an output byte.
 """
 
 from __future__ import annotations
@@ -168,6 +168,15 @@ class MethodPlan:
                              f"choices: {METHODS}")
         if self.c0_expr is None and self.method != "landweber":
             raise ValueError(f"{self.method} needs a step expression")
+
+    def resolve(self, inst: ProblemInstance, c_unit: float
+                ) -> tuple[float, int]:
+        """Step c0 and inner-loop length M on inst, with step unit c_unit:
+        the landweber stability step when no step expression is given."""
+        m_value = parse_m_expr(self.m_expr, inst.n)
+        if self.c0_expr is None:
+            return step_stability_bound(inst, "landweber"), m_value
+        return parse_c0_expr(self.c0_expr, c_unit, m_value, inst.n), m_value
 
 
 @dataclass(frozen=True)
@@ -317,13 +326,8 @@ class CellOutcome:
 def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
                  seed: int, figure_grid: bool, c_unit: float
                  ) -> tuple[SolverConfig, object, int]:
-    m_value = parse_m_expr(plan.m_expr, inst.n)
-    if plan.c0_expr is None:
-        c0 = step_stability_bound(inst, "landweber")
-        c0_expr = "auto"
-    else:
-        c0 = parse_c0_expr(plan.c0_expr, c_unit, m_value, inst.n)
-        c0_expr = plan.c0_expr
+    c0, m_value = plan.resolve(inst, c_unit)
+    c0_expr = plan.c0_expr if plan.c0_expr is not None else "auto"
     acct = EpochAccounting(plan.method, inst.n, m_value)
     if figure_grid:
         # checkpoints every M iterations so methods share an iteration grid
@@ -367,7 +371,8 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
         note = (f"{len(curves.excluded_runs)} runs diverged"
                 if curves.excluded_runs else "")
         row = cell.base_row + [cell.c0_expr, cell.m_value, e_mean, kstar,
-                               spec.runs, se if spec.runs > 1 else "",
+                               spec.runs,
+                               se if curves.error_sq.shape[0] > 1 else "",
                                round(kstar), note]
         figure_name = None
         figure_rows = ()
@@ -396,22 +401,6 @@ def _run_slices(cells: int, runs: int, workers: int) -> list:
         if sum(-(-z // _GRADIENT_BLOCK) for z in sizes) <= whole:
             return [range(a, b) for a, b in zip(bounds, bounds[1:])]
     return [range(runs)]
-
-
-def _run_slice(spec: ExperimentSpec, group: list, runs: range,
-               figure_grid: bool) -> list:
-    """One lockstep batch over runs `runs` of every cell of a group; per
-    cell, its curves or the exception that ended it, in group order."""
-    inst, cfg = group[0].inst, group[0].cfg
-    ys = np.stack([cell.y for cell in group])
-    seeds = [cell.cfg.seed for cell in group]
-    try:
-        if figure_grid:
-            # one pass gives the figure moments and the per-run error curves
-            return mc_moments(inst, ys, cfg, spec.runs, seeds=seeds)
-        return error_curves(inst, ys, cfg, runs, seeds=seeds)
-    except Exception as exc:  # the group's shared settings failed
-        return [exc] * len(group)
 
 
 def _serve(run, indices: range, sender) -> None:
@@ -500,6 +489,47 @@ def _join_slices(slices: list):
                    error_sq=np.concatenate([part.error_sq for part in done]))
 
 
+def run_groups(groups: list, runs: int, moments: bool = False):
+    """Runs groups of cells (module docstring) and yields each cell's
+    curves, or the exception that ended it, group by group in cell order.
+    A group is (inst, cfg, ys, seeds): cells on one instance with cfg's
+    method, step, inner loop and checkpoints, cell c with data ys[c] and
+    seed seeds[c].  With moments, a cell's curves are its mc_moments, and
+    no group is cut.  K and its diagonal selection are built before the
+    fork, and the slices of every group go to one _map_slices call.  A cell
+    is joined on the calling thread once its group's last slice is in, from
+    its own parts, which are let go as it joins."""
+    workers = worker_budget()
+    cuts = []
+    for inst, _, ys, _ in groups:
+        # built here, once per instance, for every worker to inherit
+        inst.row_gram
+        inst.row_gram_diagonal
+        cuts.append([range(runs)] if moments
+                    else _run_slices(len(ys), runs, workers))
+    work = [(group, part) for group, cut in zip(groups, cuts) for part in cut]
+
+    def run(index: int) -> list:
+        (inst, cfg, ys, seeds), part = work[index]
+        try:
+            if moments:
+                # one pass gives the moments and the per-run error curves
+                return mc_moments(inst, ys, cfg, runs, seeds=seeds)
+            return error_curves(inst, ys, cfg, part, seeds=seeds)
+        except Exception as exc:  # the group's shared settings failed
+            return [exc] * len(ys)
+
+    with closing(_map_slices(run, len(work), workers)) as results:
+        for (_, _, ys, _), cut in zip(groups, cuts):
+            parts = [[] for _ in ys]  # per cell, its (runs, curves) pairs
+            for part in cut:
+                for own, curves in zip(parts, next(results)):
+                    own.append((part, curves))
+            del curves  # each cell's list holds its parts alone
+            while parts:
+                yield _join_slices(parts.pop(0))
+
+
 def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
     """Instance, noisy data and step unit c shared by every method in a
     (nu, epsilon) point.  The epsilon points of one nu share one instance
@@ -528,19 +558,8 @@ def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
 
 def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
-    """All grid cells, results in grid order.  Cells that share an instance
-    and every solver setting but the seed (the epsilon points of one nu and
-    method) form a group.  The workers run run slices, in grid order: a
-    slice is one lockstep batch over runs [a, b) of every cell of its group.
-    A group's cells are joined, in run order, and made rows as soon as its
-    last slice is in, and their slices are let go.
-
-    A group is cut into the most slices, at most worker_budget(), such that
-    the slices pad no more BLAS rows than the whole group: so 100-run table
-    cells run as two halves on two workers, and a rate group of three
-    20-run cells as two 30-run halves; with one worker no group is cut.
-    Figure groups are never cut: a cell's spread is taken around the mean
-    of all its runs, which must share one batch."""
+    """All grid cells, results in grid order: run_groups runs the cell
+    groups, and each cell is made a row as soon as it is joined."""
     prepared = _prepare_cells(spec, step_from_raw)
     cells = spec.cells
     outcomes = [None] * len(cells)
@@ -558,30 +577,15 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
         cell = _Cell(idx, plan, base_row, inst, y, cfg, c0_expr, m_value)
         groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
 
-    workers = worker_budget()
-    work = []
-    for group in groups.values():
-        # built here, once per instance, for every worker to inherit
-        group[0].inst.row_gram
-        group[0].inst.row_gram_diagonal
-        for runs in ([range(spec.runs)] if figure_grid
-                     else _run_slices(len(group), spec.runs, workers)):
-            work.append((group, runs))
-
-    def run(index: int) -> list:
-        return _run_slice(spec, *work[index], figure_grid)
-
-    parts = {}  # cell index -> its (runs, curves) pairs so far, in run order
-    with closing(_map_slices(run, len(work), workers)) as results:
-        for (group, runs), result in zip(work, results):
-            for cell, part in zip(group, result):
-                parts.setdefault(cell.index, []).append((runs, part))
-            del result, part  # a cell's list holds its parts alone
-            if runs.stop == spec.runs:
-                for cell in group:
-                    outcomes[cell.index] = _cell_outcome(
-                        spec, cell, _join_slices(parts.pop(cell.index)),
-                        figure_grid)
+    groups = list(groups.values())
+    with closing(run_groups(
+            [(group[0].inst, group[0].cfg, np.stack([c.y for c in group]),
+              [c.cfg.seed for c in group]) for group in groups],
+            spec.runs, moments=figure_grid)) as joined:
+        for group in groups:
+            for cell in group:
+                outcomes[cell.index] = _cell_outcome(spec, cell, next(joined),
+                                                     figure_grid)
     return outcomes
 
 

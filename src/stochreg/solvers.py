@@ -197,8 +197,9 @@ class Trajectory:
         return self.epochs.size
 
 
-def checkpoint_iterations(acct: EpochAccounting, cfg: SolverConfig, total: int
+def checkpoint_iterations(acct: EpochAccounting, cfg: SolverConfig
                           ) -> np.ndarray:
+    total = acct.iterations(cfg.max_epochs)
     # a stride past the horizon marks the same checkpoints as one at it
     stride = max(1, round(min(cfg.checkpoint_every * acct.iterations_per_epoch,
                               total)))
@@ -259,7 +260,8 @@ def _cell_data(y, n: int, runs: int) -> np.ndarray:
 
 class _Recorder:
     """Collects per-checkpoint statistics from the batched iterate matrix,
-    whose runs split into one block per row of the data y.
+    whose runs split into one block per row of the data y.  The checkpoint
+    grid cp and its accounting acct come from cfg.
 
     With center_on_mean, sum_x[c, j] sums the iterates of cell c at
     checkpoint j and centered_sq holds each run's squared distance to its
@@ -269,12 +271,14 @@ class _Recorder:
     the pass, since sum_x starts at zero.
     """
 
-    def __init__(self, inst: ProblemInstance, y: np.ndarray, cp: np.ndarray,
-                 runs: int, *, want_residual: bool,
+    def __init__(self, inst: ProblemInstance, y: np.ndarray,
+                 cfg: SolverConfig, runs: int, *, want_residual: bool,
                  center_on_mean: bool = False):
+        self.inst = inst
+        self.acct = EpochAccounting(cfg.method, inst.n, cfg.M)
+        self.cp = cp = checkpoint_iterations(self.acct, cfg)
         y = _cell_data(y, inst.n, runs)
         cells, per_cell = y.shape[0], runs // y.shape[0]
-        self.inst, self.cp = inst, cp
         self.y = y.repeat(per_cell, axis=0) if want_residual else None
         self.blocks = [slice(k * per_cell, (k + 1) * per_cell)
                        for k in range(cells)]
@@ -484,7 +488,6 @@ def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     runs that tripped the divergence guard (they keep iterating; their
     records past the trip point are not meaningful)."""
     runs = len(subkeys)
-    y = _cell_data(y, inst.n, runs)
     _validate_step(inst, cfg)
 
     n, cp = inst.n, recorder.cp
@@ -528,10 +531,8 @@ def _metadata(inst: ProblemInstance, cfg: SolverConfig, acct: EpochAccounting,
 def solve(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
           run: int = 0) -> Trajectory:
     """One seeded trajectory; raises DivergenceError if the guard trips."""
-    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    total = acct.iterations(cfg.max_epochs)
-    cp = checkpoint_iterations(acct, cfg, total)
-    rec = _Recorder(inst, y, cp, 1, want_residual=True)
+    rec = _Recorder(inst, y, cfg, 1, want_residual=True)
+    acct, cp = rec.acct, rec.cp
     admissible = step_is_admissible(inst, cfg)
     diverged = run_batch(inst, y, cfg, [(cfg.seed, run)], rec)
     if diverged[0]:

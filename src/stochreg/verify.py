@@ -25,7 +25,7 @@ from .analysis import (closed_form_mean, condition_report,
                        orthogonality_check, recursion_check, residual_bound,
                        sgd_variance_terms, stopping_stats, svrg_variance_terms,
                        theorem_bound, variance_compare, rate_fit)
-from .experiment import _join_slices, _map_slices, _run_slices, worker_budget
+from .experiment import run_groups
 from .problems import (add_noise, generate, make_instance, noise_functional,
                        precondition, smooth_solution)
 from .solvers import SolverConfig, EpochAccounting, solve, step_stability_bound
@@ -489,15 +489,9 @@ def check_phillips_benchmark() -> Outcome:
     data = add_noise(inst, 5e-2, seed=180)
     c0 = 5.0 * step_constant(inst.a) / 100.0
     cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181)
-    # the grid's run slices on the grid's workers, joined in run order: a
-    # run has the same bits in a slice as in one 100-run batch
-    workers = worker_budget()
-    slices = _run_slices(1, 100, workers)
-    inst.row_gram_diagonal  # K and its selection, built once for all slices
-    parts = list(_map_slices(
-        lambda k: error_curves(inst, data.y[None], cfg, slices[k])[0],
-        len(slices), workers))
-    curves = _join_slices(list(zip(slices, parts)))
+    # the grid's runner: a run has the same bits in a slice as in one
+    # 100-run batch
+    (curves,) = run_groups([(inst, cfg, data.y[None], [cfg.seed])], 100)
     if isinstance(curves, Exception):
         raise curves
     kstar, e_mean, _ = stopping_stats(curves)

@@ -810,7 +810,7 @@ def diverging_shaw_case(factor, seed=5):
 
 def checkpoints(inst, cfg):
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    return checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+    return checkpoint_iterations(acct, cfg)
 
 
 def two_pass_mc_moments(inst, y, cfg, runs):
@@ -845,8 +845,7 @@ def test_error_curves_drop_diverged_rows():
     curves = error_curves(inst, y, cfg, runs=12, include_residual=True)
     assert curves.excluded_runs == (1, 10, 11)
     kept = [(cfg.seed, r) for r in range(12) if r not in curves.excluded_runs]
-    rec = _Recorder(inst, y, checkpoints(inst, cfg), len(kept),
-                    want_residual=True)
+    rec = _Recorder(inst, y, cfg, len(kept), want_residual=True)
     assert not run_batch(inst, y, cfg, kept, rec).any()
     assert_array_equal(curves.error_sq, rec.error_sq)
     assert_array_equal(curves.residual_sq, rec.residual_sq)

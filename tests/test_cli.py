@@ -9,8 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from stochreg import fileio, verify
+from stochreg import experiment, fileio, verify
 from stochreg.cli import main
+from stochreg.experiment import spec_from_dict
 from stochreg.problems import (instance_to_dict, is_preconditioned,
                                load_instance, load_noisy, make_instance,
                                save_instance)
@@ -353,3 +354,28 @@ def test_precondition_study_rejects_invalid_grid(tmp_path, capsys):
     assert rc == 4
     assert "divisible by 4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method,extra,plan", [
+    ("sgd", ["--c0", "1/2*c"], {"c0": "1/2*c"}),
+    ("svrg", ["--c0", "5*c/M", "--M", "1/2*n"], {"c0": "5*c/M", "M": "1/2*n"}),
+    ("landweber", [], {}),
+])
+def test_solve_and_a_grid_cell_resolve_one_step_bitwise(tmp_path, method,
+                                                        extra, plan):
+    # the same instance and data, from generate's files and from the grid
+    spec = spec_from_dict({"problem": "s-shaw", "n": 16, "nu": [1.0],
+                           "epsilon": [1e-2],
+                           "methods": [{"method": method, **plan}]})
+    prefix = _generate(tmp_path, "p", "--nu", "1",
+                       "--seed", str(spec.noise_seed(0, 0)))
+    assert main(["solve", str(prefix), "--method", method, "--max-epochs",
+                 "1", "--out", str(tmp_path / "o"), *extra]) == 0
+    meta = json.loads((tmp_path / "o.meta.json").read_text())
+    inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
+    assert inst.a.tobytes() == load_instance(
+        f"{prefix}.instance.json").a.tobytes()
+    assert y.tobytes() == load_noisy(f"{prefix}.noise.json").y.tobytes()
+    cfg, _, _ = experiment._cell_config(inst, spec.methods[0], spec, 0,
+                                        False, c_unit)
+    assert (cfg.c0, cfg.M) == (meta["c0"], meta["M"])

@@ -514,7 +514,7 @@ def three_pass_figure_cell(spec, cell_index):
     cfg, c0_expr, m_value = experiment._cell_config(
         inst, plan, spec, spec.solver_seed(cell_index), True, c_unit)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+    cp = checkpoint_iterations(acct, cfg)
 
     def batch(subkeys, centers=None):
         rec = SummingRecorder(inst, cp, len(subkeys), centers)
@@ -828,3 +828,63 @@ def test_sliced_divergence_matches_the_whole_cell_bitwise(
     assert blobs["1"] == blobs["2"]
     _, parsed = read_csv(tmp_path / "t2.csv")
     assert parsed[0][-1] == f"{len(excluded)} runs diverged"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_one_cell_group_is_its_error_curves_on_one_or_two_workers(
+        monkeypatch, forked):
+    # runs 50 and 58 of 64 trip the divergence guard, both in the second of
+    # the two 32-run slices that two workers cut the cell into
+    monkeypatch.setattr(experiment, "SolverConfig",
+                        functools.partial(SolverConfig, allow_large_step=True))
+    spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
+                      methods=[{"method": "sgd", "c0": "2.8*c"}])
+    inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
+    cfg, _, _ = experiment._cell_config(inst, spec.methods[0], spec,
+                                        spec.solver_seed(0), False, c_unit)
+    whole = error_curves(inst, y, cfg, 64)
+    assert whole.excluded_runs == (50, 58)
+    sizes = _batch_sizes(monkeypatch)
+    for threads, slices in (("1", [64]), ("2", [32, 32])):
+        monkeypatch.setenv("STOCHREG_THREADS", threads)
+        (curves,) = experiment.run_groups([(inst, cfg, y[None], [cfg.seed])],
+                                          64)
+        assert sorted(sizes.drain()) == slices
+        assert curves.excluded_runs == whole.excluded_runs
+        for name in ("epochs", "iterations", "error_sq"):
+            np.testing.assert_array_equal(getattr(curves, name),
+                                          getattr(whole, name))
+    assert multiprocessing.active_children() == []
+
+
+def test_every_group_goes_to_one_worker_map(tmp_path, monkeypatch, forked):
+    # the figure grid's two one-slice groups run at once on two workers
+    monkeypatch.setenv("STOCHREG_THREADS", "2")
+    calls, map_slices = [], experiment._map_slices
+
+    def recording(run, count, workers):
+        calls.append((count, workers))
+        return map_slices(run, count, workers)
+
+    monkeypatch.setattr(experiment, "_map_slices", recording)
+    spec = small_spec(nu=[1.0], methods=[
+        {"method": "svrg", "c0": "1/2*c/M", "M": "4"},
+        {"method": "sgd", "c0": "1/2*c/M", "M": "4"}])
+    rows = run_experiment(spec, tmp_path / "t.csv", figure_dir=tmp_path / "f")
+    assert all(row[-1] == "" for row in rows)
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_cell_with_one_surviving_run_writes_no_standard_error(monkeypatch):
+    # 11 of 12 runs trip the divergence guard: one sample has no spread to
+    # report, as with runs = 1
+    monkeypatch.setattr(experiment, "SolverConfig",
+                        functools.partial(SolverConfig, allow_large_step=True))
+    spec = small_spec(n=10, nu=[0.0], runs=12, max_epochs=60.0, base_seed=0,
+                      methods=[{"method": "sgd", "c0": "3.1*c"}])
+    (outcome,) = run_grid(spec)
+    row = dict(zip(RESULT_HEADER, outcome.row))
+    assert row["error"] == "11 runs diverged"
+    assert row["standard_error"] == ""
+    assert row["runs"] == 12 and isinstance(row["e_at_kstar"], float)

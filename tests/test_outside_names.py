@@ -75,13 +75,13 @@ def test_tracer_reads_steps_checkpoints_and_residual_off_a_run_batch_call():
         inst.a), max_epochs=30.0, M=4, seed=2, checkpoint_every=0.5)
     acct = solvers.EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
-    cp = solvers.checkpoint_iterations(acct, cfg, total)
+    cp = solvers.checkpoint_iterations(acct, cfg)
     keys = [(cfg.seed, r) for r in range(3)]
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
         for residual in (True, False):
-            rec = solvers._Recorder(inst, y, cp, 3, want_residual=residual)
+            rec = solvers._Recorder(inst, y, cfg, 3, want_residual=residual)
             assert not solvers.run_batch(inst, y, cfg, keys, rec).any()
     finally:
         restore()

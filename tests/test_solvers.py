@@ -138,10 +138,7 @@ def test_runs_are_batch_invariant(noisy_shaw):
     inst, y = noisy_shaw
     cfg = SolverConfig(method="svrg", c0=0.5 * step_stability_bound(inst, "svrg"),
                        max_epochs=2.0, M=3, seed=2)
-    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    total = acct.iterations(cfg.max_epochs)
-    cp = checkpoint_iterations(acct, cfg, total)
-    rec = _Recorder(inst, y, cp, 3, want_residual=False)
+    rec = _Recorder(inst, y, cfg, 3, want_residual=False)
     run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(3)], rec)
     for r in range(3):
         solo = solve(inst, y, cfg, run=r)
@@ -340,7 +337,7 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
     assert total > _CHUNK
-    cp = checkpoint_iterations(acct, cfg, total)
+    cp = checkpoint_iterations(acct, cfg)
     runs = 4
     rec = SummingRecorder(inst, cp, runs)
     run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
@@ -390,7 +387,7 @@ def test_row_space_kernel_matches_the_primal_update(noisy_shaw, shape, method,
                        max_epochs=epochs, M=M, seed=6, checkpoint_every=50.0)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     total = acct.iterations(cfg.max_epochs)
-    cp = checkpoint_iterations(acct, cfg, total)
+    cp = checkpoint_iterations(acct, cfg)
     runs = 3
     rec = IterateRecorder(inst, cp)
     run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(runs)], rec)
@@ -476,11 +473,9 @@ RECORDER_MODES = {"errors": {"want_residual": False},
 def block_and_reference(inst, ys, cfg, runs, mode):
     """The solvers' recorder after run_batch and the per-checkpoint one
     after the old loop, with their divergence masks."""
-    acct = EpochAccounting(cfg.method, inst.n, cfg.M)
-    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
     keys = [(cfg.seed, r) for r in range(runs)]
-    rec = BlockLog(inst, ys, cp, runs, **RECORDER_MODES[mode])
-    ref = PerCheckpointRecorder(inst, ys, cp, runs, **RECORDER_MODES[mode])
+    rec = BlockLog(inst, ys, cfg, runs, **RECORDER_MODES[mode])
+    ref = PerCheckpointRecorder(inst, ys, cfg, runs, **RECORDER_MODES[mode])
     return (rec, run_batch(inst, ys, cfg, keys, rec),
             ref, per_checkpoint_batch(inst, ys, cfg, keys, ref))
 
@@ -560,10 +555,9 @@ def test_block_recording_keeps_the_divergence_mask_bitwise():
         assert any(j < first < j + count - 1 for j, count in rec.log)
 
     kept = [(cfg.seed, r) for r in range(12) if not diverged[r]]
-    cp = rec.cp
-    errors = PerCheckpointRecorder(inst, y, cp, len(kept),
+    errors = PerCheckpointRecorder(inst, y, cfg, len(kept),
                                    want_residual=True)
-    moments = PerCheckpointRecorder(inst, y, cp, len(kept),
+    moments = PerCheckpointRecorder(inst, y, cfg, len(kept),
                                     want_residual=False, center_on_mean=True)
     for ref in (errors, moments):
         assert not per_checkpoint_batch(inst, y, cfg, kept, ref).any()
@@ -585,10 +579,8 @@ def test_step_kernel_leaves_its_inputs_unchanged(noisy_shaw):
     for method, M, K in (("sgd", 1, 2), ("svrg", 3, 1)):
         c0 = 0.5 * step_stability_bound(inst, method)
         cfg = SolverConfig(method=method, c0=c0, max_epochs=3.0, M=M, seed=1)
-        acct = EpochAccounting(method, inst.n, M)
-        cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
         run_batch(inst, y, cfg, [(cfg.seed, r) for r in range(4)],
-                  _Recorder(inst, y, cp, 4, want_residual=True))
+                  _Recorder(inst, y, cfg, 4, want_residual=True))
         enumerate_exact_moments(inst, y, c0, M, K, method)
     assert_array_equal(inst.a, a)
     assert_array_equal(inst.x0, x0)
@@ -673,9 +665,7 @@ def test_step_kernel_keeps_the_exact_data_fixed_point(method, M, rotate):
     runs = _GRADIENT_BLOCK + 1
     cfg = SolverConfig(method=method, c0=0.5 * step_stability_bound(inst, method),
                        max_epochs=3.0, M=M, seed=5)
-    acct = EpochAccounting(method, inst.n, M)
-    cp = checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
-    rec = _Recorder(inst, inst.y_dag, cp, runs, want_residual=True)
+    rec = _Recorder(inst, inst.y_dag, cfg, runs, want_residual=True)
     run_batch(inst, inst.y_dag, cfg, [(cfg.seed, r) for r in range(runs)],
               rec)
     assert not rec.error_sq.any() and not rec.residual_sq.any()
@@ -933,7 +923,7 @@ def test_checkpoint_grid_structure():
     cfg = SolverConfig(method="svrg", c0=1e-3, max_epochs=10.0, M=4,
                        checkpoint_every=2.0)
     total = acct.iterations(10.0)
-    cp = checkpoint_iterations(acct, cfg, total)
+    cp = checkpoint_iterations(acct, cfg)
     assert cp[0] == 0 and cp[-1] == total
     assert np.all(np.diff(cp) > 0)
     anchors = set(range(0, total + 1, 4))
@@ -947,14 +937,14 @@ def test_checkpoint_grid_rejects_a_horizon_past_the_cap():
     cfg = SolverConfig(method="svrg", c0=1e-3, max_epochs=float(MAX_CHECKPOINTS),
                        M=2)
     with pytest.raises(ValueError, match="more than 1000000 checkpoints"):
-        checkpoint_iterations(acct, cfg, acct.iterations(cfg.max_epochs))
+        checkpoint_iterations(acct, cfg)
     with pytest.raises(ValueError, match="overflow the iteration count"):
         EpochAccounting("sgd", 16).iterations(1e308)
     # a stride past the horizon marks only its ends
     acct = EpochAccounting("sgd", 16)
     cfg = SolverConfig(method="sgd", c0=1e-3, max_epochs=3.0,
                        checkpoint_every=1e308)
-    assert_array_equal(checkpoint_iterations(acct, cfg, 48), [0, 48])
+    assert_array_equal(checkpoint_iterations(acct, cfg), [0, 48])
 
 
 def test_oracle_stop_takes_first_minimum():

@@ -6,10 +6,14 @@ Each report entry takes its name and softness from the tables in
 
 import math
 
+import numpy as np
 import pytest
 
 from stochreg import verify
-from stochreg.spectral import KernelBoundReport
+from stochreg.analysis import ErrorCurves
+from stochreg.problems import add_noise, generate, smooth_solution
+from stochreg.solvers import SolverConfig
+from stochreg.spectral import KernelBoundReport, step_constant
 
 REPORT_NAMES = [
     "propagator-range", "spectral-kernel-bounds", "step-sum-identity",
@@ -113,3 +117,31 @@ def test_kernel_bounds_margin_sign_follows_the_failures(monkeypatch, excess,
     failures = 0 if passed else 804
     assert detail == (f"{failures} failures over 804 sweep cases; "
                       f"smallest bound slack {1.0 - (1.0 + excess):.3e}")
+
+
+def test_phillips_check_runs_its_cell_through_the_worker_runner(monkeypatch):
+    # the grid's runner gets the 100-run cell as one group; canned curves
+    # stand in for the 6 s of its runs
+    seen = []
+
+    def runner(groups, runs, moments=False):
+        seen.append((groups, runs, moments))
+        ((_, cfg, _, _),) = groups
+        error_sq = np.tile([1.0, 0.5**2, 1.0], (runs, 1))
+        yield ErrorCurves(method=cfg.method, epochs=np.array([0.0, 96.0, 192.0]),
+                          iterations=np.arange(3), error_sq=error_sq,
+                          residual_sq=None, excluded_runs=())
+
+    monkeypatch.setattr(verify, "run_groups", runner)
+    passed, margin, detail = verify.check_phillips_benchmark()
+    assert passed and margin > 0
+    assert "e at stop 5.000e-01" in detail and "stop epoch 96.00" in detail
+    ((groups, runs, moments),) = seen
+    assert runs == 100 and not moments
+    ((inst, cfg, ys, seeds),) = groups
+    expected = smooth_solution(generate("s-phillips", 1000), 0.0)
+    assert inst.a.tobytes() == expected.a.tobytes()
+    assert ys.tobytes() == add_noise(expected, 5e-2, seed=180).y[None].tobytes()
+    assert cfg == SolverConfig(method="svrg", c0=5.0 * step_constant(inst.a)
+                               / 100.0, max_epochs=250.0, M=100, seed=181)
+    assert list(seeds) == [181]
