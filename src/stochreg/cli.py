@@ -12,12 +12,12 @@ import sys
 
 from . import fileio, verify
 from .experiment import (MethodPlan, load_spec, run_experiment,
-                         run_precondition_study, thread_count)
+                         run_precondition_study, worker_budget)
 from .problems import (GENERATORS, add_noise, generate, load_instance,
                        load_noisy, precondition, rescale_to_unit_norm,
                        save_instance, save_noisy, smooth_solution, NoisyData)
-from .solvers import (METHODS, DivergenceError, SolverConfig, oracle_stop,
-                      solve, write_trajectory)
+from .solvers import (METHODS, DivergenceError, SolverConfig,
+                      one_blas_thread, oracle_stop, solve, write_trajectory)
 from .spectral import step_constant
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        thread_count()  # a malformed STOCHREG_THREADS fails before any check
+        worker_budget()  # a malformed STOCHREG_THREADS fails before any check
     except ValueError as exc:
         raise InputError(str(exc))
     report = verify.run_suite(args.level)
@@ -225,6 +225,7 @@ _COMMANDS = {
 }
 
 
+@one_blas_thread()  # covers the preparation too: eigh, SVDs, steps
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -14,17 +14,17 @@ batches, each cell with its own data and seed; a lone cell is a group of one.
 joined.  A slice is one batch over runs [a, b) of every cell of a group.
 Slices run in forked worker processes, which inherit the prepared instances
 and data and the slices they run; only a slice's curves or its exception come
-back. The workers number min(STOCHREG_THREADS, slices, cores // BLAS
-threads): the cores are the process's CPU affinity, and the BLAS threads come
-from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else count every core, so
-with neither set the slices run in-process, as they do with one worker, one
-slice, or off Linux. A group is cut into the most slices, at most that worker
-budget, such that the slices pad no more BLAS rows than the whole group. So
-the paper's 100-run table cells run as two halves on two workers, a rate
-group of three 20-run cells as two 30-run halves, and a figure group stays
-whole, since each cell's spread is taken around the mean of all its runs in
-one batch. A run gives the same numbers alone or in any batch, so neither
-grouping nor slicing changes an output byte.
+back. The workers number min(STOCHREG_THREADS, slices, cores), the cores
+being the process's CPU affinity. Every process runs its BLAS at one thread
+(``solvers.one_blas_thread``), so the workers are the only parallelism. The
+slices run in-process with one worker or one slice, off Linux, or where the
+BLAS thread count cannot be set. A group is cut into the most slices, at
+most that worker budget, such that the slices pad no more BLAS rows than the
+whole group. So the paper's 100-run table cells run as two halves on two
+workers, a rate group of three 20-run cells as two 30-run halves, and a
+figure group stays whole, since each cell's spread is taken around the mean
+of all its runs in one batch. A run gives the same numbers alone or in any
+batch, so neither grouping nor slicing changes an output byte.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
                        precondition, smooth_solution)
 from .rng import check_seed
 from .solvers import (_GRADIENT_BLOCK, METHODS, EpochAccounting, SolverConfig,
+                      blas_thread_functions, one_blas_thread,
                       step_stability_bound)
 from .spectral import step_constant
 
@@ -58,39 +59,20 @@ _NOISE_STRIDE = 7919
 _CELL_STRIDE = 104729
 
 
-def thread_count() -> int:
-    env = os.environ.get("STOCHREG_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"STOCHREG_THREADS={env!r} is not an integer")
-        return max(1, workers)
-    return min(4, os.cpu_count() or 1)
-
-
-def _blas_threads(cores: int) -> int:
-    """BLAS threads per process, read in OpenBLAS's own order: a positive
-    OPENBLAS_NUM_THREADS, else a positive OMP_NUM_THREADS, else one per
-    core."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads >= 1:
-            return threads
-    return cores
-
-
 def worker_budget() -> int:
-    """Worker processes a grid may use: thread_count(), capped by the cores
-    that BLAS threads leave free, cores // BLAS threads; 1 off Linux."""
-    threads = thread_count()
-    if not sys.platform.startswith("linux"):
+    """Worker processes a grid may use: STOCHREG_THREADS (default 4), at
+    least 1, capped by the cores of the process's CPU affinity; 1 off Linux
+    and where no BLAS thread setter is found, since the workers' BLAS could
+    not be held at one thread."""
+    env = os.environ.get("STOCHREG_THREADS", "").strip()
+    try:
+        workers = int(env) if env else 4
+    except ValueError:
+        raise ValueError(f"STOCHREG_THREADS={env!r} is not an integer")
+    if (not sys.platform.startswith("linux")
+            or blas_thread_functions() is None):
         return 1
-    cores = len(os.sched_getaffinity(0))
-    return max(1, min(threads, cores // _blas_threads(cores)))
+    return max(1, min(workers, len(os.sched_getaffinity(0))))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +150,12 @@ class MethodPlan:
                              f"choices: {METHODS}")
         if self.c0_expr is None and self.method != "landweber":
             raise ValueError(f"{self.method} needs a step expression")
+
+    @property
+    def c0_label(self):
+        """The step as the result table writes it: the step expression, or
+        "auto" for the landweber stability step."""
+        return "auto" if self.c0_expr is None else self.c0_expr
 
     def resolve(self, inst: ProblemInstance, c_unit: float
                 ) -> tuple[float, int]:
@@ -324,27 +312,23 @@ class CellOutcome:
 
 
 def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
-                 seed: int, figure_grid: bool, c_unit: float
-                 ) -> tuple[SolverConfig, object, int]:
+                 seed: int, figure_grid: bool, c_unit: float) -> SolverConfig:
     c0, m_value = plan.resolve(inst, c_unit)
-    c0_expr = plan.c0_expr if plan.c0_expr is not None else "auto"
-    acct = EpochAccounting(plan.method, inst.n, m_value)
     if figure_grid:
         # checkpoints every M iterations so methods share an iteration grid
+        acct = EpochAccounting(plan.method, inst.n, m_value)
         every = m_value / acct.iterations_per_epoch
     else:
         every = 1.0
-    cfg = SolverConfig(method=plan.method, c0=c0, max_epochs=spec.max_epochs,
-                       M=m_value, seed=seed, checkpoint_every=every)
-    return cfg, c0_expr, m_value
+    return SolverConfig(method=plan.method, c0=c0, max_epochs=spec.max_epochs,
+                        M=m_value, seed=seed, checkpoint_every=every)
 
 
 def _error_outcome(base_row: list, plan: MethodPlan, spec: ExperimentSpec,
                    exc: Exception) -> CellOutcome:
     message = f"{type(exc).__name__}: {exc}".replace(",", ";")
     message = " ".join(message.split())
-    row = base_row + [plan.c0_expr if plan.c0_expr is not None else "auto",
-                      "", "", "", spec.runs, "", "", message]
+    row = base_row + [plan.c0_label, "", "", "", spec.runs, "", "", message]
     return CellOutcome(row=row)
 
 
@@ -358,8 +342,6 @@ class _Cell:
     inst: ProblemInstance
     y: np.ndarray
     cfg: SolverConfig
-    c0_expr: object
-    m_value: int
 
 
 def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
@@ -370,7 +352,7 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
         kstar, e_mean, se = stopping_stats(curves)
         note = (f"{len(curves.excluded_runs)} runs diverged"
                 if curves.excluded_runs else "")
-        row = cell.base_row + [cell.c0_expr, cell.m_value, e_mean, kstar,
+        row = cell.base_row + [cell.plan.c0_label, cell.cfg.M, e_mean, kstar,
                                spec.runs,
                                se if curves.error_sq.shape[0] > 1 else "",
                                round(kstar), note]
@@ -556,10 +538,12 @@ def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
     return prepared
 
 
+@one_blas_thread()
 def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
     """All grid cells, results in grid order: run_groups runs the cell
-    groups, and each cell is made a row as soon as it is joined."""
+    groups, and each cell is made a row as soon as it is joined.  The
+    preparation runs at one BLAS thread too, and the workers inherit it."""
     prepared = _prepare_cells(spec, step_from_raw)
     cells = spec.cells
     outcomes = [None] * len(cells)
@@ -569,12 +553,12 @@ def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
         base_row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps],
                     plan.method]
         try:
-            cfg, c0_expr, m_value = _cell_config(
-                inst, plan, spec, spec.solver_seed(idx), figure_grid, c_unit)
+            cfg = _cell_config(inst, plan, spec, spec.solver_seed(idx),
+                               figure_grid, c_unit)
         except Exception as exc:  # a bad configuration fails its cell alone
             outcomes[idx] = _error_outcome(base_row, plan, spec, exc)
             continue
-        cell = _Cell(idx, plan, base_row, inst, y, cfg, c0_expr, m_value)
+        cell = _Cell(idx, plan, base_row, inst, y, cfg)
         groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
 
     groups = list(groups.values())

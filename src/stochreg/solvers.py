@@ -97,7 +97,8 @@ Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
 is exactly zero, so W and C stay zero and X = 0 @ A + x0 = x0.  Each BLAS
 block has the same shape whatever the batch, so a run's bits depend neither
 on the other runs nor on its place in the batch; they can depend on the
-BLAS build and its thread count.
+BLAS build.  ``run_batch`` runs under ``one_blas_thread``, so they do not
+depend on the caller's BLAS thread count.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
 n*M/(n+M) anchored inner steps (each anchor adds a full-gradient's worth of
@@ -106,7 +107,12 @@ work), or a single landweber step.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +128,74 @@ DIVERGENCE_FACTOR = 1e12
 MAX_CHECKPOINTS = 10**6  # about 100 times the longest record of the rate grid
 
 METHODS = ("sgd", "svrg", "landweber")
+
+# (setter, getter) names of an OpenBLAS thread count: numpy's wheels bundle
+# scipy-openblas with 64-bit integers, and system builds export the plain ones
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# the BLAS thread count is one per process, so its pin's state is too
+_pin_lock = threading.Lock()
+_pin_depth = 0  # entries of one_blas_thread held in this process
+_pin_saved = 0  # the thread count the outermost entry found
+
+
+@functools.cache
+def blas_thread_functions():
+    """(set, get) of the loaded BLAS's thread count: the first known pair
+    exported by a library this process maps (/proc/self/maps) with "blas" in
+    its file name, or None off Linux or when none exports one.  Looked up
+    on first use, not at import."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a mapped file's path is the last of six fields
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        if "blas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = lib[set_name], lib[get_name]
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs its body with the loaded BLAS at one thread, so that no result
+    depends on the caller's BLAS thread count, and restores the caller's
+    count afterwards.  Entered while any thread of the process holds it, it
+    does nothing; a process forked inside it inherits the one thread.
+    Without blas_thread_functions() it does nothing."""
+    global _pin_depth, _pin_saved
+    functions = blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    set_threads, get_threads = functions
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get_threads()
+            set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_threads(_pin_saved)
 
 
 class DivergenceError(RuntimeError):
@@ -478,6 +552,7 @@ def _error_coordinates(inst: ProblemInstance) -> tuple:
     return q, float(np.einsum("m,m->", z, z)), g2
 
 
+@one_blas_thread()
 def run_batch(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
               subkeys, recorder: _Recorder) -> np.ndarray:
     """Advance all runs in lockstep, recording at recorder.cp in blocks of

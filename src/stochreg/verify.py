@@ -28,7 +28,8 @@ from .analysis import (closed_form_mean, condition_report,
 from .experiment import run_groups
 from .problems import (add_noise, generate, make_instance, noise_functional,
                        precondition, smooth_solution)
-from .solvers import SolverConfig, EpochAccounting, solve, step_stability_bound
+from .solvers import (SolverConfig, EpochAccounting, one_blas_thread, solve,
+                      step_stability_bound)
 from .spectral import (BOUND_RTOL, Propagator, kernel_bound_check,
                        step_constant)
 
@@ -526,6 +527,7 @@ def _entry(name: str, passed, margin, seconds: float, detail: str) -> dict:
             "detail": detail}
 
 
+@one_blas_thread()
 def run_suite(level: str = "fast") -> dict:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")

@@ -376,6 +376,6 @@ def test_solve_and_a_grid_cell_resolve_one_step_bitwise(tmp_path, method,
     assert inst.a.tobytes() == load_instance(
         f"{prefix}.instance.json").a.tobytes()
     assert y.tobytes() == load_noisy(f"{prefix}.noise.json").y.tobytes()
-    cfg, _, _ = experiment._cell_config(inst, spec.methods[0], spec, 0,
-                                        False, c_unit)
+    cfg = experiment._cell_config(inst, spec.methods[0], spec, 0, False,
+                                  c_unit)
     assert (cfg.c0, cfg.M) == (meta["c0"], meta["M"])

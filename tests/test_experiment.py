@@ -18,7 +18,7 @@ from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  parse_m_expr, parse_rational,
                                  run_experiment, run_grid,
                                  run_precondition_study, spec_from_dict,
-                                 spec_to_dict, thread_count)
+                                 spec_to_dict, worker_budget)
 from stochreg.fileio import read_csv
 from stochreg.problems import (ProblemInstance, add_noise, generate,
                                precondition, smooth_solution)
@@ -170,18 +170,6 @@ def test_load_spec_file(tmp_path):
     assert load_spec(path) == small_spec()
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("STOCHREG_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("STOCHREG_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("STOCHREG_THREADS", "two")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("STOCHREG_THREADS")
-    assert thread_count() >= 1
-
-
 # --- grid execution --------------------------------------------------------------
 
 def test_grid_produces_one_row_per_cell(tmp_path):
@@ -224,38 +212,53 @@ def test_failing_cell_is_isolated(tmp_path):
 
 @pytest.fixture
 def forked(monkeypatch):
-    """Grids run on forked worker processes, as on a host of four cores at
-    one BLAS thread each, whatever this host has."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """Grids run on forked worker processes, as on a host of four cores,
+    whatever this host has."""
+    if solvers.blas_thread_functions() is None:
+        pytest.skip("no BLAS thread setter: every grid runs in-process")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
-@pytest.mark.parametrize("env,cores,threads,workers", [
-    ({}, 4, "4", 1),  # every core is a BLAS thread: in-process
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4, "4", 4),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4, "2", 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 4, "4", 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 4, "4", 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 2, "4", 1),
-    ({"OMP_NUM_THREADS": "1"}, 2, "4", 2),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, "4", 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, "2", 2),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, "4", 2),
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+@pytest.mark.parametrize("threads,wanted", [
+    (None, 4),  # the default
+    ("0", 1), ("-2", 1),  # at least one
+    ("3", 3), (" 2 ", 2),
+    ("64", 64),  # capped by the cores alone
 ])
-def test_worker_budget_leaves_the_blas_threads_their_cores(
-        monkeypatch, env, cores, threads, workers):
-    # the BLAS threads come from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
-    # as OpenBLAS reads them, else one per core
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setenv("STOCHREG_THREADS", threads)
+def test_worker_budget_caps_stochreg_threads_at_the_cores(
+        monkeypatch, cores, threads, wanted):
+    if threads is None:
+        monkeypatch.delenv("STOCHREG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STOCHREG_THREADS", threads)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)))
-    assert experiment.worker_budget() == workers
+    monkeypatch.setattr(experiment, "blas_thread_functions",
+                        lambda: ("set", "get"))  # a setter is found
+    assert worker_budget() == min(wanted, cores)
+    # no BLAS variable steers the budget
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, "64")
+        assert worker_budget() == min(wanted, cores)
+    # where the workers' BLAS cannot be held at one thread, or off Linux,
+    # the grid runs in-process
+    monkeypatch.setattr(experiment, "blas_thread_functions", lambda: None)
+    assert worker_budget() == 1
+    monkeypatch.setattr(experiment, "blas_thread_functions",
+                        lambda: ("set", "get"))
     monkeypatch.setattr(experiment.sys, "platform", "darwin")
-    assert experiment.worker_budget() == 1
+    assert worker_budget() == 1
+
+
+@pytest.mark.parametrize("platform", ["linux", "darwin"])
+@pytest.mark.parametrize("value", ["two", "1.5", "4x"])
+def test_worker_budget_rejects_a_malformed_thread_count(monkeypatch, platform,
+                                                        value):
+    monkeypatch.setenv("STOCHREG_THREADS", value)
+    monkeypatch.setattr(experiment.sys, "platform", platform)
+    with pytest.raises(ValueError, match="STOCHREG_THREADS.*not an integer"):
+        worker_budget()
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, forked):
@@ -511,8 +514,8 @@ def three_pass_figure_cell(spec, cell_index):
     then one pass for the mean iterate and one for the spread around it."""
     i_nu, i_eps, _, plan = spec.cells[cell_index]
     inst, y, c_unit = experiment._prepare_cells(spec)[(i_nu, i_eps)]
-    cfg, c0_expr, m_value = experiment._cell_config(
-        inst, plan, spec, spec.solver_seed(cell_index), True, c_unit)
+    cfg = experiment._cell_config(inst, plan, spec,
+                                  spec.solver_seed(cell_index), True, c_unit)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
     cp = checkpoint_iterations(acct, cfg)
 
@@ -538,7 +541,8 @@ def three_pass_figure_cell(spec, cell_index):
                          "survived the divergence guard"), ()
     note = f"{len(excluded)} runs diverged" if excluded else ""
     row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
-           c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), note]
+           plan.c0_label, cfg.M, e_mean, kstar, spec.runs, se, round(kstar),
+           note]
     sums, _ = batch(kept)
     mean_x = sums.sum_x / len(kept)
     spread, _ = batch(kept, mean_x)
@@ -605,9 +609,9 @@ def lone_cell(spec, cell_index, figure_grid):
     if spec.precondition:
         inst, y = precondition(inst, y)
     try:
-        cfg, c0_expr, m_value = experiment._cell_config(
-            inst, plan, spec, spec.solver_seed(cell_index), figure_grid,
-            step_constant(inst.a))
+        cfg = experiment._cell_config(inst, plan, spec,
+                                      spec.solver_seed(cell_index),
+                                      figure_grid, step_constant(inst.a))
         curves = (mc_moments if figure_grid else error_curves)(
             inst, y, cfg, spec.runs)
     except ValueError as exc:
@@ -616,7 +620,8 @@ def lone_cell(spec, cell_index, figure_grid):
     note = (f"{len(curves.excluded_runs)} runs diverged"
             if curves.excluded_runs else "")
     row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
-           c0_expr, m_value, e_mean, kstar, spec.runs, se, round(kstar), note]
+           plan.c0_label, cfg.M, e_mean, kstar, spec.runs, se, round(kstar),
+           note]
     figure = ()
     if figure_grid:
         figure = tuple((float(e), int(i), float(b), float(v), float(m))
@@ -840,8 +845,8 @@ def test_a_one_cell_group_is_its_error_curves_on_one_or_two_workers(
     spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
                       methods=[{"method": "sgd", "c0": "2.8*c"}])
     inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
-    cfg, _, _ = experiment._cell_config(inst, spec.methods[0], spec,
-                                        spec.solver_seed(0), False, c_unit)
+    cfg = experiment._cell_config(inst, spec.methods[0], spec,
+                                  spec.solver_seed(0), False, c_unit)
     whole = error_curves(inst, y, cfg, 64)
     assert whole.excluded_runs == (50, 58)
     sizes = _batch_sizes(monkeypatch)
