@@ -39,7 +39,8 @@ import numpy as np
 
 from .problems import ProblemInstance, noise_functional
 from .rng import index_blocks
-from .solvers import Lockstep, SolverConfig, _Recorder, run_batch
+from .solvers import (Lockstep, SolverConfig, _Recorder, first_minima,
+                      run_batch)
 from .spectral import GramOperator, Propagator
 
 ENUM_BUDGET = 10**7
@@ -812,16 +813,32 @@ def error_curves(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
     return _per_cell(y, curves)
 
 
-def stopping_stats(curves: ErrorCurves | MomentReport
+@dataclass(frozen=True)
+class RunStops:
+    """Each kept run's oracle stop, in run order: the epoch of its first
+    minimum and the squared error there."""
+    epochs: np.ndarray          # kept runs
+    error_sq: np.ndarray        # kept runs
+    excluded_runs: tuple
+
+
+def run_stops(curves: ErrorCurves | MomentReport) -> RunStops:
+    """The stops of a report's kept runs (``solvers.first_minima``), with
+    its excluded runs."""
+    return RunStops(*first_minima(curves.epochs, curves.error_sq),
+                    excluded_runs=curves.excluded_runs)
+
+
+def stopping_stats(curves: ErrorCurves | MomentReport | RunStops
                    ) -> tuple[float, float, float]:
     """Mean optimal-stopping epoch, mean error there, and its standard error,
     with the optimum taken per run (first index on ties).  Takes either
-    report: only its epochs and per-run error_sq are read."""
-    best = np.argmin(curves.error_sq, axis=1)
-    kstars = curves.epochs[best]
-    errs = np.sqrt(curves.error_sq[np.arange(best.size), best])
-    se = errs.std(ddof=1) / math.sqrt(best.size) if best.size > 1 else 0.0
-    return float(kstars.mean()), float(errs.mean()), float(se)
+    report, whose runs it reduces to their stops, or the stops themselves,
+    as a grid's slices send them back."""
+    stops = curves if isinstance(curves, RunStops) else run_stops(curves)
+    errs = np.sqrt(stops.error_sq)
+    se = errs.std(ddof=1) / math.sqrt(errs.size) if errs.size > 1 else 0.0
+    return float(stops.epochs.mean()), float(errs.mean()), float(se)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ batches, each cell with its own data and seed; a lone cell is a group of one.
 ``run_groups`` is the one place where groups are cut into run slices, run and
 joined.  A slice is one batch over runs [a, b) of every cell of a group.
 Slices run in forked worker processes, which inherit the prepared instances
-and data and the slices they run; only a slice's curves or its exception come
-back. The workers number min(STOCHREG_THREADS, slices, cores), the cores
-being the process's CPU affinity. Every process runs its BLAS at one thread
+and data and the slices they run.  Only a slice's results or its exception
+come back: on the result grid each cell's run stops (``analysis.RunStops``,
+each kept run's first minimum and the error there), on the figure grid each
+cell's moments, whose rows need the curves. The workers number
+min(STOCHREG_THREADS, slices, cores), the cores being the process's CPU
+affinity. Every process runs its BLAS at one thread
 (``solvers.one_blas_thread``), so the workers are the only parallelism. The
 slices run in-process with one worker or one slice, off Linux, or where the
 BLAS thread count cannot be set. A group is cut into the most slices, at
@@ -38,8 +41,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fileio
-from .analysis import (NO_SURVIVORS, error_curves, mc_moments, parse_rational,
-                       stopping_stats)
+from .analysis import (NO_SURVIVORS, RunStops, error_curves, mc_moments,
+                       parse_rational, run_stops, stopping_stats)
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
                        precondition, smooth_solution)
 from .rng import check_seed
@@ -344,17 +347,21 @@ class _Cell:
     cfg: SolverConfig
 
 
-def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
+def _cell_outcome(spec: ExperimentSpec, cell: _Cell, result,
                   figure_grid: bool) -> CellOutcome:
+    """A cell's row, and its figure rows on the figure grid, from what
+    run_groups gave it: its run stops, or its moments on the figure grid,
+    or the exception that ended it.  Either holds one error_sq row per
+    kept run."""
     try:
-        if isinstance(curves, Exception):
-            raise curves
-        kstar, e_mean, se = stopping_stats(curves)
-        note = (f"{len(curves.excluded_runs)} runs diverged"
-                if curves.excluded_runs else "")
+        if isinstance(result, Exception):
+            raise result
+        kstar, e_mean, se = stopping_stats(result)
+        note = (f"{len(result.excluded_runs)} runs diverged"
+                if result.excluded_runs else "")
         row = cell.base_row + [cell.plan.c0_label, cell.cfg.M, e_mean, kstar,
                                spec.runs,
-                               se if curves.error_sq.shape[0] > 1 else "",
+                               se if len(result.error_sq) > 1 else "",
                                round(kstar), note]
         figure_name = None
         figure_rows = ()
@@ -362,10 +369,10 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, curves,
             figure_name = (f"figure_cell{cell.index:03d}_"
                            f"{cell.plan.method}.csv")
             figure_rows = tuple(
-                (float(curves.epochs[j]), int(curves.iterations[j]),
-                 float(curves.bias_sq[j]), float(curves.variance[j]),
-                 float(curves.mse[j]))
-                for j in range(curves.iterations.size))
+                (float(result.epochs[j]), int(result.iterations[j]),
+                 float(result.bias_sq[j]), float(result.variance[j]),
+                 float(result.mse[j]))
+                for j in range(result.iterations.size))
         return CellOutcome(row=row, figure_name=figure_name,
                            figure_rows=figure_rows, e_value=e_mean)
     except Exception as exc:  # per-cell failures leave the grid running
@@ -449,10 +456,10 @@ def _map_slices(run, count: int, workers: int):
 
 
 def _join_slices(slices: list):
-    """One cell's error curves from the (runs, curves) of its run slices, in
-    run order; a lone slice's curves are the cell's, uncopied.  A slice whose
-    runs all diverged adds them to the excluded runs; the cell fails only if
-    every slice failed, with the first error."""
+    """One cell's run stops from the (runs, stops) of its run slices, in run
+    order; a lone slice's result is the cell's, uncopied.  A slice whose runs
+    all diverged adds them to the excluded runs; the cell fails only if every
+    slice failed, with the first error."""
     if len(slices) == 1:
         return slices[0][1]
     done = [part for _, part in slices if not isinstance(part, Exception)]
@@ -466,17 +473,19 @@ def _join_slices(slices: list):
             excluded += runs
         else:
             return part
-    # the grid records no residuals
-    return replace(done[0], excluded_runs=tuple(excluded),
-                   error_sq=np.concatenate([part.error_sq for part in done]))
+    return RunStops(epochs=np.concatenate([part.epochs for part in done]),
+                    error_sq=np.concatenate([part.error_sq for part in done]),
+                    excluded_runs=tuple(excluded))
 
 
 def run_groups(groups: list, runs: int, moments: bool = False):
-    """Runs groups of cells (module docstring) and yields each cell's
-    curves, or the exception that ended it, group by group in cell order.
+    """Runs groups of cells (module docstring) and yields each cell's run
+    stops, or the exception that ended it, group by group in cell order.
     A group is (inst, cfg, ys, seeds): cells on one instance with cfg's
     method, step, inner loop and checkpoints, cell c with data ys[c] and
-    seed seeds[c].  With moments, a cell's curves are its mc_moments, and
+    seed seeds[c].  A slice reduces each cell's error_curves to its
+    run_stops before it returns, so no runs x checkpoints array leaves it.
+    With moments, a cell's result is its mc_moments, curves and all, and
     no group is cut.  K and its diagonal selection are built before the
     fork, and the slices of every group go to one _map_slices call.  A cell
     is joined on the calling thread once its group's last slice is in, from
@@ -497,17 +506,20 @@ def run_groups(groups: list, runs: int, moments: bool = False):
             if moments:
                 # one pass gives the moments and the per-run error curves
                 return mc_moments(inst, ys, cfg, runs, seeds=seeds)
-            return error_curves(inst, ys, cfg, part, seeds=seeds)
+            return [curves if isinstance(curves, Exception)
+                    else run_stops(curves)
+                    for curves in error_curves(inst, ys, cfg, part,
+                                               seeds=seeds)]
         except Exception as exc:  # the group's shared settings failed
             return [exc] * len(ys)
 
     with closing(_map_slices(run, len(work), workers)) as results:
         for (_, _, ys, _), cut in zip(groups, cuts):
-            parts = [[] for _ in ys]  # per cell, its (runs, curves) pairs
+            parts = [[] for _ in ys]  # per cell, its (runs, result) pairs
             for part in cut:
-                for own, curves in zip(parts, next(results)):
-                    own.append((part, curves))
-            del curves  # each cell's list holds its parts alone
+                for own, result in zip(parts, next(results)):
+                    own.append((part, result))
+            del result  # each cell's list holds its parts alone
             while parts:
                 yield _join_slices(parts.pop(0))
 

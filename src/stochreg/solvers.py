@@ -67,6 +67,8 @@ them is meaningless, and their part of e0 stays in z.  The cross term 2 v g
 carries their overlap with z, which the error needs: the error expands
 |v @ A + z|^2 = v K v + 2 v (A z) + |z|^2 with K read as diagonal and A z
 as zero on the kept rows.  With x0 = x_dag, q, z and g are exact zeros.
+q is added only on its nonzero columns, which lie on the kept rows: C + W
+never holds -0.0, so adding a zero would change no bit.
 A landweber step starts at W = 0, so its row dot is exactly zero whatever
 the index (``run_batch`` passes row 0 and draws none), W -= D leaves
 W = -c0 (A Xc - y_r), and the fold is the step Xc -= c0 A^T (A Xc - y_r),
@@ -449,7 +451,12 @@ class Lockstep:
         self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
         if self.kd is not None:
             self._kd_v = np.empty((self.slots, runs, n))  # kd v + 2 g
-            self._q, self._z_sq, self._g2 = _error_coordinates(inst)
+            q, self._z_sq, self._g2 = _error_coordinates(inst)
+            # q is zero off the kept rows, and C + W never holds -0.0, so
+            # adding q on its nonzero columns alone gives the full add's bits
+            at = np.flatnonzero(q)
+            self._q_at = slice(None) if at.size == n else at
+            self._q = q[self._q_at]
 
     def _fold(self) -> None:
         """C += W and dual += scale (W @ K), or scale (W * kd) in the
@@ -519,7 +526,7 @@ class Lockstep:
             diff = x - self.x_dag
             return np.einsum("krm,krm->kr", diff, diff), x
         v, kd_v = self._snaps[:count], self._kd_v[:count]
-        v += self._q
+        v[..., self._q_at] += self._q
         np.multiply(v, self.kd, out=kd_v)
         kd_v += self._g2
         return np.einsum("krn,krn->kr", v, kd_v) + self._z_sq, x
@@ -621,10 +628,19 @@ def solve(inst: ProblemInstance, y: np.ndarray, cfg: SolverConfig,
         meta=_metadata(inst, cfg, acct, run, admissible))
 
 
+def first_minima(epochs: np.ndarray, error_sq: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's stop: the epoch of its first minimum (first index on ties)
+    and the squared error there, for a (runs, checkpoints) error_sq on the
+    checkpoint grid whose epochs are given."""
+    best = np.argmin(error_sq, axis=1)
+    return epochs[best], error_sq[np.arange(best.size), best]
+
+
 def oracle_stop(traj: Trajectory) -> tuple[float, float]:
     """Epoch and squared error of the best recorded checkpoint (first on ties)."""
-    j = int(np.argmin(traj.error_sq))
-    return float(traj.epochs[j]), float(traj.error_sq[j])
+    (epoch,), (error_sq,) = first_minima(traj.epochs, traj.error_sq[None])
+    return float(epoch), float(error_sq)
 
 
 def trajectory_rows(traj: Trajectory):

@@ -491,11 +491,11 @@ def check_phillips_benchmark() -> Outcome:
     c0 = 5.0 * step_constant(inst.a) / 100.0
     cfg = SolverConfig(method="svrg", c0=c0, max_epochs=250.0, M=100, seed=181)
     # the grid's runner: a run has the same bits in a slice as in one
-    # 100-run batch
-    (curves,) = run_groups([(inst, cfg, data.y[None], [cfg.seed])], 100)
-    if isinstance(curves, Exception):
-        raise curves
-    kstar, e_mean, _ = stopping_stats(curves)
+    # 100-run batch, and the slices send back the runs' stops
+    (stops,) = run_groups([(inst, cfg, data.y[None], [cfg.seed])], 100)
+    if isinstance(stops, Exception):
+        raise stops
+    kstar, e_mean, _ = stopping_stats(stops)
     e_ok = 5.42e-1 / 2 <= e_mean <= 5.42e-1 * 2
     k_ok = 96.25 / 2 <= kstar <= 96.25 * 2
     margin = min(e_mean / (5.42e-1 / 2) - 1.0, 2.0 - e_mean / 5.42e-1,

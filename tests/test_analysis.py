@@ -19,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from stochreg import analysis, solvers, verify
-from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
+from stochreg.analysis import (ErrorCurves, RunStops, closed_form_mean,
+                               condition_report,
                                enumerate_exact_moments,
                                enumerate_weighted_second_moment,
                                epoch_transitions, error_curves,
@@ -27,8 +28,8 @@ from stochreg.analysis import (ErrorCurves, closed_form_mean, condition_report,
                                exact_weighted_second_moment, mc_moments,
                                operator_word_matrix, operator_word_weights,
                                orthogonality_check, path_count, rate_fit,
-                               recursion_check, residual_bound, shift_vector,
-                               sgd_variance_terms, stopping_stats,
+                               recursion_check, residual_bound, run_stops,
+                               shift_vector, sgd_variance_terms, stopping_stats,
                                svrg_variance_terms, theorem_bound,
                                variance_compare)
 from stochreg.problems import (add_noise, gen_shaw, make_instance,
@@ -784,6 +785,43 @@ def test_stopping_stats_first_on_ties():
     assert kstar == pytest.approx((1.0 + 2.0) / 2)
     assert e_mean == pytest.approx((1.0 + 1.0) / 2)
     assert se >= 0.0
+
+
+def test_run_stops_take_the_first_minimum_of_each_run():
+    curves = ErrorCurves(
+        method="sgd", epochs=np.array([0.0, 1.0, 2.0]),
+        iterations=np.array([0, 4, 8]),
+        error_sq=np.array([[4.0, 1.0, 1.0], [9.0, 4.0, 1.0]]),
+        residual_sq=None, excluded_runs=(3,))
+    stops = run_stops(curves)
+    assert_array_equal(stops.epochs, [1.0, 2.0])
+    assert_array_equal(stops.error_sq, [1.0, 1.0])
+    assert stops.excluded_runs == (3,)
+    assert stopping_stats(stops) == stopping_stats(curves)
+
+
+@pytest.mark.parametrize("report", ["error_curves", "mc_moments"])
+def test_stopping_stats_of_joined_run_stops_are_the_whole_batch_bitwise(
+        report):
+    # the stops of runs 0-4 and 5-11, each batch reduced on its own and
+    # joined in run order, give the statistics of the 12-run report's
+    # curves, bit for bit
+    inst, y = random_preconditioned(5, 2, seed=61)
+    cfg = SolverConfig(method="sgd", c0=0.3 * step_constant(inst.a),
+                       max_epochs=6.0, seed=3)
+    if report == "error_curves":
+        whole = error_curves(inst, y, cfg, runs=12)
+        parts = [run_stops(error_curves(inst, y, cfg, runs=range(a, b)))
+                 for a, b in ((0, 5), (5, 12))]
+    else:
+        whole = mc_moments(inst, y, cfg, runs=12)
+        parts = [run_stops(error_curves(inst, y, cfg, runs=12))]
+    joined = RunStops(
+        epochs=np.concatenate([part.epochs for part in parts]),
+        error_sq=np.concatenate([part.error_sq for part in parts]),
+        excluded_runs=())
+    assert joined.epochs.shape == joined.error_sq.shape == (12,)
+    assert stopping_stats(joined) == stopping_stats(whole)
 
 
 def test_error_curves_shape(tmp_path):

@@ -1,18 +1,22 @@
 """Grid specs, the step/inner-loop grammar, and deterministic execution."""
 
 import functools
+import io
 import json
 import multiprocessing
 import os
+import pickle
 import threading
+from contextlib import closing
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stochreg import analysis, experiment, solvers
-from stochreg.analysis import (ErrorCurves, error_curves, mc_moments,
-                               stopping_stats)
+from stochreg.analysis import (ErrorCurves, RunStops, error_curves,
+                               mc_moments, stopping_stats)
 from stochreg.experiment import (ExperimentSpec, MethodPlan, RESULT_HEADER,
                                  FIGURE_HEADER, load_spec, parse_c0_expr,
                                  parse_m_expr, parse_rational,
@@ -336,31 +340,30 @@ def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch, forked):
 
 
 def test_a_one_slice_cell_joins_with_no_copy(tmp_path, monkeypatch):
-    # one group of two cells in one slice: each cell's curves are its part
-    # of the slice's, with no copy of the error curves
+    # one group of two cells in one slice: each cell's run stops are the
+    # ones its slice made, with no copy
     monkeypatch.setenv("STOCHREG_THREADS", "1")
     made, joined = [], []
-    curves_of, outcome_of = experiment.error_curves, experiment._cell_outcome
+    stops_of, outcome_of = experiment.run_stops, experiment._cell_outcome
 
-    def recording_curves(*args, **kwargs):
-        made.append(curves_of(*args, **kwargs))
+    def recording_stops(curves):
+        made.append(stops_of(curves))
         return made[-1]
 
-    def recording_outcome(spec_, cell, curves, figure_grid):
-        joined.append(curves)
-        return outcome_of(spec_, cell, curves, figure_grid)
+    def recording_outcome(spec_, cell, stops, figure_grid):
+        joined.append(stops)
+        return outcome_of(spec_, cell, stops, figure_grid)
 
-    monkeypatch.setattr(experiment, "error_curves", recording_curves)
+    monkeypatch.setattr(experiment, "run_stops", recording_stops)
     monkeypatch.setattr(experiment, "_cell_outcome", recording_outcome)
     spec = small_spec(nu=[0.0], epsilon=[5e-2, 1e-2],
                       methods=[{"method": "sgd", "c0": "1/2*c"}])
     rows = run_experiment(spec, tmp_path / "t.csv")
     assert all(row[-1] == "" for row in rows)
-    (parts,) = made
-    assert len(parts) == len(joined) == 2
-    for part, curves in zip(parts, joined):
-        assert curves is part
-        assert np.shares_memory(curves.error_sq, part.error_sq)
+    assert len(made) == len(joined) == 2
+    for part, stops in zip(made, joined):
+        assert stops is part
+        assert np.shares_memory(stops.error_sq, part.error_sq)
 
 
 @pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
@@ -829,37 +832,130 @@ def test_sliced_divergence_matches_the_whole_cell_bitwise(
     whole, sliced = joined
     excluded = (tuple(range(32)) if lose_first_slice else ()) + (50, 58)
     assert whole.excluded_runs == sliced.excluded_runs == excluded
+    np.testing.assert_array_equal(sliced.epochs, whole.epochs)
     np.testing.assert_array_equal(sliced.error_sq, whole.error_sq)
     assert blobs["1"] == blobs["2"]
     _, parsed = read_csv(tmp_path / "t2.csv")
     assert parsed[0][-1] == f"{len(excluded)} runs diverged"
 
 
+def first_minima_by_scan(curves):
+    """Each kept run's stop epoch and squared error, found by a scan of its
+    curve: the first checkpoint that holds the run's least error."""
+    best = [row.tolist().index(row.min()) for row in curves.error_sq]
+    return (np.array([curves.epochs[j] for j in best]),
+            np.array([row[j] for row, j in zip(curves.error_sq, best)]))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_one_cell_group_is_its_error_curves_on_one_or_two_workers(
-        monkeypatch, forked):
-    # runs 50 and 58 of 64 trip the divergence guard, both in the second of
-    # the two 32-run slices that two workers cut the cell into
+@pytest.mark.parametrize("plateaus", [False, True], ids=["curves", "ties"])
+@pytest.mark.parametrize("rotate,c0,excluded", [
+    (False, "2.8*c", (50, 58)),
+    (True, "2.25*c", (8, 12, 13, 14, 15, 16, 17, 20, 32, 36, 41, 42, 43, 54,
+                      61)),
+], ids=["dense", "diagonal"])
+def test_run_stops_of_a_one_cell_group_are_its_first_minima_on_one_or_two_workers(
+        monkeypatch, forked, rotate, c0, excluded, plateaus):
+    # steps above the stability bound: in the dense form runs 50 and 58 of
+    # 64 trip the divergence guard, both in the second of the two 32-run
+    # slices that two workers cut the cell into; in the diagonal form 15
+    # runs do, in both slices.  With plateaus, every curve is clamped from
+    # below at the upper quartile of the runs' least errors, in the slices
+    # and in the reference alike, so over half the runs (42 of 62 dense, 26
+    # of 49 diagonal) hold their least error at several checkpoints, and
+    # the first of them must win
     monkeypatch.setattr(experiment, "SolverConfig",
                         functools.partial(SolverConfig, allow_large_step=True))
     spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
-                      methods=[{"method": "sgd", "c0": "2.8*c"}])
+                      precondition=rotate, methods=[{"method": "sgd",
+                                                     "c0": c0}])
     inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
+    assert (inst.row_gram_diagonal is not None) == rotate
     cfg = experiment._cell_config(inst, spec.methods[0], spec,
                                   spec.solver_seed(0), False, c_unit)
     whole = error_curves(inst, y, cfg, 64)
-    assert whole.excluded_runs == (50, 58)
+    assert whole.excluded_runs == excluded
+    if plateaus:
+        floor = np.quantile(whole.error_sq.min(axis=1), 0.75)
+        curves_of = experiment.error_curves
+
+        def clamped(*args, **kwargs):
+            return [replace(curves, error_sq=np.maximum(curves.error_sq,
+                                                        floor))
+                    for curves in curves_of(*args, **kwargs)]
+
+        monkeypatch.setattr(experiment, "error_curves", clamped)
+        whole = replace(whole, error_sq=np.maximum(whole.error_sq, floor))
+        ties = [(row == row.min()).sum() for row in whole.error_sq]
+        assert sum(tie > 1 for tie in ties) > len(ties) // 2
+    epochs, error_sq = first_minima_by_scan(whole)
     sizes = _batch_sizes(monkeypatch)
     for threads, slices in (("1", [64]), ("2", [32, 32])):
         monkeypatch.setenv("STOCHREG_THREADS", threads)
-        (curves,) = experiment.run_groups([(inst, cfg, y[None], [cfg.seed])],
-                                          64)
+        (stops,) = experiment.run_groups([(inst, cfg, y[None], [cfg.seed])],
+                                         64)
         assert sorted(sizes.drain()) == slices
-        assert curves.excluded_runs == whole.excluded_runs
-        for name in ("epochs", "iterations", "error_sq"):
-            np.testing.assert_array_equal(getattr(curves, name),
-                                          getattr(whole, name))
+        assert isinstance(stops, RunStops)
+        assert stops.excluded_runs == excluded
+        assert stops.epochs.tobytes() == epochs.tobytes()
+        assert stops.error_sq.tobytes() == error_sq.tobytes()
+        assert stopping_stats(stops) == stopping_stats(whole)
     assert multiprocessing.active_children() == []
+
+
+def pickled(obj) -> tuple[int, list]:
+    """The byte size of obj's pickle and the shape of every array in it."""
+    shapes = []
+
+    class Recording(pickle.Pickler):
+        def reducer_override(self, value):
+            if isinstance(value, np.ndarray):
+                shapes.append(value.shape)
+            return NotImplemented
+
+    out = io.BytesIO()
+    Recording(out).dump(obj)
+    return out.getbuffer().nbytes, shapes
+
+
+def sent_by_slices(monkeypatch, spec, figure_grid=False) -> list:
+    """What each slice of spec's grid sent back to the calling process."""
+    sent, map_slices = [], experiment._map_slices
+
+    def recording(run, count, workers):
+        with closing(map_slices(run, count, workers)) as results:
+            for result in results:
+                sent.append(result)
+                yield result
+
+    monkeypatch.setattr(experiment, "_map_slices", recording)
+    run_grid(spec, figure_grid=figure_grid)
+    return sent
+
+
+def test_a_slice_sends_back_run_stops_of_one_size_at_any_horizon(monkeypatch,
+                                                                 forked):
+    # a 64-run cell as two 32-run slices on two workers: each sends back its
+    # runs' stops, one number per run and no runs x checkpoints array, so a
+    # tenfold horizon (61 or 601 checkpoints) leaves the pickle's size as it
+    # is; the figure grid's slices send back curves
+    monkeypatch.setenv("STOCHREG_THREADS", "2")
+    sizes = {}
+    for epochs in (60.0, 600.0):
+        spec = small_spec(nu=[0.0], runs=64, max_epochs=epochs,
+                          methods=[{"method": "sgd", "c0": "1/2*c"}])
+        sent = sent_by_slices(monkeypatch, spec)
+        assert len(sent) == 2
+        for (stops,) in sent:
+            assert isinstance(stops, RunStops)
+            size, shapes = pickled(stops)
+            assert shapes == [(32,), (32,)]
+            sizes.setdefault(epochs, []).append(size)
+    assert sizes[60.0] == sizes[600.0]
+    spec = small_spec(nu=[0.0], runs=4, max_epochs=6.0,
+                      methods=[{"method": "sgd", "c0": "1/2*c", "M": "4"}])
+    ((moments,),) = sent_by_slices(monkeypatch, spec, figure_grid=True)
+    assert (4, moments.iterations.size) in pickled(moments)[1]
 
 
 def test_every_group_goes_to_one_worker_map(tmp_path, monkeypatch, forked):

@@ -856,6 +856,59 @@ def test_diagonal_form_keeps_the_exact_data_fixed_point_bitwise(m, method, M):
         assert_array_equal(kernel.iterates(), np.tile(inst.x0, (runs, 1)))
 
 
+def error_read_case(case, runs):
+    """A preconditioned s-shaw instance smoothed to nu = 1 and one noisy
+    data vector per run: the rate grid's n = 200 instance, on which q is
+    nonzero on 8 rows; n = 6, on which every row is kept; or the n = 200
+    instance started at x_dag, on which q is zero."""
+    inst, ys = referee_case("s-shaw-1", runs)
+    if case == "kept-6":
+        raw = smooth_solution(generate("s-shaw", 6), 1.0)
+        noise = np.random.default_rng(6).normal(size=(runs, raw.n))
+        inst, ys = precondition(raw, raw.y_dag + 1e-2 * noise)
+    elif case == "exact-start":
+        inst = make_instance("start-at-solution", inst.a, inst.x_dag,
+                             x0=inst.x_dag)
+        ys = np.tile(inst.y_dag, (runs, 1))
+    return inst, ys
+
+
+@pytest.mark.parametrize("case,columns", [("rate-200", 8), ("kept-6", None),
+                                          ("exact-start", 0)])
+@pytest.mark.parametrize("method,M", [("svrg", 15), ("sgd", 1),
+                                      ("landweber", 1)])
+def test_diagonal_error_read_adds_q_on_its_nonzero_columns_bitwise(
+        case, columns, method, M):
+    # the diagonal form's read adds q to the snapshots C + W on q's nonzero
+    # columns alone (all of them when every row is kept); the full add of
+    # q to every column gives the same bits, since C + W never holds -0.0.
+    # Six blocks of up to 6 snapshots over 3n + 5 steps, on and off the
+    # folds
+    runs = 3
+    inst, ys = error_read_case(case, runs)
+    c0 = 0.5 * step_stability_bound(inst, method)
+    kernel = Lockstep(inst, ys, runs, method, c0, M, snapshots=7)
+    full = Lockstep(inst, ys, runs, method, c0, M, snapshots=7)
+    q = _error_coordinates(inst)[0]
+    full._q_at, full._q = slice(None), q
+    assert kernel.kd is not None
+    if columns is None:
+        assert kernel._q_at == slice(None)
+    else:
+        assert_array_equal(kernel._q_at, np.flatnonzero(q))
+        assert kernel._q_at.size == columns
+    steps = 3 * inst.n + 5
+    idx = stream_indices(13, inst.n, runs, steps)
+    marks = np.unique(np.linspace(0, steps, 36).astype(int))
+    for block in np.array_split(marks, 6):
+        for lockstep in (kernel, full):
+            lockstep.advance(idx[lockstep.t:block[-1]], block)
+        got, want = kernel.read(block.size)[0], full.read(block.size)[0]
+        assert got.tobytes() == want.tobytes()
+        if case == "exact-start":
+            assert not got.any()
+
+
 def test_row_projection_step_is_admissible():
     # at c0 = c = 1/max ||a_i||^2 an sgd step on a row of 10 I projects onto
     # that row's solution set; the step guard must let it run

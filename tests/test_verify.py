@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stochreg import verify
-from stochreg.analysis import ErrorCurves
+from stochreg.analysis import RunStops
 from stochreg.problems import add_noise, generate, smooth_solution
 from stochreg.solvers import SolverConfig
 from stochreg.spectral import KernelBoundReport, step_constant
@@ -120,17 +120,14 @@ def test_kernel_bounds_margin_sign_follows_the_failures(monkeypatch, excess,
 
 
 def test_phillips_check_runs_its_cell_through_the_worker_runner(monkeypatch):
-    # the grid's runner gets the 100-run cell as one group; canned curves
+    # the grid's runner gets the 100-run cell as one group; canned stops
     # stand in for the 6 s of its runs
     seen = []
 
     def runner(groups, runs, moments=False):
         seen.append((groups, runs, moments))
-        ((_, cfg, _, _),) = groups
-        error_sq = np.tile([1.0, 0.5**2, 1.0], (runs, 1))
-        yield ErrorCurves(method=cfg.method, epochs=np.array([0.0, 96.0, 192.0]),
-                          iterations=np.arange(3), error_sq=error_sq,
-                          residual_sq=None, excluded_runs=())
+        yield RunStops(epochs=np.full(runs, 96.0),
+                       error_sq=np.full(runs, 0.5**2), excluded_runs=())
 
     monkeypatch.setattr(verify, "run_groups", runner)
     passed, margin, detail = verify.check_phillips_benchmark()
