@@ -14,9 +14,9 @@ batches, each cell with its own data and seed; a lone cell is a group of one.
 joined.  A slice is one batch over runs [a, b) of every cell of a group.
 Slices run in forked worker processes, which inherit the prepared instances
 and data and the slices they run.  Only a slice's results or its exception
-come back: on the result grid each cell's run stops (``analysis.RunStops``,
-each kept run's first minimum and the error there), on the figure grid each
-cell's moments, whose rows need the curves. The workers number
+come back: each cell's run stops (``analysis.RunStops``, each kept run's
+first minimum and the error there), and on the figure grid its figure rows
+too, so no runs x checkpoints array crosses the pipe. The workers number
 min(STOCHREG_THREADS, slices, cores), the cores being the process's CPU
 affinity. Every process runs its BLAS at one thread
 (``solvers.one_blas_thread``), so the workers are the only parallelism. The
@@ -41,8 +41,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fileio
-from .analysis import (NO_SURVIVORS, RunStops, error_curves, mc_moments,
-                       parse_rational, run_stops, stopping_stats)
+from .analysis import (NO_SURVIVORS, MomentReport, RunStops, error_curves,
+                       mc_moments, parse_rational, run_stops, stopping_stats)
 from .problems import (GENERATORS, ProblemInstance, add_noise, generate,
                        precondition, smooth_solution)
 from .rng import check_seed
@@ -350,33 +350,34 @@ class _Cell:
 def _cell_outcome(spec: ExperimentSpec, cell: _Cell, result,
                   figure_grid: bool) -> CellOutcome:
     """A cell's row, and its figure rows on the figure grid, from what
-    run_groups gave it: its run stops, or its moments on the figure grid,
-    or the exception that ended it.  Either holds one error_sq row per
-    kept run."""
+    run_groups gave it: its run stops, with its figure rows on the figure
+    grid, or the exception that ended it."""
     try:
         if isinstance(result, Exception):
             raise result
-        kstar, e_mean, se = stopping_stats(result)
-        note = (f"{len(result.excluded_runs)} runs diverged"
-                if result.excluded_runs else "")
+        stops, figure_rows = result if figure_grid else (result, ())
+        kstar, e_mean, se = stopping_stats(stops)
+        note = (f"{len(stops.excluded_runs)} runs diverged"
+                if stops.excluded_runs else "")
         row = cell.base_row + [cell.plan.c0_label, cell.cfg.M, e_mean, kstar,
                                spec.runs,
-                               se if len(result.error_sq) > 1 else "",
+                               se if len(stops.error_sq) > 1 else "",
                                round(kstar), note]
-        figure_name = None
-        figure_rows = ()
-        if figure_grid:
-            figure_name = (f"figure_cell{cell.index:03d}_"
-                           f"{cell.plan.method}.csv")
-            figure_rows = tuple(
-                (float(result.epochs[j]), int(result.iterations[j]),
-                 float(result.bias_sq[j]), float(result.variance[j]),
-                 float(result.mse[j]))
-                for j in range(result.iterations.size))
+        figure_name = (f"figure_cell{cell.index:03d}_{cell.plan.method}.csv"
+                       if figure_grid else None)
         return CellOutcome(row=row, figure_name=figure_name,
                            figure_rows=figure_rows, e_value=e_mean)
     except Exception as exc:  # per-cell failures leave the grid running
         return _error_outcome(cell.base_row, cell.plan, spec, exc)
+
+
+def _figure_rows(report: MomentReport) -> tuple:
+    """A cell's FIGURE_HEADER rows, one per checkpoint of its moments."""
+    return tuple(
+        (float(report.epochs[j]), int(report.iterations[j]),
+         float(report.bias_sq[j]), float(report.variance[j]),
+         float(report.mse[j]))
+        for j in range(report.iterations.size))
 
 
 def _run_slices(cells: int, runs: int, workers: int) -> list:
@@ -485,11 +486,12 @@ def run_groups(groups: list, runs: int, moments: bool = False):
     method, step, inner loop and checkpoints, cell c with data ys[c] and
     seed seeds[c].  A slice reduces each cell's error_curves to its
     run_stops before it returns, so no runs x checkpoints array leaves it.
-    With moments, a cell's result is its mc_moments, curves and all, and
-    no group is cut.  K and its diagonal selection are built before the
-    fork, and the slices of every group go to one _map_slices call.  A cell
-    is joined on the calling thread once its group's last slice is in, from
-    its own parts, which are let go as it joins."""
+    With moments, a cell's result is the pair (run_stops, _figure_rows) of
+    its mc_moments, and no group is cut.  K and its diagonal selection are
+    built before the fork, and the slices of every group go to one
+    _map_slices call.  A cell is joined on the calling thread once its
+    group's last slice is in, from its own parts, which are let go as it
+    joins."""
     workers = worker_budget()
     cuts = []
     for inst, _, ys, _ in groups:
@@ -505,7 +507,10 @@ def run_groups(groups: list, runs: int, moments: bool = False):
         try:
             if moments:
                 # one pass gives the moments and the per-run error curves
-                return mc_moments(inst, ys, cfg, runs, seeds=seeds)
+                return [report if isinstance(report, Exception)
+                        else (run_stops(report), _figure_rows(report))
+                        for report in mc_moments(inst, ys, cfg, runs,
+                                                 seeds=seeds)]
             return [curves if isinstance(curves, Exception)
                     else run_stops(curves)
                     for curves in error_curves(inst, ys, cfg, part,

@@ -4,10 +4,10 @@ functional J(x) = (1/2n) ||A x - y||^2.
 Three methods share one batched core: plain stochastic gradient steps, a
 variance-reduced double loop with full-gradient anchors, and deterministic
 full-gradient descent (Landweber), which is the double loop with an anchor
-at every step.  Row dots go through ``einsum`` reductions and every matrix
-product through fixed-size BLAS blocks, both bitwise independent of the
-batch size.  With data generated by ``problems.exact_data``, x0 = x_dag with
-exact data is a bitwise fixed point of every method.
+at every step.  Row dots are reduced one run at a time and every matrix
+product goes through fixed-size BLAS blocks, both bitwise independent of
+the batch size.  With data generated by ``problems.exact_data``, x0 = x_dag
+with exact data is a bitwise fixed point of every method.
 
 A batch may hold several cells: runs on one instance with one method, step
 and inner loop, but each cell with its own data vector.  The data come as a
@@ -23,16 +23,25 @@ coordinates: W holds the steps since the last fold, C the folded ones.  It
 works on K = A A^T (``ProblemInstance.row_gram``).  Per step it gathers one
 row of K per run, takes one row dot and changes one coordinate of W per run
 (svrg and landweber add one shift of W), one numpy call per statement:
-    gather:     K.take(idx, 0, rows, "clip")
-    sgd:        d = einsum(rows, W);  d += D[idx];  d *= c0;  W[idx] -= d
-    svrg:       d = einsum(rows, W);  d *= c0;  W[idx] -= d;  W -= D
+    gather:     K.take(idx, 0, rows, "clip");  w = W[idx]
+    sgd:        d = vecdot(rows, W);  d += D[idx];  d *= c0;  w -= d;
+                W[idx] = w
+    svrg:       d = vecdot(rows, W);  d *= c0;  w -= d;  W[idx] = w;
+                W -= D
     landweber:  the svrg statements
+The row dot ``np.vecdot`` is one BLAS ddot per run, so its bits depend on
+the BLAS build's ddot but not on where a row sits in the batch; W[idx] is
+gathered once per step and written back once.
 Here D = s (A Xc - y_r) is the dual of the folded iterate Xc = x0 + C @ A,
 with s = 1 for sgd, s = c0/n for svrg and s = c0 for landweber, whose
 folded iterate is their anchor; D[idx] and W[idx] mean each run's entry at
 its own drawn index.  W folds into C by one rule for all methods, and every
 product is taken on its left factor zero-padded to blocks of
-_GRADIENT_BLOCK rows, one stacked matmul each:
+_GRADIENT_BLOCK rows and its right factor zero-padded to a multiple of
+_COLUMN_BLOCK columns, one stacked matmul each; at one BLAS thread,
+OpenBLAS's dgemm computes the last rows of a block differently from the
+first ones in columns past the last multiple of 8, so without the column
+padding a run's bits would depend on its place in its block:
     fold:       C += W;  D += s (W @ K);  W = 0, after every step that
                 ends with t % every == 0, every = n for sgd (one epoch), M
                 for svrg (one anchor) and 1 for landweber
@@ -40,12 +49,13 @@ _GRADIENT_BLOCK rows, one stacked matmul each:
     start:      C = 0 and D = s residuals(A, y_r, x0), taken once per cell
     residual:   residuals(A, y_r, X) = einsum(X, A) - y_r, for the recorded
                 residual
-    error:      einsum(X - x_dag, X - x_dag), per run
+    error:      vecdot(X - x_dag, X - x_dag), one ddot per run
 On rows orthogonal to rounding, K is diagonal up to entries that cannot be
 told apart from zero, and the kernel takes the diagonal form: it reads the
 diagonal kd of K (``ProblemInstance.row_gram_diagonal``) in place of K,
-and only the two statements that read K change, besides the error:
-    row dot:    d = kd[idx] * W[idx], kd[idx] gathered once per advance call
+and only the two statements that read K change, besides the error, whose
+reductions stay ``einsum``:
+    row dot:    d = kd[idx] * w, kd[idx] gathered once per advance call
     fold:       D += s (W * kd), elementwise in place of W @ K
     error:      v = (C + W) + q;  |X - x_dag|^2 = |z|^2 + einsum(v, kd v + 2 g)
 The selection comes from the instance, not from an option: the diagonal
@@ -85,21 +95,22 @@ each checkpoint step, after that step's fold, it copies C + W into the next
 slot of a padded snapshot block, one np.add per checkpoint.  The recorder
 then reads the block at once (``Lockstep.read``): the error statements and
 the iterate's product run on a (slots, runs, n) block, the product as one
-stacked matmul of the same 32-row blocks, and the einsum reductions per
-(slot, run) row.  Each entry gets the arithmetic it gets alone, so a block
-of one snapshot, which ``error_sq()`` and ``iterates()`` read, gives the
-bits of any other block.  C never holds -0.0, so on the fold grid, where
-W = 0, the snapshot C + W is C bit for bit.  A block holds as many
-snapshots as fit in _SNAPSHOT_BYTES (1 MiB), at least one and at most the
-grid's checkpoint count.  Neither the fold grid nor any entry's arithmetic
-depends on where a block or a chunk ends, so neither _SNAPSHOT_BYTES nor
-_CHUNK changes a bit.
+stacked matmul of the same 32-row blocks, and the reductions (vecdot in
+the dense form, einsum in the diagonal form) per (slot, run) row.  Each
+entry gets the arithmetic it gets alone, so a block of one snapshot, which
+``error_sq()`` and ``iterates()`` read, gives the bits of any other block.
+C never holds -0.0, so on the fold grid, where W = 0, the snapshot C + W is
+C bit for bit.  A block holds as many snapshots as fit in _SNAPSHOT_BYTES
+(1 MiB), and as many of their column-padded iterates, at least one and at
+most the grid's checkpoint count.  Neither
+the fold grid nor any entry's arithmetic depends on where a block or a
+chunk ends, so neither _SNAPSHOT_BYTES nor _CHUNK changes a bit.
 
 Every run starts at x0, and at an exact-data start x0 = x_dag the dual D
 is exactly zero, so W and C stay zero and X = 0 @ A + x0 = x0.  Each BLAS
-block has the same shape whatever the batch, so a run's bits depend neither
-on the other runs nor on its place in the batch; they can depend on the
-BLAS build.  ``run_batch`` runs under ``one_blas_thread``, so they do not
+block has the same shape whatever the batch, and its right factor whole
+blocks of columns, so a run's bits depend neither on the other runs nor on
+its place in the batch; they can depend on the BLAS build.  ``run_batch`` runs under ``one_blas_thread``, so they do not
 depend on the caller's BLAS thread count.
 
 One epoch is n stochastic-gradient evaluations: n plain stochastic steps,
@@ -125,6 +136,7 @@ from .spectral import step_constant
 
 _CHUNK = 4096  # iterations per index-stream draw
 _GRADIENT_BLOCK = 32  # rows per block of every padded BLAS product
+_COLUMN_BLOCK = 8  # its right factor's columns come in multiples of this
 _SNAPSHOT_BYTES = 1 << 20  # C + W snapshots a kernel keeps for one block
 DIVERGENCE_FACTOR = 1e12
 MAX_CHECKPOINTS = 10**6  # about 100 times the longest record of the rate grid
@@ -403,6 +415,21 @@ def _padded(runs: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks, blocks.reshape(-1, width)[:runs]
 
 
+def _column_width(cols: int) -> int:
+    return -(-cols // _COLUMN_BLOCK) * _COLUMN_BLOCK
+
+
+def _column_padded(mat: np.ndarray) -> np.ndarray:
+    """mat with zero columns up to _column_width, or mat itself when it has
+    that width: the right factor of a padded product (module docstring)."""
+    rows, cols = mat.shape
+    if _column_width(cols) == cols:
+        return mat
+    out = np.zeros((rows, _column_width(cols)))
+    out[:, :cols] = mat
+    return out
+
+
 class Lockstep:
     """Advances the iterates of `runs` runs from inst.x0 by any of the three
     methods, one drawn row per run per step, in the row coordinates of the
@@ -436,19 +463,26 @@ class Lockstep:
         self._c = np.zeros((runs, n))
         # run r's entry i of a (runs, n) matrix sits at flat r*n + i
         self._offsets = np.arange(runs) * n
-        # up to `snapshots` slots of C + W within _SNAPSHOT_BYTES, padded as
-        # W, and one output buffer for their iterates (C + W) @ A and the
-        # fold's W @ K, or W * kd in the diagonal form
+        # up to `snapshots` slots of C + W, padded as W, and one output
+        # buffer for their iterates (C + W) @ A and the fold's W @ K, or
+        # W * kd in the diagonal form, each as wide as its column-padded
+        # right factor; the slots and their iterates each fit in
+        # _SNAPSHOT_BYTES
         size = self._w_blocks.shape[0] * _GRADIENT_BLOCK
-        self.slots = max(1, min(snapshots, _SNAPSHOT_BYTES // (8 * size * n)))
+        a_cols, k_cols = _column_width(m), _column_width(n)
+        self.slots = max(1, min(snapshots, _SNAPSHOT_BYTES
+                                // (8 * size * max(n, a_cols))))
         self._snap_blocks = np.zeros((self.slots, *self._w_blocks.shape))
         self._snaps = self._snap_blocks.reshape(self.slots, size, n)[:, :runs]
-        out = np.zeros(max(self.slots * size * m, size * n))
-        self._by_a = out[:self.slots * size * m].reshape(
-            self.slots, -1, _GRADIENT_BLOCK, m)
-        self._by_k = out[:size * n].reshape(-1, _GRADIENT_BLOCK, n)
-        self._by_a_rows = self._by_a.reshape(self.slots, size, m)[:, :runs]
-        self._by_k_rows = self._by_k.reshape(-1, n)[:runs]
+        self._a_cols = _column_padded(self.a)
+        self._k_cols = _column_padded(self.k) if self.kd is None else None
+        out = np.zeros(max(self.slots * size * a_cols, size * k_cols))
+        self._by_a = out[:self.slots * size * a_cols].reshape(
+            self.slots, -1, _GRADIENT_BLOCK, a_cols)
+        self._by_k = out[:size * k_cols].reshape(-1, _GRADIENT_BLOCK, k_cols)
+        self._by_a_rows = self._by_a.reshape(
+            self.slots, size, a_cols)[:, :runs, :m]
+        self._by_k_rows = self._by_k.reshape(-1, k_cols)[:runs, :n]
         if self.kd is not None:
             self._kd_v = np.empty((self.slots, runs, n))  # kd v + 2 g
             q, self._z_sq, self._g2 = _error_coordinates(inst)
@@ -463,7 +497,7 @@ class Lockstep:
         diagonal form; W = 0."""
         self._c += self._w
         if self.kd is None:
-            np.matmul(self._w_blocks, self.k, out=self._by_k)
+            np.matmul(self._w_blocks, self._k_cols, out=self._by_k)
         else:
             np.multiply(self._w, self.kd, out=self._by_k_rows)
         self._by_k_rows *= self._scale
@@ -489,15 +523,17 @@ class Lockstep:
         # the dense form zips idx in its place and does not read it
         kd_idx = idx if kd is None else kd.take(idx)
         for i, at, kd_i in zip(idx, idx + self._offsets, kd_idx):
+            w_at = w_flat[at]  # gathered once, written back once
             if kd is None:
                 k.take(i, 0, rows, "clip")
-                np.einsum("rn,rn->r", rows, w, out=d)
+                np.vecdot(rows, w, out=d)
             else:
-                np.multiply(kd_i, w_flat[at], out=d)
+                np.multiply(kd_i, w_at, out=d)
             if sgd:
                 d += dual_flat[at]
             d *= c0
-            w_flat[at] -= d
+            w_at -= d
+            w_flat[at] = w_at
             if not sgd:
                 w -= dual
             t += 1
@@ -509,7 +545,8 @@ class Lockstep:
         self.t = t
 
     def _iterates(self, count: int) -> np.ndarray:
-        np.matmul(self._snap_blocks[:count], self.a, out=self._by_a[:count])
+        np.matmul(self._snap_blocks[:count], self._a_cols,
+                  out=self._by_a[:count])
         x = self._by_a_rows[:count]
         x += self.x0
         return x
@@ -524,7 +561,7 @@ class Lockstep:
         x = self._iterates(count) if self.kd is None or iterates else None
         if self.kd is None:
             diff = x - self.x_dag
-            return np.einsum("krm,krm->kr", diff, diff), x
+            return np.vecdot(diff, diff), x
         v, kd_v = self._snaps[:count], self._kd_v[:count]
         v[..., self._q_at] += self._q
         np.multiply(v, self.kd, out=kd_v)

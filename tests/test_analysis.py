@@ -669,9 +669,10 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
     path operators, as it ran before it used the solvers' kernel, the step
     written in the kernel's row-space arithmetic: the iterate is
     (c + w) A + x0, the dual coordinates w step through rows of K = A A^T
-    with the kernel's einsum row dot and fold into the coordinates c at
+    with the kernel's vecdot row dot and fold into the coordinates c at
     each anchor, and every product is taken on the path's row zero-padded
-    to one block of _GRADIENT_BLOCK rows.  On rows orthogonal to rounding
+    to one block of _GRADIENT_BLOCK rows, by a factor padded to whole
+    blocks of _COLUMN_BLOCK columns.  On rows orthogonal to rounding
     the kernel's diagonal form replaces K by its diagonal kd: the row dot
     is kd[i] w[i] and the fold's w K is w * kd."""
     kit = analysis._EpochKit(inst, y, c0, M)
@@ -684,7 +685,7 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
     def padded(v, mat):
         block = np.zeros((1, solvers._GRADIENT_BLOCK, v.size))
         block[0, 0] = v
-        return (block @ mat)[0, 0]
+        return (block @ solvers._column_padded(mat))[0, 0, :mat.shape[1]]
 
     resid = padded(inst.x0 - inst.x0, a.T) \
         + (np.einsum("rm,nm->rn", inst.x0[None], a)[0] - y)
@@ -698,7 +699,7 @@ def loop_recursion_check(inst, y, c0, M, K, seed):
         for i in range(M):
             row = epoch_digits[i]
             if kd is None:
-                d = np.einsum("rn,rn->r", k_mat[row][None], w[None])[0]
+                d = np.vecdot(k_mat[row], w)
             else:
                 d = kd[row] * w[row]
             w = w.copy()

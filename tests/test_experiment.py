@@ -938,7 +938,8 @@ def test_a_slice_sends_back_run_stops_of_one_size_at_any_horizon(monkeypatch,
     # a 64-run cell as two 32-run slices on two workers: each sends back its
     # runs' stops, one number per run and no runs x checkpoints array, so a
     # tenfold horizon (61 or 601 checkpoints) leaves the pickle's size as it
-    # is; the figure grid's slices send back curves
+    # is; a figure grid's slice sends back its stops and its figure rows,
+    # and no runs x checkpoints array either
     monkeypatch.setenv("STOCHREG_THREADS", "2")
     sizes = {}
     for epochs in (60.0, 600.0):
@@ -954,8 +955,11 @@ def test_a_slice_sends_back_run_stops_of_one_size_at_any_horizon(monkeypatch,
     assert sizes[60.0] == sizes[600.0]
     spec = small_spec(nu=[0.0], runs=4, max_epochs=6.0,
                       methods=[{"method": "sgd", "c0": "1/2*c", "M": "4"}])
-    ((moments,),) = sent_by_slices(monkeypatch, spec, figure_grid=True)
-    assert (4, moments.iterations.size) in pickled(moments)[1]
+    (((stops, figure_rows),),) = sent_by_slices(monkeypatch, spec,
+                                                 figure_grid=True)
+    assert isinstance(stops, RunStops)
+    assert len(figure_rows) > stops.epochs.size  # a row per checkpoint
+    assert pickled((stops, figure_rows))[1] == [(4,), (4,)]
 
 
 def test_every_group_goes_to_one_worker_map(tmp_path, monkeypatch, forked):

@@ -146,13 +146,16 @@ def test_runs_are_batch_invariant(noisy_shaw):
 
 
 def padded_product(rows, mat):
-    """rows @ mat on rows zero-padded to blocks of _GRADIENT_BLOCK, the
-    layout of the kernel's products."""
+    """rows @ mat on rows zero-padded to blocks of _GRADIENT_BLOCK and mat
+    zero-padded to a multiple of _COLUMN_BLOCK columns, the layout of the
+    kernel's products."""
     runs, width = rows.shape
     padded = np.zeros((-(-runs // _GRADIENT_BLOCK) * _GRADIENT_BLOCK, width))
     padded[:runs] = rows
     blocks = padded.reshape(-1, _GRADIENT_BLOCK, width)
-    return (blocks @ mat).reshape(-1, mat.shape[1])[:runs]
+    cols = mat.shape[1]
+    product = blocks @ solvers._column_padded(mat)
+    return product[..., :cols].reshape(-1, cols)[:runs]
 
 
 def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
@@ -184,12 +187,11 @@ def out_of_place_lockstep(inst, y, idx, method, c0, M, stops):
             v_q = v + q
             return x, np.einsum("rn,rn->r", v_q, v_q * kd + g2) + z_sq
         diff = x - inst.x_dag
-        return x, np.einsum("rm,rm->r", diff, diff)
+        return x, np.vecdot(diff, diff)
 
     states = {0: state()}
     for t, i in enumerate(idx[:max(stops)], start=1):
-        d = (np.einsum("rn,rn->r", k[i], w) if kd is None
-             else kd[i] * w[every_run, i])
+        d = np.vecdot(k[i], w) if kd is None else kd[i] * w[every_run, i]
         w = w.copy()
         if method == "sgd":
             w[every_run, i] -= (d + dual[every_run, i]) * c0
@@ -320,8 +322,7 @@ def test_iterates_are_the_coordinate_sum_product_at_every_step(noisy_shaw,
         folds += t % kernel.every == 0
         x = padded_product(kernel._c + kernel._w, inst.a) + inst.x0
         diff = x - inst.x_dag
-        assert_array_equal(kernel.error_sq(),
-                           np.einsum("rm,rm->r", diff, diff))
+        assert_array_equal(kernel.error_sq(), np.vecdot(diff, diff))
         assert_array_equal(kernel.iterates(), x)
     assert 0 < folds < steps + 1 or method == "landweber"
 
@@ -347,8 +348,7 @@ def test_run_batch_iterates_match_out_of_place_update(noisy_shaw, method, M,
     at_cp = [states[c][0] for c in cp]
     assert_array_equal(rec.sum_x, [x.sum(axis=0) for x in at_cp])
     diffs = [x - inst.x_dag for x in at_cp]
-    assert_array_equal(rec.error_sq.T,
-                       [np.einsum("rm,rm->r", d, d) for d in diffs])
+    assert_array_equal(rec.error_sq.T, [np.vecdot(d, d) for d in diffs])
 
 
 class IterateRecorder:
@@ -501,7 +501,8 @@ def test_block_recording_is_the_per_checkpoint_loop_bitwise(
     # two cells of three runs on s-shaw n = 12; a checkpoint every 9 steps
     # (and every svrg anchor, M = 4) over 4206 sgd or 4201 svrg and
     # landweber steps: the grid crosses _CHUNK, ends off the stride and
-    # holds more checkpoints than the default block of 341 snapshots
+    # holds more checkpoints than the default block of 256 snapshots, as
+    # many as fit in 1 MiB at the iterates' 16 padded columns
     inst, y = noisy_shaw
     ys = np.stack([y, add_noise(inst, 1e-3, seed=22).y])
     if rotate:
@@ -524,9 +525,9 @@ def test_block_recording_is_the_per_checkpoint_loop_bitwise(
     elif budget == "whole grid":  # one block per index chunk
         assert len(counts) == -(-total // _CHUNK)
     else:
-        slots = solvers._SNAPSHOT_BYTES // (8 * _GRADIENT_BLOCK * inst.n)
-        assert max(counts) == slots == 341
-        assert rec.cp.size > 341
+        slots = solvers._SNAPSHOT_BYTES // (8 * _GRADIENT_BLOCK * 16)
+        assert max(counts) == slots == 256
+        assert rec.cp.size > 256
     assert not diverged.any() and not ref_diverged.any()
     assert_same_records(rec, ref)
 
@@ -635,6 +636,41 @@ def test_step_kernel_is_batch_invariant(m, method, M, rotate):
     for pick in picks:
         for got, want in zip(states(pick), full):
             assert_array_equal(got, want[pick])
+
+
+@pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
+def test_raw_row_dot_is_batch_invariant_on_long_rows(method, M):
+    # the dense form's row dot and error read take one BLAS ddot per run;
+    # at an odd row length of 501 each run's gathered K row, W row and
+    # iterate starts at its own alignment, and a 40-run batch spans two
+    # 32-row blocks, yet run r alone gets row r of the batch, bit for bit;
+    # runs 30 and 31 sit in the last 8 rows of a block, which dgemm
+    # computes on their own in the columns past 496 unless the products'
+    # right factors are padded to 504 columns; both stops are off the fold
+    # grid, and the second one past a fold.  Run at one BLAS thread, as
+    # run_batch runs, whatever the environment's setting
+    inst = gen_shaw(501)
+    assert inst.row_gram_diagonal is None
+    runs = 40
+    noise = np.random.default_rng(3).normal(size=(runs, inst.n))
+    ys = inst.y_dag + 5e-2 * noise
+    c0 = 0.5 * step_stability_bound(inst, method)
+    stops = (37, inst.n + 2)
+    idx = stream_indices(8, inst.n, runs, stops[-1])
+
+    def states(pick):
+        kernel = Lockstep(inst, ys[pick], pick.size, method, c0, M)
+        out = []
+        for stop in stops:
+            kernel.advance(idx[kernel.t:stop, pick])
+            out += [kernel.error_sq(), kernel.iterates().copy()]
+        return out
+
+    with solvers.one_blas_thread():
+        full = states(np.arange(runs))
+        for r in (0, 1, 30, 31, 32, 33, 39):
+            for got, want in zip(states(np.array([r])), full):
+                assert_array_equal(got, want[[r]])
 
 
 @pytest.mark.parametrize("m", [2, 3, 200])
