@@ -7,9 +7,9 @@ stream is derived from the base seed and the cell's position in the grid, never
 from execution order, which keeps all emitted files byte-stable under any
 STOCHREG_THREADS setting.
 
-Cells that share an instance and every solver setting but the seed (the
-epsilon points of one nu and method plan) form a group and run as lockstep
-batches, each cell with its own data and seed; a lone cell is a group of one.
+The grid runs one group per (nu, method plan), its cells the epsilon
+points: they share one instance and every solver setting but the seed, and
+run as lockstep batches, each cell with its own data and seed.
 ``run_groups`` is the one place where groups are cut into run slices, run and
 joined.  A slice is one batch over runs [a, b) of every cell of a group.
 Slices run in forked worker processes, which inherit the prepared instances
@@ -81,24 +81,28 @@ def worker_budget() -> int:
 # ---------------------------------------------------------------------------
 # step and inner-loop expression grammar
 
+def _scaled(expr, scale, divisors: dict, what: str):
+    """(value, scaled) of a number, a rational, or '<rational><suffix>' for
+    a suffix of divisors, whose value is the rational * scale / divisor."""
+    if isinstance(expr, (int, float)) and not isinstance(expr, bool):
+        return expr, False
+    text = str(expr).replace(" ", "")
+    try:
+        for suffix, divisor in divisors.items():
+            if text.endswith(suffix):
+                return (parse_rational(text[: -len(suffix)]) * scale / divisor,
+                        True)
+        return parse_rational(text), False
+    except ValueError:
+        raise ValueError(f"cannot parse {what} expression {expr!r}")
+
+
 def parse_m_expr(expr, n: int) -> int:
     """Inner-loop length: an integral literal, or '<rational>*n' scaled by
     problem size and rounded to the nearest integer."""
     if expr is None:
         return 1
-    scaled = False
-    if isinstance(expr, (int, float)) and not isinstance(expr, bool):
-        value = expr
-    else:
-        text = str(expr).replace(" ", "")
-        scaled = text.endswith("*n")
-        try:
-            if scaled:
-                value = parse_rational(text[:-2]) * n
-            else:
-                value = parse_rational(text)
-        except ValueError:
-            raise ValueError(f"cannot parse inner-loop expression {expr!r}")
+    value, scaled = _scaled(expr, n, {"*n": 1.0}, "inner-loop")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"inner-loop expression {expr!r} is not finite")
     if not scaled and value != int(value):
@@ -112,24 +116,8 @@ def parse_m_expr(expr, n: int) -> int:
 def parse_c0_expr(expr, c: float, M: int, n: int) -> float:
     """Step size: '<rational>*c/M', '<rational>*c/n', '<rational>*c', or a
     literal; c is the reciprocal of the largest squared row norm."""
-    if isinstance(expr, (int, float)) and not isinstance(expr, bool):
-        value = float(expr)
-    else:
-        text = str(expr).replace(" ", "")
-        matched = None
-        for suffix, denom in (("*c/M", float(M)), ("*c/n", float(n)),
-                              ("*c", 1.0)):
-            if text.endswith(suffix):
-                matched = (text[: -len(suffix)], denom)
-                break
-        try:
-            if matched is not None:
-                coeff, denom = matched
-                value = parse_rational(coeff) * c / denom
-            else:
-                value = parse_rational(text)
-        except ValueError:
-            raise ValueError(f"cannot parse step expression {expr!r}")
+    value = float(_scaled(expr, c, {"*c/M": float(M), "*c/n": float(n),
+                                    "*c": 1.0}, "step")[0])
     if not value > 0:
         raise ValueError(f"step expression {expr!r} evaluates to {value}, "
                          "which is not positive")
@@ -316,6 +304,9 @@ class CellOutcome:
 
 def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
                  seed: int, figure_grid: bool, c_unit: float) -> SolverConfig:
+    """The solver settings of one group: one (nu, method plan), its cells
+    the epsilon points, which share inst and c_unit and differ only in data
+    and seed; seed is the first cell's."""
     c0, m_value = plan.resolve(inst, c_unit)
     if figure_grid:
         # checkpoints every M iterations so methods share an iteration grid
@@ -327,31 +318,14 @@ def _cell_config(inst: ProblemInstance, plan: MethodPlan, spec: ExperimentSpec,
                         M=m_value, seed=seed, checkpoint_every=every)
 
 
-def _error_outcome(base_row: list, plan: MethodPlan, spec: ExperimentSpec,
-                   exc: Exception) -> CellOutcome:
-    message = f"{type(exc).__name__}: {exc}".replace(",", ";")
-    message = " ".join(message.split())
-    row = base_row + [plan.c0_label, "", "", "", spec.runs, "", "", message]
-    return CellOutcome(row=row)
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """A grid cell ready to run: its place, plan, data and configuration."""
-
-    index: int
-    plan: MethodPlan
-    base_row: list
-    inst: ProblemInstance
-    y: np.ndarray
-    cfg: SolverConfig
-
-
-def _cell_outcome(spec: ExperimentSpec, cell: _Cell, result,
-                  figure_grid: bool) -> CellOutcome:
-    """A cell's row, and its figure rows on the figure grid, from what
-    run_groups gave it: its run stops, with its figure rows on the figure
-    grid, or the exception that ended it."""
+def _cell_outcome(spec: ExperimentSpec, index: int, cell: tuple, M: int | None,
+                  result, figure_grid: bool) -> CellOutcome:
+    """The row of cell `index` of spec.cells, and its figure rows on the
+    figure grid, from what run_groups gave it: its run stops, with its
+    figure rows on the figure grid, or the exception that ended it."""
+    i_nu, i_eps, _, plan = cell
+    row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps], plan.method,
+           plan.c0_label]
     try:
         if isinstance(result, Exception):
             raise result
@@ -359,16 +333,16 @@ def _cell_outcome(spec: ExperimentSpec, cell: _Cell, result,
         kstar, e_mean, se = stopping_stats(stops)
         note = (f"{len(stops.excluded_runs)} runs diverged"
                 if stops.excluded_runs else "")
-        row = cell.base_row + [cell.plan.c0_label, cell.cfg.M, e_mean, kstar,
-                               spec.runs,
-                               se if len(stops.error_sq) > 1 else "",
-                               round(kstar), note]
-        figure_name = (f"figure_cell{cell.index:03d}_{cell.plan.method}.csv"
+        row += [M, e_mean, kstar, spec.runs,
+                se if len(stops.error_sq) > 1 else "", round(kstar), note]
+        figure_name = (f"figure_cell{index:03d}_{plan.method}.csv"
                        if figure_grid else None)
         return CellOutcome(row=row, figure_name=figure_name,
                            figure_rows=figure_rows, e_value=e_mean)
     except Exception as exc:  # per-cell failures leave the grid running
-        return _error_outcome(cell.base_row, cell.plan, spec, exc)
+        message = f"{type(exc).__name__}: {exc}".replace(",", ";")
+        row += ["", "", "", spec.runs, "", "", " ".join(message.split())]
+        return CellOutcome(row=row)
 
 
 def _figure_rows(report: MomentReport) -> tuple:
@@ -529,18 +503,19 @@ def run_groups(groups: list, runs: int, moments: bool = False):
                 yield _join_slices(parts.pop(0))
 
 
-def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
-    """Instance, noisy data and step unit c shared by every method in a
-    (nu, epsilon) point.  The epsilon points of one nu share one instance
-    object: the rotation of a preconditioned grid depends on A alone, so it
-    runs once per nu, each data vector rotated on its own.
+def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> list:
+    """One (instance, data, step unit c) entry per nu, shared by every group
+    of the nu: one group per (nu, method plan), its cells the epsilon
+    points.  The data is an (epsilon, n) stack, row k the noisy data of
+    epsilon point k.  The rotation of a preconditioned grid depends on A
+    alone, so it runs once per nu, each data vector rotated on its own.
 
     step_from_raw evaluates c on the unrotated rows even when solving the
     preconditioned system, so paired studies run with the same numeric step
     on both sides.
     """
     base = generate(spec.problem, spec.n)
-    prepared = {}
+    prepared = []
     for i_nu, nu in enumerate(spec.nu):
         inst_nu = smooth_solution(base, nu)
         ys = np.array([add_noise(inst_nu, eps, spec.noise_seed(i_nu, i_eps)).y
@@ -550,43 +525,44 @@ def _prepare_cells(spec: ExperimentSpec, step_from_raw: bool = False) -> dict:
         else:
             inst_cell = inst_nu
         c_unit = step_constant(inst_nu.a if step_from_raw else inst_cell.a)
-        for i_eps, y in enumerate(ys):
-            prepared[(i_nu, i_eps)] = (inst_cell, y, c_unit)
+        prepared.append((inst_cell, ys, c_unit))
     return prepared
 
 
 @one_blas_thread()
 def run_grid(spec: ExperimentSpec, figure_grid: bool = False,
              step_from_raw: bool = False) -> list:
-    """All grid cells, results in grid order: run_groups runs the cell
-    groups, and each cell is made a row as soon as it is joined.  The
-    preparation runs at one BLAS thread too, and the workers inherit it."""
-    prepared = _prepare_cells(spec, step_from_raw)
+    """All grid cells, results in grid order: run_groups runs one group per
+    (nu, method plan), its cells the epsilon points, and each cell is made a
+    row as soon as it is joined.  The preparation runs at one BLAS thread
+    too, and the workers inherit it."""
     cells = spec.cells
     outcomes = [None] * len(cells)
-    groups = {}
-    for idx, (i_nu, i_eps, _, plan) in enumerate(cells):
-        inst, y, c_unit = prepared[(i_nu, i_eps)]
-        base_row = [spec.problem, spec.nu[i_nu], spec.epsilon[i_eps],
-                    plan.method]
-        try:
-            cfg = _cell_config(inst, plan, spec, spec.solver_seed(idx),
-                               figure_grid, c_unit)
-        except Exception as exc:  # a bad configuration fails its cell alone
-            outcomes[idx] = _error_outcome(base_row, plan, spec, exc)
-            continue
-        cell = _Cell(idx, plan, base_row, inst, y, cfg)
-        groups.setdefault((id(inst), replace(cfg, seed=0)), []).append(cell)
+    groups, members = [], []
+    stride = len(spec.methods)  # between the epsilon points in cells' order
+    per_nu = len(spec.epsilon) * stride
+    for i_nu, (inst, ys, c_unit) in enumerate(_prepare_cells(spec,
+                                                             step_from_raw)):
+        for i_m, plan in enumerate(spec.methods):
+            indices = range(i_nu * per_nu + i_m, (i_nu + 1) * per_nu, stride)
+            seeds = [spec.solver_seed(idx) for idx in indices]
+            try:
+                cfg = _cell_config(inst, plan, spec, seeds[0], figure_grid,
+                                   c_unit)
+            except Exception as exc:  # a bad configuration fails its group
+                for idx in indices:
+                    outcomes[idx] = _cell_outcome(spec, idx, cells[idx], None,
+                                                  exc, figure_grid)
+                continue
+            groups.append((inst, cfg, ys, seeds))
+            members.append((indices, cfg.M))
 
-    groups = list(groups.values())
-    with closing(run_groups(
-            [(group[0].inst, group[0].cfg, np.stack([c.y for c in group]),
-              [c.cfg.seed for c in group]) for group in groups],
-            spec.runs, moments=figure_grid)) as joined:
-        for group in groups:
-            for cell in group:
-                outcomes[cell.index] = _cell_outcome(spec, cell, next(joined),
-                                                     figure_grid)
+    with closing(run_groups(groups, spec.runs,
+                            moments=figure_grid)) as joined:
+        for indices, M in members:
+            for idx in indices:
+                outcomes[idx] = _cell_outcome(spec, idx, cells[idx], M,
+                                              next(joined), figure_grid)
     return outcomes
 
 

@@ -1,9 +1,11 @@
 """Self-contained verification suites behind the `verify` command.
 
 Each check rebuilds its own small problem, evaluates one identity, bound, or
-ordering through an independent route, and reports a signed margin (positive
-means the check passed with room to spare). Hard checks gate the exit code;
-soft checks are diagnostics that are reported but never fail the suite.
+ordering through an independent route, and reports a signed margin: at least
+zero exactly when the check passes, and positive when it passes with room to
+spare. A tolerance a check allows is part of its margin, and a condition that
+fails it outright puts its margin at -1 or below. Hard checks gate the exit
+code; soft checks are diagnostics that are reported but never fail the suite.
 
 `FAST_CHECKS` and `FULL_CHECKS` pair each check with its report name, and
 `SOFT_CHECKS` names the soft ones; a check returns (passed, margin, detail),
@@ -281,6 +283,10 @@ def check_decomposition(method: str) -> Outcome:
             "second moments")
 
 
+# the roundoff an exact variance ordering may miss by
+_ORDERING_TOL = 1e-12
+
+
 def _ordering_worst(n: int, m: int, m_len: int, k_values, seed: int
                     ) -> tuple[float, bool]:
     inst, y = _noisy_preconditioned(n, m, seed=seed)
@@ -305,8 +311,8 @@ def check_variance_ordering() -> Outcome:
         if not cond:
             return False, -1.0, "; ".join(details)
         worst = min(worst, margin)
-    passed = worst >= -1e-12
-    return passed, worst, "; ".join(details)
+    margin = worst + _ORDERING_TOL
+    return margin >= 0, margin, "; ".join(details)
 
 
 def check_mc_consistency() -> Outcome:
@@ -420,10 +426,12 @@ def check_residual_bound_mc() -> Outcome:
 
 
 def check_variance_ordering_midsize() -> Outcome:
-    margin, cond = _ordering_worst(30, 4, 2, (1, 2, 3), seed=150)
-    passed = cond and margin >= -1e-12
-    return (passed, margin,
-            f"min margin {margin:.3e} over three outer-loop counts, "
+    worst, cond = _ordering_worst(30, 4, 2, (1, 2, 3), seed=150)
+    margin = worst + _ORDERING_TOL
+    if not cond:
+        margin = min(margin, -1.0)
+    return (margin >= 0, margin,
+            f"min margin {worst:.3e} over three outer-loop counts, "
             f"condition {'met' if cond else 'violated'}")
 
 
@@ -478,9 +486,10 @@ def check_rate_slope() -> Outcome:
         decreasing = decreasing and e_mean < last_e
         last_e = e_mean
     slope, _ = rate_fit(deltas, values)
-    passed = 0.8 <= slope <= 1.9 and decreasing
     margin = min(slope - 0.8, 1.9 - slope)
-    return (passed, margin,
+    if not decreasing:
+        margin = min(margin, -1.0)
+    return (margin >= 0, margin,
             f"fitted mse-vs-noise slope {slope:.3f} (window [0.8, 1.9]);"
             f" stopping errors decreasing: {decreasing}")
 

@@ -372,7 +372,7 @@ def test_solve_and_a_grid_cell_resolve_one_step_bitwise(tmp_path, method,
     assert main(["solve", str(prefix), "--method", method, "--max-epochs",
                  "1", "--out", str(tmp_path / "o"), *extra]) == 0
     meta = json.loads((tmp_path / "o.meta.json").read_text())
-    inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
+    ((inst, (y,), c_unit),) = experiment._prepare_cells(spec)
     assert inst.a.tobytes() == load_instance(
         f"{prefix}.instance.json").a.tobytes()
     assert y.tobytes() == load_noisy(f"{prefix}.noise.json").y.tobytes()

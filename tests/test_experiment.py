@@ -350,9 +350,9 @@ def test_a_one_slice_cell_joins_with_no_copy(tmp_path, monkeypatch):
         made.append(stops_of(curves))
         return made[-1]
 
-    def recording_outcome(spec_, cell, stops, figure_grid):
+    def recording_outcome(spec_, index, cell, M, stops, figure_grid):
         joined.append(stops)
-        return outcome_of(spec_, cell, stops, figure_grid)
+        return outcome_of(spec_, index, cell, M, stops, figure_grid)
 
     monkeypatch.setattr(experiment, "run_stops", recording_stops)
     monkeypatch.setattr(experiment, "_cell_outcome", recording_outcome)
@@ -421,7 +421,7 @@ def _grid_instances(monkeypatch) -> list:
 
     def recording(*args, **kwargs):
         prepared = prepare(*args, **kwargs)
-        seen.extend(inst for inst, _, _ in prepared.values())
+        seen.extend(inst for inst, _, _ in prepared)
         return prepared
 
     monkeypatch.setattr(experiment, "_prepare_cells", recording)
@@ -516,7 +516,8 @@ def three_pass_figure_cell(spec, cell_index):
     pass per cell: error curves, re-running the kept runs when some diverge,
     then one pass for the mean iterate and one for the spread around it."""
     i_nu, i_eps, _, plan = spec.cells[cell_index]
-    inst, y, c_unit = experiment._prepare_cells(spec)[(i_nu, i_eps)]
+    inst, ys, c_unit = experiment._prepare_cells(spec)[i_nu]
+    y = ys[i_eps]
     cfg = experiment._cell_config(inst, plan, spec,
                                   spec.solver_seed(cell_index), True, c_unit)
     acct = EpochAccounting(cfg.method, inst.n, cfg.M)
@@ -659,8 +660,9 @@ def test_grouped_grid_rows_are_bitwise_their_lone_cells(rotate, figure_grid,
 def test_grouped_grid_errors_stay_in_their_cells_bitwise(figure_grid,
                                                          monkeypatch):
     # steps above the stability bound make runs diverge cell by cell, data
-    # that is not finite ends every run of the epsilon = 1e-2 cells, and a
-    # bad configuration fails the epsilon = 1e-3 sgd cell alone
+    # that is not finite ends every run of the epsilon = 1e-2 sgd cell, and
+    # a bad configuration fails the svrg group: its three epsilon cells, and
+    # no sgd cell
     monkeypatch.setattr(experiment, "SolverConfig",
                         functools.partial(SolverConfig, allow_large_step=True))
     spec = small_spec(
@@ -676,7 +678,7 @@ def test_grouped_grid_errors_stay_in_their_cells_bitwise(figure_grid,
         return data
 
     def config(inst, plan, spec_, seed, *args):
-        if seed == spec.solver_seed(4):
+        if plan.method == "svrg":
             raise ValueError("bad configuration")
         return configure(inst, plan, spec_, seed, *args)
 
@@ -688,10 +690,9 @@ def test_grouped_grid_errors_stay_in_their_cells_bitwise(figure_grid,
         assert outcome.row == row
         assert outcome.figure_rows == figure
     notes = [o.row[-1] for o in outcomes]
-    lost = "ValueError: no runs survived the divergence guard"
-    assert notes[2:5] == [lost, lost, "ValueError: bad configuration"]
-    assert all(note.endswith("runs diverged")
-               for note in notes[:2] + notes[5:])
+    assert notes[1::2] == ["ValueError: bad configuration"] * 3
+    assert notes[2] == "ValueError: no runs survived the divergence guard"
+    assert all(note.endswith("runs diverged") for note in (notes[0], notes[4]))
 
 
 def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
@@ -704,12 +705,10 @@ def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
         return rotate(*args)
 
     monkeypatch.setattr(experiment, "precondition", counting)
-    prepared = experiment._prepare_cells(spec)
-    assert len(calls) == 1
-    assert len({id(prepared[(0, k)][0]) for k in range(3)}) == 1
+    ((inst, ys, c_unit),) = experiment._prepare_cells(spec)
+    assert len(calls) == 1 and ys.shape == (3, spec.n)
     inst_nu = smooth_solution(generate(spec.problem, spec.n), 1.0)
-    for k, eps in enumerate(spec.epsilon):
-        inst, y, c_unit = prepared[(0, k)]
+    for k, (eps, y) in enumerate(zip(spec.epsilon, ys)):
         data = add_noise(inst_nu, eps, spec.noise_seed(0, k))
         alone, y_alone = precondition(inst_nu, data.y)
         assert y.tobytes() == y_alone.tobytes()
@@ -717,6 +716,48 @@ def test_rotation_runs_once_per_nu_point_bitwise(monkeypatch):
         assert c_unit == step_constant(alone.a)
     run_grid(spec)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("figure_grid", [False, True])
+@pytest.mark.parametrize("rotate", [False, True], ids=["raw", "preconditioned"])
+def test_one_group_per_nu_and_plan_runs_the_prepared_stack_bitwise(
+        monkeypatch, rotate, figure_grid):
+    # 2 nu x 3 epsilon x 2 plans: run_groups gets four groups in spec order,
+    # (nu, plan) nu-major, each on its nu's instance with the prepared
+    # (epsilon, n) data stack itself, no copy, and the seeds of its epsilon
+    # cells in grid order
+    spec = small_spec(nu=[0.5, 1.0], epsilon=[5e-2, 1e-2, 1e-3], runs=2,
+                      max_epochs=4.0, precondition=rotate,
+                      methods=[{"method": "sgd", "c0": "1/2*c"},
+                               {"method": "svrg", "c0": "1/2*c", "M": "4"}])
+    prepared, given = [], []
+    prepare, groups_of = experiment._prepare_cells, experiment.run_groups
+
+    def recording_prepare(*args, **kwargs):
+        out = prepare(*args, **kwargs)
+        prepared.extend(out)
+        return out
+
+    def recording_groups(groups, runs, moments=False):
+        given.extend(groups)
+        return groups_of(groups, runs, moments)
+
+    monkeypatch.setattr(experiment, "_prepare_cells", recording_prepare)
+    monkeypatch.setattr(experiment, "run_groups", recording_groups)
+    outcomes = run_grid(spec, figure_grid=figure_grid)
+    assert all(o.row[-1] == "" for o in outcomes)
+    assert len(prepared) == 2 and len(given) == 4
+    for k, (inst, cfg, ys, seeds) in enumerate(given):
+        i_nu, i_m = divmod(k, 2)
+        inst_nu, stack, c_unit = prepared[i_nu]
+        assert inst is inst_nu and stack.shape == (3, spec.n)
+        assert ys.shape == stack.shape and np.shares_memory(ys, stack)
+        plan = spec.methods[i_m]
+        cells = [j for j, (nu_j, _, m_j, _) in enumerate(spec.cells)
+                 if (nu_j, m_j) == (i_nu, i_m)]
+        assert list(seeds) == [spec.solver_seed(j) for j in cells]
+        assert cfg == experiment._cell_config(inst, plan, spec, seeds[0],
+                                              figure_grid, c_unit)
 
 
 # --- run slices -----------------------------------------------------------------
@@ -816,9 +857,9 @@ def test_sliced_divergence_matches_the_whole_cell_bitwise(
         log.append(runs)
         return curves_of(inst, y, cfg, runs, **kwargs)
 
-    def recording_outcome(spec_, cell, curves, figure_grid):
+    def recording_outcome(spec_, index, cell, M, curves, figure_grid):
         joined.append(curves)
-        return outcome_of(spec_, cell, curves, figure_grid)
+        return outcome_of(spec_, index, cell, M, curves, figure_grid)
 
     monkeypatch.setattr(experiment, "error_curves", recording_curves)
     monkeypatch.setattr(experiment, "_cell_outcome", recording_outcome)
@@ -869,7 +910,7 @@ def test_run_stops_of_a_one_cell_group_are_its_first_minima_on_one_or_two_worker
     spec = small_spec(n=10, nu=[0.0], runs=64, max_epochs=60.0, base_seed=5,
                       precondition=rotate, methods=[{"method": "sgd",
                                                      "c0": c0}])
-    inst, y, c_unit = experiment._prepare_cells(spec)[(0, 0)]
+    ((inst, (y,), c_unit),) = experiment._prepare_cells(spec)
     assert (inst.row_gram_diagonal is not None) == rotate
     cfg = experiment._cell_config(inst, spec.methods[0], spec,
                                   spec.solver_seed(0), False, c_unit)

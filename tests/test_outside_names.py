@@ -3,7 +3,8 @@
 The benchmark's tracer (benchmark/tracing.py) looks functions, a method, a
 cached property and a module attribute up by name and swaps wrappers in for
 them; a deleted or renamed one breaks every traced benchmark run.  The
-benchmark's workloads import from the package's public names.
+benchmark's workloads import from the package's public names, and its
+info hooks read the arguments of the calls they wrap by name.
 """
 
 import importlib.util
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 import stochreg
-from stochreg import rng, solvers, spectral
+from stochreg import experiment, rng, solvers, spectral
 from stochreg.problems import add_noise, gen_shaw
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -96,3 +97,24 @@ def test_tracer_reads_steps_checkpoints_and_residual_off_a_run_batch_call():
         assert (info["flop"], info["bytes"], info["anchors"]) == (
             flop, nbytes, anchors)
     assert infos[0]["flop"] > infos[1]["flop"]
+
+
+def test_tracer_counts_the_cells_of_a_run_grid_call():
+    # the traced benchmark's experiment.cells sums the info of each
+    # run_grid span, which reads the cells of the call's spec argument
+    tracing = _load_tracing()
+    spec = experiment.spec_from_dict({
+        "problem": "s-shaw", "n": 12, "nu": [0.0, 1.0],
+        "epsilon": [5e-2, 1e-2], "runs": 2, "max_epochs": 2.0,
+        "methods": [{"method": "sgd", "c0": "1/2*c"},
+                    {"method": "landweber"}]})
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        outcomes = experiment.run_grid(spec)
+    finally:
+        restore()
+    assert all(o.row[-1] == "" for o in outcomes)
+    infos = [span.info for span in tracer.spans
+             if span.name == "experiment.run_grid"]
+    assert infos == [{"cells": len(spec.cells)}] and len(spec.cells) == 8

@@ -283,7 +283,7 @@ def test_index_blocks_reject_bad_arguments():
 def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
                                                             method, M, rotate):
     # raw s-shaw rows take the dense form, the preconditioned ones the
-    # diagonal form
+    # diagonal form; at one BLAS thread, as run_batch runs
     inst, y = precondition(*noisy_shaw) if rotate else noisy_shaw
     assert (inst.row_gram_diagonal is not None) == rotate
     c0 = 0.5 * step_stability_bound(inst, method)
@@ -292,14 +292,15 @@ def test_lockstep_kernel_is_the_out_of_place_update_bitwise(noisy_shaw,
     # stops on and off the fold grid (n = 12 for sgd, M = 3 for svrg, every
     # step for landweber) and on both sides of the chunk boundary
     stops = (1, 7, 60, _CHUNK - 1, _CHUNK, steps)
-    expected = out_of_place_lockstep(inst, y, idx, method, c0, M, stops)
-    kernel = Lockstep(inst, y, runs, method, c0, M)
-    for stop in stops:
-        kernel.advance(idx[kernel.t:stop])
-        assert kernel.t == stop
-        x, err = expected[stop]
-        assert_array_equal(kernel.error_sq(), err)
-        assert_array_equal(kernel.iterates(), x)
+    with solvers.one_blas_thread():
+        expected = out_of_place_lockstep(inst, y, idx, method, c0, M, stops)
+        kernel = Lockstep(inst, y, runs, method, c0, M)
+        for stop in stops:
+            kernel.advance(idx[kernel.t:stop])
+            assert kernel.t == stop
+            x, err = expected[stop]
+            assert_array_equal(kernel.error_sq(), err)
+            assert_array_equal(kernel.iterates(), x)
 
 
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3),
@@ -615,7 +616,8 @@ def test_step_kernel_is_batch_invariant(m, method, M, rotate):
     # single runs, subsets and reorders get the bits of the full batch, also
     # when their last block ends in padding; both stops are off the fold
     # grids of sgd and svrg, so the iterate is built by a W @ A product, or
-    # a (C + W) @ A product in the diagonal form; the squared errors too
+    # a (C + W) @ A product in the diagonal form; the squared errors too.
+    # At one BLAS thread, as run_batch runs
     inst, ys = kernel_case(m, 100, rotate)
     c0 = 0.5 * step_stability_bound(inst, method)
     stops = (inst.n + 2, 2 * inst.n + 1)
@@ -629,13 +631,14 @@ def test_step_kernel_is_batch_invariant(m, method, M, rotate):
             out += [kernel.error_sq(), kernel.iterates().copy()]
         return out
 
-    full = states(np.arange(100))
     rng = np.random.default_rng(7)
     picks = [rng.permutation(100)[:runs] for runs in (1, 31, 32, 33, 100)]
     picks += [np.array([r]) for r in (0, 31, 32, 99)]
-    for pick in picks:
-        for got, want in zip(states(pick), full):
-            assert_array_equal(got, want[pick])
+    with solvers.one_blas_thread():
+        full = states(np.arange(100))
+        for pick in picks:
+            for got, want in zip(states(pick), full):
+                assert_array_equal(got, want[pick])
 
 
 @pytest.mark.parametrize("method,M", [("sgd", 1), ("svrg", 3)])
@@ -710,7 +713,7 @@ def test_step_kernel_keeps_the_exact_data_fixed_point(method, M, rotate):
 @pytest.mark.parametrize("rotate", [False, True], ids=["dense", "diagonal"])
 def test_step_kernel_bits_do_not_depend_on_python_threads(rotate):
     # a landweber and an svrg batch at 100 x 200, alone and then on two
-    # threads at once
+    # threads at once, all at one BLAS thread, as run_batch runs
     inst, ys = kernel_case(200, 100, rotate)
     idx = stream_indices(9, inst.n, 100, 40)
     plans = [("landweber", 1), ("svrg", 3)]
@@ -724,18 +727,20 @@ def test_step_kernel_bits_do_not_depend_on_python_threads(rotate):
             out.append(kernel.iterates().copy())
         return np.array(out)
 
-    expected = [states(*plan) for plan in plans]
     got = [None, None]
 
     def work(k):
         got[k] = states(*plans[k])
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-        assert not t.is_alive()
+    with solvers.one_blas_thread():
+        expected = [states(*plan) for plan in plans]
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
     for k in range(2):
         assert_array_equal(got[k], expected[k])
 
@@ -781,25 +786,27 @@ def test_diagonal_form_is_the_dense_form_bitwise_on_exactly_orthogonal_rows(
     # bits; three epochs of sgd, with stops on and off the fold grids.  The
     # diagonal form reads the error off the coordinates, the dense form off
     # X, so the error norms |X - x_dag| agree to 1e-14 of the largest entry
-    # of X (measured: 1.1e-15)
+    # of X (measured: 1.1e-15).  At one BLAS thread, as run_batch runs
     inst, ys = exactly_orthogonal_case(kind, runs)
     assert not (inst.row_gram - np.diag(inst.row_gram_diagonal)).any()
     c0 = 0.5 * step_stability_bound(inst, method)
     steps = 3 * inst.n + 2
     idx = stream_indices(2, inst.n, runs, steps)
-    diagonal = Lockstep(inst, ys, runs, method, c0, M)
-    dense = Lockstep(dense_form(inst), ys, runs, method, c0, M)
-    assert diagonal.kd is not None and dense.kd is None
-    for stop in (1, inst.n + 1, 2 * inst.n, steps):
-        for kernel in (diagonal, dense):
-            kernel.advance(idx[kernel.t:stop])
-        assert_array_equal(diagonal._w, dense._w)
-        assert_array_equal(diagonal._dual, dense._dual)
-        assert_array_equal(diagonal._c, dense._c)
-        want = dense.iterates()
-        assert_array_equal(diagonal.iterates(), want)
-        norms = np.sqrt([diagonal.error_sq(), dense.error_sq()])
-        assert np.abs(norms[0] - norms[1]).max() <= 1e-14 * np.abs(want).max()
+    with solvers.one_blas_thread():
+        diagonal = Lockstep(inst, ys, runs, method, c0, M)
+        dense = Lockstep(dense_form(inst), ys, runs, method, c0, M)
+        assert diagonal.kd is not None and dense.kd is None
+        for stop in (1, inst.n + 1, 2 * inst.n, steps):
+            for kernel in (diagonal, dense):
+                kernel.advance(idx[kernel.t:stop])
+            assert_array_equal(diagonal._w, dense._w)
+            assert_array_equal(diagonal._dual, dense._dual)
+            assert_array_equal(diagonal._c, dense._c)
+            want = dense.iterates()
+            assert_array_equal(diagonal.iterates(), want)
+            norms = np.sqrt([diagonal.error_sq(), dense.error_sq()])
+            assert (np.abs(norms[0] - norms[1]).max()
+                    <= 1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("m", [200, 2], ids=["shaw200", "rand5x2"])

@@ -5,6 +5,7 @@ Each report entry takes its name and softness from the tables in
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +118,55 @@ def test_kernel_bounds_margin_sign_follows_the_failures(monkeypatch, excess,
     failures = 0 if passed else 804
     assert detail == (f"{failures} failures over 804 sweep cases; "
                       f"smallest bound slack {1.0 - (1.0 + excess):.3e}")
+
+
+@pytest.mark.parametrize("check", [verify.check_variance_ordering,
+                                   verify.check_variance_ordering_midsize],
+                         ids=["small", "midsize"])
+@pytest.mark.parametrize("worst,cond,passed", [
+    (0.5, True, True),
+    (-1e-12, True, True),  # at the tolerance: a zero margin
+    (math.nextafter(-1e-12, -1.0), True, False),
+    (0.5, False, False),  # room in the ordering, but its condition violated
+    (-0.5, False, False),
+])
+def test_ordering_margins_are_not_negative_exactly_when_passing(
+        monkeypatch, check, worst, cond, passed):
+    # canned ordering margins and conditions for each instance the check
+    # builds; the ordering holds to a roundoff of 1e-12
+    monkeypatch.setattr(verify, "_ordering_worst",
+                        lambda *_args, **_kwargs: (worst, cond))
+    ok, margin, _ = check()
+    assert bool(ok) is passed
+    assert (margin >= 0) is passed
+    assert margin == (worst + 1e-12 if cond else min(worst + 1e-12, -1.0))
+
+
+@pytest.mark.parametrize("slope,errors,passed", [
+    (1.2, (0.3, 0.2, 0.1), True),
+    (0.8, (0.3, 0.2, 0.1), True),  # on the window's edge: a zero margin
+    (1.95, (0.3, 0.2, 0.1), False),
+    (1.2, (0.3, 0.3, 0.1), False),  # a tie is no decrease
+    (1.2, (0.3, 0.2, 0.25), False),
+    (2.5, (0.3, 0.2, 0.25), False),
+])
+def test_rate_slope_margin_is_not_negative_exactly_when_passing(
+        monkeypatch, slope, errors, passed):
+    # canned error curves give each noise level's stopping error, in the
+    # check's order of decreasing noise, and a canned fit gives the slope
+    canned = iter(errors)
+
+    def curves(*_args, **_kwargs):
+        return SimpleNamespace(error_sq=np.full((2, 3), next(canned) ** 2))
+
+    monkeypatch.setattr(verify, "error_curves", curves)
+    monkeypatch.setattr(verify, "rate_fit", lambda *_args: (slope, 0.0))
+    ok, margin, detail = verify.check_rate_slope()
+    assert ok is passed and (margin >= 0) is passed
+    decreasing = errors[0] > errors[1] > errors[2]
+    assert detail.endswith(f"stopping errors decreasing: {decreasing}")
+    window = min(slope - 0.8, 1.9 - slope)
+    assert margin == (window if decreasing else min(window, -1.0))
 
 
 def test_phillips_check_runs_its_cell_through_the_worker_runner(monkeypatch):
